@@ -1,0 +1,67 @@
+"""Per-user SE against committed golden values.
+
+``data/golden_se.npz`` holds DL SE, UL SE and the modal serving cell of
+every terminal for the ten presets plus one dense seven-cell case.  A
+refactor that keeps the arithmetic order must reproduce DL SE and the
+serving cells exactly; UL SE may move by rounding only (the co-block
+interference powers come from array ``power``, which can differ from
+scalar ``pow`` by one ulp).
+
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` -- only
+when the model itself changes on purpose.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
+
+from hapsim.config import ScenarioConfig, preset_config, preset_names
+from hapsim.simulation import run_campaign
+
+GOLDEN = Path(__file__).parent / "data" / "golden_se.npz"
+DENSE = "dense-selection-cpe"
+CASES = [*preset_names(), DENSE]
+
+
+def case_config(name: str) -> ScenarioConfig:
+    if name == DENSE:
+        return ScenarioConfig(layout="seven_cell", attachment_mode="beam_selection",
+                              terminal_kind="cpe_directional", terminal_count=336,
+                              target_los_count=280, seed=1)
+    return preset_config(name)
+
+
+def compute(name: str) -> dict[str, np.ndarray]:
+    res = run_campaign(case_config(name))
+    return {f"{name}/dl_se": res.dl_se, f"{name}/ul_se": res.ul_se,
+            f"{name}/serving_cell": res.serving_cell}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_per_user_se_matches_golden(golden, name):
+    got = compute(name)
+    assert_array_equal(got[f"{name}/dl_se"], golden[f"{name}/dl_se"])
+    assert_array_equal(got[f"{name}/serving_cell"], golden[f"{name}/serving_cell"])
+    assert_allclose(got[f"{name}/ul_se"], golden[f"{name}/ul_se"], rtol=1e-12, atol=0.0)
+
+
+def test_golden_cases_are_all_stored(golden):
+    assert sorted(golden) == sorted(f"{c}/{k}" for c in CASES
+                                    for k in ("dl_se", "ul_se", "serving_cell"))
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    arrays = {}
+    for case in CASES:
+        arrays.update(compute(case))
+    np.savez_compressed(GOLDEN, **arrays)
+    print(f"wrote {len(CASES)} cases to {GOLDEN}")
