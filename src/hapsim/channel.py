@@ -9,9 +9,10 @@ can be swapped in without touching code.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -108,23 +109,37 @@ class NtnTables:
         )
 
     @classmethod
+    @functools.cache
     def default(cls) -> "NtnTables":
-        """The bundled rural S-band table."""
+        """The bundled rural S-band table, parsed once and shared read-only."""
         ref = resources.files("hapsim.data") / DEFAULT_TABLE_RESOURCE
         with resources.as_file(ref) as path:
-            return cls.from_file(path)
+            tables = cls.from_file(path)
+        for f in fields(tables):
+            getattr(tables, f.name).flags.writeable = False
+        return tables
 
-    def bin_index(self, elevation_deg: float) -> int:
-        """Nearest-bin lookup; clamps (and logs) out-of-range elevations."""
+    def bin_indices(self, elevation_deg) -> np.ndarray:
+        """Nearest-bin lookup for an array of elevations (ties go to the lower bin).
+
+        Elevations more than half a bin spacing outside the table are
+        clamped to the edge bin; one warning gives how many were clamped.
+        """
+        elev = np.asarray(elevation_deg, dtype=float)
         bins = self.elevation_deg
         spacing = bins[1] - bins[0] if len(bins) > 1 else math.inf
-        idx = int(np.argmin(np.abs(bins - elevation_deg)))
-        if abs(elevation_deg - bins[idx]) > spacing / 2 + 1e-9:
+        idx = np.argmin(np.abs(elev[..., None] - bins), axis=-1)
+        clamped = np.abs(elev - bins[idx]) > spacing / 2 + 1e-9
+        if clamped.any():
             log.warning(
-                "elevation %.2f deg outside channel table range, clamped to %g deg bin",
-                elevation_deg, bins[idx],
+                "%d elevation(s) outside channel table range [%g, %g] deg, "
+                "clamped to the nearest bin", int(clamped.sum()), bins[0], bins[-1],
             )
         return idx
+
+    def bin_index(self, elevation_deg: float) -> int:
+        """Nearest bin of one elevation; see :meth:`bin_indices`."""
+        return int(self.bin_indices(elevation_deg))
 
 
 def _is_number(token: str) -> bool:

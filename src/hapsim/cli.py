@@ -7,8 +7,9 @@ Subcommands:
 * ``validate``     - check a scenario file and print its canonical form
 
 A scenario comes from ``--preset`` or ``--config`` (an empty file is the
-single-cell bent-pipe baseline); ``--seed``, ``--arch`` and ``--workers``
-override individual fields without editing the file.
+single-cell bent-pipe baseline); ``--seed`` and ``--arch`` override
+individual fields without editing the file.  ``run`` still accepts
+``--workers`` for compatibility; it has no effect.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_run)
     p_run.add_argument("--out", metavar="DIR", default="out", help="artifact directory")
     p_run.add_argument("--workers", type=int, metavar="N",
-                       help="evaluate platform positions on N threads")
+                       help="accepted for compatibility; campaigns run in one thread")
     p_run.set_defaults(func=_cmd_run)
 
     p_cons = sub.add_parser("consumption", help="relay power-efficiency assessment")

@@ -151,7 +151,8 @@ class ScenarioConfig:
     relay_rx_gain_db: float = 105.0
     sink_rx_gain_db: float = 0.0
 
-    # Execution
+    # Execution: accepted and validated for compatibility; campaigns run
+    # in one thread whatever its value.
     workers: int = 1
 
     # ------------------------------------------------------------------

@@ -11,13 +11,14 @@ positions with a larger bandwidth share weigh proportionally more.
 Determinism: all randomness flows from one seeded generator consumed in
 a fixed order (terminal radii, angles, LOS assignment, shadow fading)
 before any link evaluation starts, so identical seeds give bit-identical
-results for any worker count.
+results.  Platform positions are evaluated one after another in one
+thread; the ``workers`` setting is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -199,7 +200,7 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
         platform_center.z,
         np.hypot(platform_center.x - xs, platform_center.y - ys),
     ))
-    bins = np.array([tables.bin_index(e) for e in elev])
+    bins = tables.bin_indices(elev)
     p_los = tables.los_probability[bins]
 
     if target_los is None:
@@ -343,13 +344,14 @@ def attach(terminal: Terminal, beams: Sequence[Beam], haps: Point3,
 
 
 def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
-                        offset: int = 0) -> list[tuple[int, int]]:
+                        offset: int = 0) -> np.ndarray:
     """Round-robin uplink slots: rank within the cell, in terminal-id order.
 
-    Returns one ``(tti, block)`` pair per terminal.  Terminals in
-    different cells sharing a pair transmit simultaneously on the same
-    block and interfere; within a cell ranks are unique, so intra-cell
-    collisions cannot happen.
+    Returns one slot index ``s`` per terminal, which is block
+    ``s % n_blocks`` of TTI ``s // n_blocks``.  Terminals in different
+    cells sharing a slot transmit simultaneously on the same block and
+    interfere; within a cell ranks are unique, so intra-cell collisions
+    cannot happen.
 
     ``offset`` is the round-robin pointer state: each cell's pointer
     advances at its own rate (cell index + 1 steps per scheduling
@@ -358,13 +360,45 @@ def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
     """
     if n_blocks <= 0:
         raise SchedulingError("uplink needs at least one block")
-    slots: list[tuple[int, int]] = [(-1, -1)] * len(serving)
-    for b in np.unique(serving):
-        members = np.flatnonzero(serving == b)
-        for rank, n in enumerate(members):
-            slot = (rank + offset * (int(b) + 1)) % len(members)
-            slots[n] = (slot // n_blocks, slot % n_blocks)
-    return slots
+    serving = np.asarray(serving)
+    order = np.argsort(serving, kind="stable")
+    counts = np.bincount(serving)
+    first = np.cumsum(counts) - counts  # position of each cell's first member in ``order``
+    rank = np.empty(serving.size, dtype=np.intp)
+    rank[order] = np.arange(serving.size) - first[serving[order]]
+    return (rank + offset * (serving + 1)) % counts[serving]
+
+
+def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
+                          ul_rx_dbm: np.ndarray, gains: np.ndarray,
+                          n_blocks: int, first_offset: int) -> np.ndarray:
+    """Uplink co-block interference (mW), one row per sub-interval.
+
+    Sub-interval ``j`` schedules with round-robin offset
+    ``first_offset + j``; there are as many sub-intervals as the largest
+    cell has members.  A terminal's interferers are the terminals of the
+    other cells that hold its slot, received through its serving panel
+    and summed in terminal-id order.
+    """
+    n = serving.size
+    n_sub = int(counts.max())
+    idx = np.arange(n)
+    sub = np.arange(n_sub)[:, None]
+    slots = np.stack([ul_slot_assignments(serving, n_blocks, offset=first_offset + j)
+                      for j in range(n_sub)])
+    # holder[j, s, b]: the terminal of beam b in slot s of sub-interval j (n if none)
+    holder = np.full((n_sub, n_sub, counts.size), n)
+    holder[sub, slots, serving] = idx
+    peers = holder[sub, slots]  # (n_sub, n, beams)
+    peers[:, idx, serving] = n  # a terminal does not interfere with itself
+    peers.sort(axis=2)
+    power = np.zeros((counts.size, n + 1))
+    power[:, :n] = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
+    terms = power[serving[:, None], peers]  # (n_sub, n, beams); 0 for no peer
+    total = terms[:, :, 0].copy()
+    for b in range(1, counts.size):
+        total += terms[:, :, b]
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -510,28 +544,16 @@ def _position_outcome(k: int, cfg: ScenarioConfig, pattern: FlightPattern,
     # interferers.  Average the achieved SE over one full rotation of
     # the largest cell rather than freezing a single collision draw.
     ul_abs = LinkAbstraction(cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
-    n_sub = max(int(counts.max()), 1) if int(active.sum()) > 1 else 1
     own_ul = ul_rx_dbm + gains[serving, idx]
-    se_ul = np.zeros(n)
-    for sub in range(n_sub):
-        slots = ul_slot_assignments(serving, n_blocks, offset=k * n_sub + sub)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for t, key in enumerate(slots):
-            groups.setdefault(key, []).append(t)
-        ul_if_lin = np.zeros(n)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            for t in members:
-                panel_gain = gains[serving[t]]
-                lin = sum(
-                    10.0 ** ((ul_rx_dbm[m] + panel_gain[m]) / 10.0)
-                    for m in members if m != t
-                )
-                ul_if_lin[t] = lin
-        sinr_ul = own_ul - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
-        se_ul += sinr_to_se(sinr_ul, ul_abs)
-    se_ul /= n_sub
+    if int(active.sum()) > 1:
+        n_sub = int(counts.max())
+        ul_if_lin = _coblock_interference(serving, counts, ul_rx_dbm, gains,
+                                          n_blocks, k * n_sub)
+    else:  # one active cell: every slot has a single holder
+        n_sub = 1
+        ul_if_lin = np.zeros((1, n))
+    sinr_ul = own_ul - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
+    se_ul = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
 
     dl_abs = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
     se_dl = sinr_to_se(sinr_dl, dl_abs)
@@ -593,17 +615,11 @@ def run_campaign(config: ScenarioConfig,
         if sorted(order) != list(range(cfg.flight_position_count)):
             raise ConfigError("position_order must be a permutation of all positions")
 
-    def evaluate(k: int) -> _PositionOutcome:
-        return _position_outcome(
-            k, cfg, pattern, beams, fixed_cells, xy, los, shadow,
-            cpe, tables, repeater, gateway,
-        )
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(evaluate, order))
-    else:
-        outcomes = [evaluate(k) for k in order]
+    outcomes = [
+        _position_outcome(k, cfg, pattern, beams, fixed_cells, xy, los, shadow,
+                          cpe, tables, repeater, gateway)
+        for k in order
+    ]
 
     n = len(terminals)
     dl_bits = np.zeros(n)
@@ -621,9 +637,9 @@ def run_campaign(config: ScenarioConfig,
     dl_se = np.where(dl_tb > 0, dl_bits / np.where(dl_tb > 0, dl_tb, 1.0), 0.0)
     ul_se = np.where(ul_tb > 0, ul_bits / np.where(ul_tb > 0, ul_tb, 1.0), 0.0)
 
-    modal = np.empty(n, dtype=int)
-    for t in range(n):
-        modal[t] = np.bincount(serving_history[:, t], minlength=len(beams)).argmax()
+    # most frequent serving beam; ties go to the lowest index
+    votes = (serving_history[:, :, None] == np.arange(len(beams))).sum(axis=0)
+    modal = votes.argmax(axis=1)
 
     report = CampaignReport(
         dl=aggregate_se(dl_se),

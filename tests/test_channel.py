@@ -74,6 +74,26 @@ def test_bin_index_clamps_and_warns(caplog):
     assert any("clamped" in rec.message for rec in caplog.records)
 
 
+def test_bin_indices_match_the_scalar_lookup_and_warn_once(caplog):
+    t = NtnTables.default()
+    elev = np.array([2.0, 10.0, 14.9, 15.0, 15.1, 44.0, 45.0, 90.0, 97.0])
+    expected = [t.bin_index(e) for e in elev]
+    assert expected == [0, 0, 0, 0, 1, 3, 3, 8, 8]  # ties take the lower bin
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="hapsim.channel"):
+        assert t.bin_indices(elev).tolist() == expected
+    assert [r.getMessage()[:15] for r in caplog.records] == ["2 elevation(s) "]
+
+
+def test_default_table_is_parsed_once_and_read_only():
+    t = NtnTables.default()
+    assert NtnTables.default() is t
+    with pytest.raises(ValueError):
+        t.los_probability[0] = 0.5
+    with pytest.raises(ValueError):
+        t.elevation_deg += 1.0
+
+
 def test_in_range_lookup_does_not_warn(caplog):
     t = NtnTables.default()
     with caplog.at_level(logging.WARNING, logger="hapsim.channel"):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hapsim.channel import NtnTables
@@ -12,6 +13,7 @@ from hapsim.errors import ConfigError, DomainError, OutOfCoverageError, Scheduli
 from hapsim.geometry import Point3
 from hapsim.simulation import (
     AggregateStats,
+    _coblock_interference,
     LinkAbstraction,
     PacketRecord,
     aggregate_se,
@@ -236,10 +238,15 @@ def test_attach_rejects_out_of_coverage_and_bad_mode():
 # ----------------------------------------------------------------------
 # Uplink scheduling
 
+def _tti_block(slots, n_blocks):
+    """``(tti, block)`` pairs of an array of slot indices."""
+    return [divmod(int(s), n_blocks) for s in slots]
+
+
 def test_slots_unique_within_a_cell():
     serving = np.array([0, 0, 0, 1, 1, 2])
     for offset in range(8):
-        slots = ul_slot_assignments(serving, n_blocks=2, offset=offset)
+        slots = _tti_block(ul_slot_assignments(serving, n_blocks=2, offset=offset), 2)
         for cell in (0, 1, 2):
             members = [slots[i] for i in np.flatnonzero(serving == cell)]
             assert len(set(members)) == len(members)
@@ -247,21 +254,21 @@ def test_slots_unique_within_a_cell():
 
 def test_slots_zero_offset_is_id_order():
     serving = np.array([0, 1, 0, 1])
-    slots = ul_slot_assignments(serving, n_blocks=20, offset=0)
+    slots = _tti_block(ul_slot_assignments(serving, n_blocks=20, offset=0), 20)
     # two members per cell; ranks 0 and 1 land on blocks 0 and 1 of tti 0
     assert slots == [(0, 0), (0, 0), (0, 1), (0, 1)]
 
 
 def test_slots_blocks_fill_before_next_tti():
     serving = np.zeros(5, dtype=int)
-    slots = ul_slot_assignments(serving, n_blocks=2, offset=0)
+    slots = _tti_block(ul_slot_assignments(serving, n_blocks=2, offset=0), 2)
     assert slots == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
 
 
 def test_slot_offset_rotates_cells_at_different_rates():
     serving = np.array([0, 0, 1, 1])
-    base = ul_slot_assignments(serving, n_blocks=20, offset=0)
-    moved = ul_slot_assignments(serving, n_blocks=20, offset=1)
+    base = _tti_block(ul_slot_assignments(serving, n_blocks=20, offset=0), 20)
+    moved = _tti_block(ul_slot_assignments(serving, n_blocks=20, offset=1), 20)
     # equally loaded cells must not stay in lockstep: the co-block pairing
     # changes between scheduling intervals
     pairs_base = {tuple(sorted(i for i, s in enumerate(base) if s == key)) for key in set(base)}
@@ -269,9 +276,57 @@ def test_slot_offset_rotates_cells_at_different_rates():
     assert pairs_base != pairs_moved
 
 
+def _loop_slots(serving, offset):
+    """The slot rule as a per-terminal loop: the reference for the array version."""
+    slots = np.empty(len(serving), dtype=int)
+    for cell in np.unique(serving):
+        members = np.flatnonzero(serving == cell)
+        for rank, t in enumerate(members):
+            slots[t] = (rank + offset * (int(cell) + 1)) % len(members)
+    return slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(serving=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+       offset=st.integers(0, 500), n_blocks=st.integers(1, 30))
+def test_slots_permute_each_cell_and_rotate_with_the_offset(serving, offset, n_blocks):
+    serving = np.array(serving)
+    slots = ul_slot_assignments(serving, n_blocks, offset=offset)
+    assert_array_equal(slots, _loop_slots(serving, offset))
+    moved = ul_slot_assignments(serving, n_blocks, offset=offset + 1)
+    for cell in np.unique(serving):
+        members = serving == cell
+        load = int(members.sum())
+        # each cell's slots are a permutation of range(load) ...
+        assert sorted(slots[members].tolist()) == list(range(load))
+        # ... and one more pointer step shifts them by cell + 1
+        assert_array_equal(moved[members], (slots[members] + cell + 1) % load)
+
+
 def test_slots_require_positive_blocks():
     with pytest.raises(SchedulingError):
         ul_slot_assignments(np.array([0, 1]), n_blocks=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(serving=st.lists(st.integers(0, 6), min_size=2, max_size=30).filter(
+           lambda s: len(set(s)) > 1),
+       offset=st.integers(0, 200), n_blocks=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_coblock_interference_matches_the_loop_sum(serving, offset, n_blocks, seed):
+    serving = np.array(serving)
+    n = serving.size
+    rng = np.random.default_rng(seed)
+    ul_rx_dbm = rng.uniform(-130.0, -60.0, n)
+    gains = rng.uniform(-20.0, 30.0, (7, n))
+    counts = np.bincount(serving, minlength=7)
+    got = _coblock_interference(serving, counts, ul_rx_dbm, gains, n_blocks, offset)
+    assert got.shape == (counts.max(), n)
+    for j, row in enumerate(got):
+        slots = ul_slot_assignments(serving, n_blocks, offset=offset + j)
+        want = [sum(10.0 ** ((ul_rx_dbm[m] + gains[serving[t], m]) / 10.0)
+                    for m in range(n) if m != t and slots[m] == slots[t])
+                for t in range(n)]
+        assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
 
 # ----------------------------------------------------------------------
