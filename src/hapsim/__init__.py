@@ -35,12 +35,10 @@ from .simulation import (
     AggregateStats,
     CampaignResult,
     LinkAbstraction,
-    PacketRecord,
     Terminal,
     aggregate_se,
     run_campaign,
     sinr_to_se,
-    user_se,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ to unit total power, so a steered beam combines coherently to exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -235,9 +234,15 @@ def array_gain(panel: Panel, weights: np.ndarray, directions) -> np.ndarray | fl
     Element gain plus ``20*log10|AF|`` where the array factor sums the
     weighted per-element phases; with steering weights the target sees the
     element gain plus ``10*log10(n_elements)``.
+
+    ``weights`` is one set ``(n_elements,)`` applied to directions of any
+    shape ``(..., 3)``, or a stack ``(..., n_elements)`` whose leading axes
+    broadcast against those of ``directions`` ``(..., m, 3)``: a
+    ``(P, n_elements)`` stack with ``(P, m, 3)`` directions gives row ``p``
+    the gains of weight set ``p``, exactly as ``P`` separate calls would.
     """
     weights = np.asarray(weights)
-    if weights.shape != (panel.n_elements,):
+    if weights.shape[-1:] != (panel.n_elements,):
         raise ConfigError(
             f"expected {panel.n_elements} weights, got shape {weights.shape}"
         )
@@ -247,7 +252,7 @@ def array_gain(panel: Panel, weights: np.ndarray, directions) -> np.ndarray | fl
         np.multiply.outer(u, panel.element_offsets_wl[:, 0])
         + np.multiply.outer(v, panel.element_offsets_wl[:, 1])
     )
-    af = np.abs(np.exp(1j * phase) @ weights)
+    af = np.abs((np.exp(1j * phase) @ weights[..., None])[..., 0])
     gain = elem + 20.0 * np.log10(np.maximum(af, 1e-12))
     if np.ndim(gain) == 0:
         return float(gain)

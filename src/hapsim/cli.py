@@ -15,6 +15,7 @@ individual fields without editing the file.  ``run`` still accepts
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -46,13 +47,10 @@ def _scenario_from_args(args) -> ScenarioConfig:
         cfg = load_config(args.config)
     else:
         cfg = ScenarioConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.arch is not None:
-        cfg.architecture = args.arch
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    return cfg.validate()
+    overrides = {"seed": args.seed, "architecture": args.arch,
+                 "workers": getattr(args, "workers", None)}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
 
 
 def _scenario_name(args) -> str:

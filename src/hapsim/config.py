@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,6 +183,12 @@ class ScenarioConfig:
         return os.environ.get(TABLE_PATH_ENV_VAR) or None
 
     def validate(self) -> "ScenarioConfig":
+        # map() keeps this check cheap: validate() runs once per scenario resolved
+        values = _float_values(self)
+        if not all(map(math.isfinite, filter(None, values))):
+            field, value = next((f, v) for f, v in zip(_FLOAT_FIELDS, values)
+                                if v is not None and not math.isfinite(v))
+            raise ValidationError(field, f"must be finite; got {value}")
         for field, allowed in _ENUMS.items():
             value = getattr(self, field)
             if value not in allowed:
@@ -242,38 +249,39 @@ class ScenarioConfig:
 # Parsing and canonical dumping
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+_FLOAT_FIELDS = tuple(name for name, f in _FIELDS.items() if "float" in f.type)
+_float_values = operator.attrgetter(*_FLOAT_FIELDS)
 
 
-def _parse_value(key: str, raw: str, line_no: int | None):
-    field = _FIELDS[key]
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_value(key: str, raw: str):
+    """The typed value of one assignment; ``ValueError`` names the type expected."""
+    kind = _FIELDS[key].type
     if key in _AUTO_FIELDS:
         if raw.lower() == "auto":
             return None
-        base = int if key != "cell_radius_m" else float
-        try:
-            return base(raw)
-        except ValueError:
-            raise ConfigSyntaxError(
-                f"{key}: expected {base.__name__} or 'auto', got {raw!r}", line_no
-            ) from None
-    if field.type in ("int", int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigSyntaxError(f"{key}: expected integer, got {raw!r}", line_no) from None
-    if field.type in ("float", float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigSyntaxError(f"{key}: expected number, got {raw!r}", line_no) from None
-    if field.type in ("bool", bool):
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigSyntaxError(f"{key}: expected true/false, got {raw!r}", line_no)
-    return raw
+        parse = int if key != "cell_radius_m" else float
+        expected = f"{parse.__name__} or 'auto'"
+    elif kind in ("int", int):
+        parse, expected = int, "integer"
+    elif kind in ("float", float):
+        parse, expected = float, "number"
+    elif kind in ("bool", bool):
+        parse, expected = _parse_bool, "true/false"
+    else:
+        return raw
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def _format_value(key: str, value) -> str:
@@ -287,22 +295,27 @@ def _format_value(key: str, value) -> str:
 
 
 def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
-    """Parse scenario text into a validated configuration."""
+    """Parse scenario text into a validated configuration.
+
+    Errors in the text name ``source`` and the line.
+    """
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigSyntaxError(f"expected 'key = value', got {line!r}", line_no)
+            raise ConfigSyntaxError(f"expected 'key = value', got {line!r}", line_no, source)
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
         if key not in _FIELDS:
-            raise ValidationError(key, "unknown configuration key")
+            raise ValidationError(key, "unknown configuration key", line_no, source)
         if key in values:
-            raise ConfigSyntaxError(f"duplicate key {key!r}", line_no)
-        values[key] = _parse_value(key, raw_value, line_no)
+            raise ConfigSyntaxError(f"duplicate key {key!r}", line_no, source)
+        try:
+            values[key] = _parse_value(key, raw_value.strip())
+        except ValueError as exc:
+            raise ConfigSyntaxError(str(exc), line_no, source) from None
     return ScenarioConfig(**values).validate()
 
 

@@ -17,24 +17,30 @@ class HapsimError(Exception):
 
 
 class ConfigError(HapsimError):
-    """Invalid or inconsistent configuration."""
+    """Invalid or inconsistent configuration.
+
+    An error found in scenario text names its line, and the file when
+    ``source`` is given.
+    """
+
+    def __init__(self, message, line_no=None, source=None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+            if source is not None:
+                message = f"{source}, {message}"
+        super().__init__(message)
+        self.line_no = line_no
 
 
 class ConfigSyntaxError(ConfigError):
     """Scenario file could not be parsed; carries the offending line number."""
 
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class ValidationError(ConfigError):
     """A configuration field holds a value outside its allowed set."""
 
-    def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
+    def __init__(self, field, message, line_no=None, source=None):
+        super().__init__(f"{field}: {message}", line_no, source)
         self.field = field
 
 

@@ -11,15 +11,17 @@ positions with a larger bandwidth share weigh proportionally more.
 Determinism: all randomness flows from one seeded generator consumed in
 a fixed order (terminal radii, angles, LOS assignment, shadow fading)
 before any link evaluation starts, so identical seeds give bit-identical
-results.  Platform positions are evaluated one after another in one
-thread; the ``workers`` setting is accepted for compatibility and has no
-effect.
+results.  All platform positions are evaluated together in one thread,
+as arrays with the positions on their first axis; only the uplink
+co-block interference is summed one position at a time, which bounds
+its memory.  The ``workers`` setting is accepted for compatibility and
+has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,18 +30,16 @@ from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
 from .errors import ConfigError, DomainError, OutOfCoverageError, SchedulingError
-from .geometry import FlightPattern, Point3, haps_position, link_geometry
+from .geometry import FlightPattern, Point3, haps_position
 
 __all__ = [
     "LinkAbstraction",
-    "PacketRecord",
     "AggregateStats",
     "Terminal",
     "Beam",
     "CampaignReport",
     "CampaignResult",
     "sinr_to_se",
-    "user_se",
     "aggregate_se",
     "cell_centers",
     "drop_terminals",
@@ -78,29 +78,7 @@ def sinr_to_se(sinr_db, abstraction: LinkAbstraction = LinkAbstraction()):
 
 
 # ----------------------------------------------------------------------
-# Packets and aggregation
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One delivered packet: information bits over a time-bandwidth slice."""
-
-    bits: float
-    duration_s: float
-    bandwidth_hz: float
-
-
-def user_se(packets: Sequence[PacketRecord]) -> float:
-    """Per-user spectral efficiency: total bits over total time-bandwidth.
-
-    An empty stream (never scheduled, or all packets empty) is 0 bit/s/Hz,
-    which downstream aggregation counts as outage.
-    """
-    bits = sum(p.bits for p in packets)
-    tb = sum(p.duration_s * p.bandwidth_hz for p in packets)
-    if tb == 0.0:
-        return 0.0
-    return bits / tb
-
+# Aggregation
 
 @dataclass(frozen=True)
 class AggregateStats:
@@ -174,6 +152,21 @@ def cell_centers(layout: str, service_radius_m: float,
 _MAX_LOS_ATTEMPTS = 100_000
 
 
+def _los_target_reachable(p_los: np.ndarray, target: int) -> bool:
+    """False when the redraw loop has no plausible chance to hit ``target``.
+
+    Terminals with LOS probability 0 or 1 fix part of the count.  The
+    other ``m`` make up the rest, ``k``; by Hoeffding's inequality one draw
+    lands on ``k`` with probability at most ``exp(-2 (k - mean)^2 / m)``,
+    so all attempts together succeed with at most that times their number.
+    """
+    k = target - int(np.count_nonzero(p_los >= 1.0))
+    p = p_los[(p_los > 0.0) & (p_los < 1.0)]
+    if not 0 <= k <= p.size:
+        return False
+    return p.size == 0 or _MAX_LOS_ATTEMPTS * math.exp(-2.0 * (k - p.sum()) ** 2 / p.size) > 1e-9
+
+
 def drop_terminals(n: int, service_radius_m: float, kind: str,
                    tables: channel.NtnTables, rng: np.random.Generator,
                    platform_center: Point3,
@@ -206,14 +199,16 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     if target_los is None:
         los = rng.random(n) < p_los
     else:
-        for _ in range(_MAX_LOS_ATTEMPTS):
+        # an unreachable target fails before the first redraw
+        attempts = _MAX_LOS_ATTEMPTS if _los_target_reachable(p_los, target_los) else 0
+        for _ in range(attempts):
             los = rng.random(n) < p_los
             if int(los.sum()) == target_los:
                 break
         else:
             raise ConfigError(
-                f"could not hit LOS target {target_los}/{n}; "
-                "check the target against the elevation profile"
+                f"could not hit LOS target {target_los}/{n} (expected LOS count "
+                f"{p_los.sum():.1f}); check the target against the elevation profile"
             )
 
     sigma = np.where(los, tables.shadow_std_los_db[bins], tables.shadow_std_nlos_db[bins])
@@ -378,26 +373,28 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
     ``first_offset + j``; there are as many sub-intervals as the largest
     cell has members.  A terminal's interferers are the terminals of the
     other cells that hold its slot, received through its serving panel
-    and summed in terminal-id order.
+    and summed in beam order.
     """
     n = serving.size
     n_sub = int(counts.max())
     idx = np.arange(n)
-    sub = np.arange(n_sub)[:, None]
     slots = np.stack([ul_slot_assignments(serving, n_blocks, offset=first_offset + j)
                       for j in range(n_sub)])
-    # holder[j, s, b]: the terminal of beam b in slot s of sub-interval j (n if none)
-    holder = np.full((n_sub, n_sub, counts.size), n)
-    holder[sub, slots, serving] = idx
-    peers = holder[sub, slots]  # (n_sub, n, beams)
-    peers[:, idx, serving] = n  # a terminal does not interfere with itself
-    peers.sort(axis=2)
+    # holder[b, key]: the terminal of beam b holding the slot key
+    # j * n_sub + s (slot s of sub-interval j); n if none
+    key = np.arange(n_sub)[:, None] * n_sub + slots
+    holder = np.full((counts.size, n_sub * n_sub), n)
+    holder[serving, key] = idx
+    # power[c, m]: terminal m received through panel c.  Column n (no
+    # holder) is zero, and so is each terminal's own serving panel: in its
+    # own beam a terminal finds itself, which is not interference.
     power = np.zeros((counts.size, n + 1))
     power[:, :n] = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
-    terms = power[serving[:, None], peers]  # (n_sub, n, beams); 0 for no peer
-    total = terms[:, :, 0].copy()
-    for b in range(1, counts.size):
-        total += terms[:, :, b]
+    power[serving, idx] = 0.0
+    row = serving * (n + 1)  # flat offset of each terminal's serving-panel row
+    total = np.zeros((n_sub, n))
+    for b in np.flatnonzero(counts):
+        total += power.take(row + holder[b].take(key))
     return total
 
 
@@ -445,130 +442,6 @@ class CampaignResult:
         return rows
 
 
-@dataclass
-class _PositionOutcome:
-    serving: np.ndarray
-    dl_bits: np.ndarray
-    dl_tb: np.ndarray
-    ul_bits: np.ndarray
-    ul_tb: np.ndarray
-
-
-def _position_outcome(k: int, cfg: ScenarioConfig, pattern: FlightPattern,
-                      beams: Sequence[Beam], fixed_cells: np.ndarray,
-                      xy: np.ndarray, los: np.ndarray, shadow: np.ndarray,
-                      cpe: ElementPattern | None, tables: channel.NtnTables,
-                      repeater: architecture.RepeaterModel,
-                      gateway: Point3) -> _PositionOutcome:
-    """Evaluate one platform position (pure: no RNG, no shared mutation)."""
-    n = xy.shape[0]
-    haps = haps_position(pattern, k)
-    hpos = haps.as_array()
-
-    dirs = np.column_stack([xy[:, 0] - hpos[0], xy[:, 1] - hpos[1], np.full(n, -hpos[2])])
-    horiz = np.hypot(dirs[:, 0], dirs[:, 1])
-    slant = np.sqrt(horiz ** 2 + hpos[2] ** 2)
-    elev = np.degrees(np.arctan2(hpos[2], horiz))
-
-    bins = np.argmin(np.abs(elev[:, None] - tables.elevation_deg[None, :]), axis=1)
-    clutter = np.where(los, 0.0, tables.clutter_loss_nlos_db[bins])
-    loss_dl = channel.fspl(cfg.dl_carrier_hz, slant) + shadow + clutter
-    loss_ul = channel.fspl(cfg.ul_carrier_hz, slant) + shadow + clutter
-
-    # Terminal antenna gain towards the platform (identical both directions:
-    # omnis are flat, rooftop antennas are azimuth-aligned with the link).
-    if cpe is None:
-        term_gain = np.zeros(n)
-    else:
-        term_gain = antenna.element_gain(cpe, np.zeros(n), elev)
-
-    # Per-beam weights and gains towards every terminal.
-    gains = np.empty((len(beams), n))
-    for b, beam in enumerate(beams):
-        if cfg.attachment_mode == "beam_steering":
-            target = beam.cell_center.as_array() - hpos
-            weights = antenna.steering_weights(beam.panel, target)
-        else:
-            weights = antenna.broadside_weights(beam.panel)
-        gains[b] = antenna.array_gain(beam.panel, weights, dirs)
-
-    # Downlink transmit power at each panel input.
-    if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
-        feeder_db = channel.feeder_loss(gateway, haps, cfg.feeder_carrier_hz)
-        tx_dbm = architecture.bp_effective_dl_eirp(
-            cfg.gateway_tx_power_dbm, cfg.gateway_antenna_gain_dbi,
-            feeder_db, repeater, panel_gain_dbi=0.0,
-        )
-    else:
-        tx_dbm = cfg.panel_tx_power_dbm
-
-    if cfg.attachment_mode == "beam_steering":
-        serving = fixed_cells
-    else:
-        rsrp = tx_dbm + gains - loss_dl[None, :]
-        serving = np.argmax(rsrp, axis=0)
-
-    counts = np.bincount(serving, minlength=len(beams))
-    active = counts > 0
-    idx = np.arange(n)
-
-    # Downlink SINR: all active beams radiate from the same platform, so
-    # every beam reaches a terminal through the same access loss.
-    rx_dbm = tx_dbm + gains - loss_dl[None, :] + term_gain[None, :]
-    rx_lin = 10.0 ** (rx_dbm / 10.0)
-    total_lin = rx_lin[active].sum(axis=0)
-    own_lin = rx_lin[serving, idx]
-    interference_lin = np.maximum(total_lin - own_lin, 0.0)
-
-    noise_dl_lin = np.full(
-        n, 10.0 ** (architecture.thermal_noise_dbm(cfg.dl_bandwidth_hz, cfg.ue_noise_figure_db) / 10.0)
-    )
-    if cfg.architecture == "bp" and cfg.bp_repeater_noise_at_ue:
-        rep_noise = architecture.repeater_noise_at_ue(repeater, cfg.dl_bandwidth_hz, loss_dl)
-        noise_dl_lin = noise_dl_lin + 10.0 ** (np.asarray(rep_noise) / 10.0)
-
-    sinr_dl = rx_dbm[serving, idx] - 10.0 * np.log10(noise_dl_lin + interference_lin)
-
-    # Uplink SINR: received at the serving panel with the same weights.
-    if cfg.architecture == "bp" and cfg.bp_ul_noise == "cascade":
-        ul_nf = architecture.bp_uplink_noise_figure(repeater, cfg.gateway_noise_figure_db)
-    else:
-        ul_nf = cfg.bs_noise_figure_db
-    noise_ul_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.ul_allocation_hz, ul_nf) / 10.0)
-
-    ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
-    n_blocks = max(int(cfg.dl_bandwidth_hz // cfg.ul_allocation_hz), 1)
-
-    # One platform position spans many TTIs; the round-robin pointer
-    # advances each TTI, so a terminal meets a rotating set of co-block
-    # interferers.  Average the achieved SE over one full rotation of
-    # the largest cell rather than freezing a single collision draw.
-    ul_abs = LinkAbstraction(cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
-    own_ul = ul_rx_dbm + gains[serving, idx]
-    if int(active.sum()) > 1:
-        n_sub = int(counts.max())
-        ul_if_lin = _coblock_interference(serving, counts, ul_rx_dbm, gains,
-                                          n_blocks, k * n_sub)
-    else:  # one active cell: every slot has a single holder
-        n_sub = 1
-        ul_if_lin = np.zeros((1, n))
-    sinr_ul = own_ul - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
-    se_ul = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
-
-    dl_abs = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
-    se_dl = sinr_to_se(sinr_dl, dl_abs)
-
-    duration_s = 1.0
-    share = cfg.dl_bandwidth_hz / counts[serving]
-    return _PositionOutcome(
-        serving=serving,
-        dl_bits=se_dl * duration_s * share,
-        dl_tb=duration_s * share,
-        ul_bits=se_ul * duration_s * cfg.ul_allocation_hz,
-        ul_tb=np.full(n, duration_s * cfg.ul_allocation_hz),
-    )
-
-
 def run_campaign(config: ScenarioConfig,
                  position_order: Sequence[int] | None = None) -> CampaignResult:
     """Run one full campaign over the flight circle.
@@ -587,26 +460,12 @@ def run_campaign(config: ScenarioConfig,
         angular_step_deg=cfg.flight_angular_step_deg,
         speed_kmh=cfg.platform_speed_kmh,
     )
-    gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
     repeater = architecture.RepeaterModel(
         gain_db=cfg.repeater_gain_db,
         noise_figure_db=cfg.repeater_noise_figure_db,
         max_output_dbm=cfg.repeater_max_output_dbm,
         output_limit_enabled=cfg.repeater_output_limit,
     )
-    cpe = None
-    if cfg.terminal_kind == "cpe_directional":
-        cpe = ElementPattern(
-            peak_gain_dbi=cfg.cpe_gain_dbi,
-            hpbw_az_deg=cfg.cpe_hpbw_deg,
-            hpbw_el_deg=cfg.cpe_hpbw_deg,
-            front_to_back_db=cfg.cpe_front_to_back_db,
-        )
-
-    xy = np.array([[t.x, t.y] for t in terminals])
-    los = np.array([t.los for t in terminals])
-    shadow = np.array([t.shadow_db for t in terminals])
-    fixed_cells = nominal_cells(terminals, beams)
 
     if position_order is None:
         order = list(range(cfg.flight_position_count))
@@ -615,43 +474,128 @@ def run_campaign(config: ScenarioConfig,
         if sorted(order) != list(range(cfg.flight_position_count)):
             raise ConfigError("position_order must be a permutation of all positions")
 
-    outcomes = [
-        _position_outcome(k, cfg, pattern, beams, fixed_cells, xy, los, shadow,
-                          cpe, tables, repeater, gateway)
-        for k in order
-    ]
-
+    # Every array below has the platform positions (in ``order``) on axis 0:
+    # (P, n) per terminal, (P, beams, n) per beam and terminal.
     n = len(terminals)
-    dl_bits = np.zeros(n)
-    dl_tb = np.zeros(n)
-    ul_bits = np.zeros(n)
-    ul_tb = np.zeros(n)
-    serving_history = np.empty((len(order), n), dtype=int)
-    for i, outcome in enumerate(outcomes):
-        dl_bits += outcome.dl_bits
-        dl_tb += outcome.dl_tb
-        ul_bits += outcome.ul_bits
-        ul_tb += outcome.ul_tb
-        serving_history[i] = outcome.serving
+    n_pos = len(order)
+    xy = np.array([[t.x, t.y] for t in terminals])
+    los = np.array([t.los for t in terminals])
+    shadow = np.array([t.shadow_db for t in terminals])
+    platforms = [haps_position(pattern, k) for k in order]
+    hpos = np.array([h.as_array() for h in platforms])
 
-    dl_se = np.where(dl_tb > 0, dl_bits / np.where(dl_tb > 0, dl_tb, 1.0), 0.0)
-    ul_se = np.where(ul_tb > 0, ul_bits / np.where(ul_tb > 0, ul_tb, 1.0), 0.0)
+    dirs = np.empty((n_pos, n, 3))
+    dirs[..., :2] = xy - hpos[:, None, :2]
+    dirs[..., 2] = -hpos[:, 2:]
+    horiz = np.hypot(dirs[..., 0], dirs[..., 1])
+    slant = np.sqrt(horiz ** 2 + hpos[:, 2:] ** 2)
+    elev = np.degrees(np.arctan2(hpos[:, 2:], horiz))
 
-    # most frequent serving beam; ties go to the lowest index
-    votes = (serving_history[:, :, None] == np.arange(len(beams))).sum(axis=0)
-    modal = votes.argmax(axis=1)
+    clutter = np.where(los, 0.0, tables.clutter_loss_nlos_db[tables.bin_indices(elev)])
+    loss_dl = channel.fspl(cfg.dl_carrier_hz, slant) + shadow + clutter
+    loss_ul = channel.fspl(cfg.ul_carrier_hz, slant) + shadow + clutter
 
-    report = CampaignReport(
-        dl=aggregate_se(dl_se),
-        ul=aggregate_se(ul_se),
-        n_terminals=n,
-        n_los=int(los.sum()),
-    )
-    return CampaignResult(
-        config=cfg,
-        terminals=terminals,
-        dl_se=dl_se,
-        ul_se=ul_se,
-        serving_cell=modal,
-        report=report,
-    )
+    # Terminal antenna gain towards the platform (identical both directions:
+    # omnis are flat, rooftop antennas are azimuth-aligned with the link).
+    if cfg.terminal_kind == "cpe_directional":
+        cpe = ElementPattern(
+            peak_gain_dbi=cfg.cpe_gain_dbi,
+            hpbw_az_deg=cfg.cpe_hpbw_deg,
+            hpbw_el_deg=cfg.cpe_hpbw_deg,
+            front_to_back_db=cfg.cpe_front_to_back_db,
+        )
+        term_gain = antenna.element_gain(cpe, 0.0, elev)
+    else:
+        term_gain = np.zeros((n_pos, n))
+
+    # Per-beam gains towards every terminal: steered beams get one weight
+    # set per position, broadside beams one for the whole flight circle.
+    gains = np.empty((n_pos, len(beams), n))
+    for b, beam in enumerate(beams):
+        if cfg.attachment_mode == "beam_steering":
+            center = beam.cell_center.as_array()
+            weights = np.array([antenna.steering_weights(beam.panel, center - h) for h in hpos])
+        else:
+            weights = antenna.broadside_weights(beam.panel)
+        gains[:, b] = antenna.array_gain(beam.panel, weights, dirs)
+
+    # Downlink transmit power at each panel input.
+    if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
+        gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
+        tx_dbm = np.array([
+            architecture.bp_effective_dl_eirp(
+                cfg.gateway_tx_power_dbm, cfg.gateway_antenna_gain_dbi,
+                channel.feeder_loss(gateway, h, cfg.feeder_carrier_hz),
+                repeater, panel_gain_dbi=0.0,
+            )
+            for h in platforms
+        ])[:, None, None]
+    else:
+        tx_dbm = cfg.panel_tx_power_dbm
+
+    rsrp = tx_dbm + gains - loss_dl[:, None, :]
+    if cfg.attachment_mode == "beam_steering":
+        serving = np.broadcast_to(nominal_cells(terminals, beams), (n_pos, n))
+    else:
+        serving = np.argmax(rsrp, axis=1)
+    member = serving[:, None, :] == np.arange(len(beams))[:, None]  # (P, beams, n)
+    counts = member.sum(axis=2)
+
+    def at_serving(per_beam):
+        """The serving beam's entry of a (P, beams, n) array."""
+        return np.take_along_axis(per_beam, serving[:, None, :], axis=1)[:, 0]
+
+    # Downlink SINR: all active beams radiate from the same platform, so
+    # every beam reaches a terminal through the same access loss.
+    rx_dbm = rsrp + term_gain[:, None, :]
+    rx_lin = 10.0 ** (rx_dbm / 10.0)
+    total_lin = np.where(counts[:, :, None] > 0, rx_lin, 0.0).sum(axis=1)
+    interference_lin = np.maximum(total_lin - at_serving(rx_lin), 0.0)
+
+    noise_dl_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.dl_bandwidth_hz, cfg.ue_noise_figure_db) / 10.0)
+    if cfg.architecture == "bp" and cfg.bp_repeater_noise_at_ue:
+        rep_noise = architecture.repeater_noise_at_ue(repeater, cfg.dl_bandwidth_hz, loss_dl)
+        noise_dl_lin = noise_dl_lin + 10.0 ** (rep_noise / 10.0)
+
+    sinr_dl = at_serving(rx_dbm) - 10.0 * np.log10(noise_dl_lin + interference_lin)
+    dl_abs = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
+    se_dl = sinr_to_se(sinr_dl, dl_abs)
+
+    # Uplink SINR: received at the serving panel with the same weights.
+    if cfg.architecture == "bp" and cfg.bp_ul_noise == "cascade":
+        ul_nf = architecture.bp_uplink_noise_figure(repeater, cfg.gateway_noise_figure_db)
+    else:
+        ul_nf = cfg.bs_noise_figure_db
+    noise_ul_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.ul_allocation_hz, ul_nf) / 10.0)
+
+    ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
+    own_ul = ul_rx_dbm + at_serving(gains)
+    n_blocks = max(int(cfg.dl_bandwidth_hz // cfg.ul_allocation_hz), 1)
+    ul_abs = LinkAbstraction(cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
+
+    # With one active cell every slot has a single holder: noise alone.
+    se_ul = sinr_to_se(own_ul - 10.0 * np.log10(noise_ul_lin), ul_abs)
+    # One platform position spans many TTIs; the round-robin pointer
+    # advances each TTI, so a terminal meets a rotating set of co-block
+    # interferers.  Average the achieved SE over one full rotation of
+    # the largest cell rather than freezing a single collision draw.
+    for p in np.flatnonzero(np.count_nonzero(counts, axis=1) > 1):
+        n_sub = int(counts[p].max())
+        ul_if_lin = _coblock_interference(serving[p], counts[p], ul_rx_dbm[p], gains[p],
+                                          n_blocks, order[p] * n_sub)
+        sinr_ul = own_ul[p] - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
+        se_ul[p] = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
+
+    # Per-user SE: bits over time-bandwidth, summed over the positions.  A
+    # position lasts one second; the downlink shares the cell bandwidth,
+    # the uplink allocation is fixed.
+    share = cfg.dl_bandwidth_hz / np.take_along_axis(counts, serving, axis=1)
+    dl_se = (se_dl * share).sum(axis=0) / share.sum(axis=0)
+    ul_se = (se_ul * cfg.ul_allocation_hz).sum(axis=0) / (n_pos * cfg.ul_allocation_hz)
+
+    report = CampaignReport(dl=aggregate_se(dl_se), ul=aggregate_se(ul_se),
+                            n_terminals=n, n_los=int(los.sum()))
+    # the most frequent serving beam; ties go to the lowest index
+    modal = member.sum(axis=0).argmax(axis=0)
+    return CampaignResult(config=cfg, terminals=terminals, dl_se=dl_se, ul_se=ul_se,
+                          serving_cell=modal, report=report)

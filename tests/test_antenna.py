@@ -158,6 +158,26 @@ def test_array_factor_is_maximised_at_the_target():
     assert_allclose(af_t, af_cap_db, atol=1e-9)
 
 
+def test_stacked_weights_match_one_call_per_set_bit_for_bit():
+    panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
+                         boresight_azimuth_deg=60.0, boresight_elevation_deg=-23.0)
+    rng = np.random.default_rng(8)
+    dirs = rng.normal(size=(5, 33, 3))
+    dirs[..., 2] = -np.abs(dirs[..., 2]) - 1.0
+    targets = panel.boresight + rng.normal(scale=0.2, size=(5, 3))
+    stacked = np.array([steering_weights(panel, t) for t in targets])
+    gains = array_gain(panel, stacked, dirs)
+    assert gains.shape == (5, 33)
+    for p in range(5):
+        np.testing.assert_array_equal(gains[p], array_gain(panel, stacked[p], dirs[p]))
+    # one weight set applies to every leading axis of the directions
+    broadside = broadside_weights(panel)
+    np.testing.assert_array_equal(array_gain(panel, broadside, dirs)[3],
+                                  array_gain(panel, broadside, dirs[3]))
+    with pytest.raises(ConfigError):
+        array_gain(panel, stacked[:, :4], dirs)
+
+
 def test_weights_are_unit_norm():
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
                          boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)

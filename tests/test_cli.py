@@ -90,6 +90,25 @@ def test_invalid_config_reports_line(tmp_path, capsys):
     assert "thrust" in err
 
 
+@pytest.mark.parametrize("line", ["altitude_m = nan", "dl_bandwidth_hz = inf"])
+def test_non_finite_value_fails_cleanly(tmp_path, capsys, line):
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(line + "\n")
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {line.split()[0]}: must be finite")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overrides_leave_the_loaded_config_untouched(monkeypatch, capsys):
+    loaded = preset_config("single-cell-bp")
+    monkeypatch.setattr("hapsim.cli.preset_config", lambda name: loaded)
+    assert main(["validate", "--preset", "single-cell-bp", "--seed", "9", "--arch", "rg"]) == 0
+    assert "seed = 9" in capsys.readouterr().out
+    assert loaded == preset_config("single-cell-bp")
+
+
 def test_validate_prints_canonical_dump(capsys):
     assert main(["validate", "--preset", "multi-selection-cpe-rg"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Scenario file parsing, validation, presets and canonical dumping."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -69,6 +70,22 @@ def test_probabilistic_los_disables_target():
 def test_unknown_key_rejected():
     with pytest.raises(ValidationError, match="unknown configuration key"):
         parse_config("carrier = 2.1e9\n")
+
+
+def test_unknown_key_names_source_and_line():
+    with pytest.raises(ValidationError, match=r"^scenario.cfg, line 3: carrier: unknown") as err:
+        parse_config("seed = 1\n# comment\ncarrier = 2.1e9\n", source="scenario.cfg")
+    assert err.value.field == "carrier"
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("key", ["altitude_m", "panel_tx_power_dbm", "dl_bandwidth_hz",
+                                 "cell_radius_m", "ul_se_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ValidationError, match="must be finite") as err:
+        ScenarioConfig(**{key: value}).validate()
+    assert err.value.field == key
 
 
 def test_duplicate_key_reports_line():

@@ -15,7 +15,6 @@ from hapsim.simulation import (
     AggregateStats,
     _coblock_interference,
     LinkAbstraction,
-    PacketRecord,
     aggregate_se,
     attach,
     build_beams,
@@ -26,7 +25,6 @@ from hapsim.simulation import (
     run_campaign,
     sinr_to_se,
     ul_slot_assignments,
-    user_se,
 )
 
 CENTER = Point3(0.0, 0.0, 20000.0)
@@ -59,17 +57,6 @@ def test_sinr_to_se_vectorised_and_monotone():
     assert se.shape == sinr.shape
     assert np.all(np.diff(se) >= 0.0)
     assert se.min() == 0.0 and se.max() == 4.4
-
-
-def test_user_se_is_bits_over_time_bandwidth():
-    packets = [PacketRecord(bits=1000.0, duration_s=0.001, bandwidth_hz=1e6)]
-    assert_allclose(user_se(packets), 1.0, rtol=1e-15)
-    mixed = [
-        PacketRecord(bits=2000.0, duration_s=0.001, bandwidth_hz=1e6),
-        PacketRecord(bits=0.0, duration_s=0.001, bandwidth_hz=1e6),
-    ]
-    assert_allclose(user_se(mixed), 1.0, rtol=1e-15)
-    assert user_se([]) == 0.0
 
 
 def test_aggregate_edge_is_mean_of_lowest_5_percent():
@@ -164,6 +151,20 @@ def test_drop_infeasible_target_raises():
     t = NtnTables(np.array([45.0]), ones, ones, 8.0 * ones, 19.0 * ones)
     with pytest.raises(ConfigError, match="LOS target"):
         drop_terminals(5, 60_000.0, "ue_omni", t, np.random.default_rng(0), CENTER, target_los=0)
+
+
+def test_unreachable_los_target_fails_before_any_redraw():
+    # auto keeps the seven-cell target at 175 while 420 terminals expect
+    # about 354 LOS: no redraw can plausibly hit it
+    t = NtnTables.default()
+    rng = np.random.default_rng(4)
+    with pytest.raises(ConfigError, match="LOS target 175/420"):
+        drop_terminals(420, 100_000.0, "ue_omni", t, rng, CENTER, target_los=175)
+    untouched = np.random.default_rng(4)
+    untouched.random(420), untouched.random(420)  # the radii and angles of the drop
+    assert rng.random() == untouched.random()
+    with pytest.raises(ConfigError, match="LOS target"):
+        build_drop(ScenarioConfig(layout="seven_cell", terminal_count=420))
 
 
 def test_build_drop_resolves_layout_defaults():
@@ -331,6 +332,23 @@ def test_coblock_interference_matches_the_loop_sum(serving, offset, n_blocks, se
 
 # ----------------------------------------------------------------------
 # Campaign plumbing
+
+def test_campaign_looks_up_all_positions_in_one_clamped_lookup(tmp_path, caplog, monkeypatch):
+    # bins at 85 and 90 degrees: nearly every elevation lies below the table
+    table = tmp_path / "steep.csv"
+    table.write_text("85, 0.9, 4.0, 6.0, 20.0\n90, 0.9, 4.0, 6.0, 20.0\n")
+    calls = []
+    lookup = NtnTables.bin_indices
+    monkeypatch.setattr(NtnTables, "bin_indices",
+                        lambda self, elev: calls.append(np.shape(elev)) or lookup(self, elev))
+    cfg = ScenarioConfig(ntn_table_path=str(table), los_assignment="probabilistic")
+    with caplog.at_level("WARNING", logger="hapsim.channel"):
+        run_campaign(cfg)
+    # one lookup for the drop, one for all 12 positions of the campaign
+    assert calls == [(20,), (12, 20)]
+    assert len(caplog.records) == 2
+    assert int(caplog.records[1].getMessage().split()[0]) > 20
+
 
 def test_campaign_report_consistent_with_arrays():
     res = run_campaign(ScenarioConfig())
