@@ -297,9 +297,11 @@ def _format_value(key: str, value) -> str:
 def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     """Parse scenario text into a validated configuration.
 
-    Errors in the text name ``source`` and the line.
+    Errors in the text name ``source`` and the line, and so do invalid
+    values of the keys the text sets.
     """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,7 +318,13 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
             values[key] = _parse_value(key, raw_value.strip())
         except ValueError as exc:
             raise ConfigSyntaxError(str(exc), line_no, source) from None
-    return ScenarioConfig(**values).validate()
+        lines[key] = line_no
+    try:
+        return ScenarioConfig(**values).validate()
+    except ValidationError as exc:
+        if exc.field not in lines:
+            raise
+        raise ValidationError(exc.field, exc.reason, lines[exc.field], source) from None
 
 
 def load_config(path) -> ScenarioConfig:

@@ -42,6 +42,7 @@ class ValidationError(ConfigError):
     def __init__(self, field, message, line_no=None, source=None):
         super().__init__(f"{field}: {message}", line_no, source)
         self.field = field
+        self.reason = message
 
 
 class DegenerateGeometryError(HapsimError):

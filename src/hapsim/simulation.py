@@ -14,8 +14,9 @@ before any link evaluation starts, so identical seeds give bit-identical
 results.  All platform positions are evaluated together in one thread,
 as arrays with the positions on their first axis; only the uplink
 co-block interference is summed one position at a time, which bounds
-its memory.  The ``workers`` setting is accepted for compatibility and
-has no effect.
+its memory, with all of a position's sub-intervals scheduled by one
+``ul_slot_assignments`` call.  The ``workers`` setting is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def attach(terminal: Terminal, beams: Sequence[Beam], haps: Point3,
 
 
 def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
-                        offset: int = 0) -> np.ndarray:
+                        offset: int = 0, intervals: int = 1) -> np.ndarray:
     """Round-robin uplink slots: rank within the cell, in terminal-id order.
 
     Returns one slot index ``s`` per terminal, which is block
@@ -352,6 +353,13 @@ def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
     advances at its own rate (cell index + 1 steps per scheduling
     interval), so equally loaded cells do not cycle in lockstep and no
     cross-cell collision pair persists across intervals.
+
+    ``intervals`` schedules that many consecutive intervals (offsets
+    ``offset`` to ``offset + intervals - 1``) from one ranking.  The
+    result is then flat, interval-major: interval ``j`` holds the keys
+    ``j * width + s`` with ``width`` the largest cell load, so two
+    terminals share a key exactly when they share a slot in the same
+    interval.  With one interval the key is the slot itself.
     """
     if n_blocks <= 0:
         raise SchedulingError("uplink needs at least one block")
@@ -361,7 +369,9 @@ def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
     first = np.cumsum(counts) - counts  # position of each cell's first member in ``order``
     rank = np.empty(serving.size, dtype=np.intp)
     rank[order] = np.arange(serving.size) - first[serving[order]]
-    return (rank + offset * (serving + 1)) % counts[serving]
+    j = np.arange(intervals)[:, None]
+    slots = (rank + (offset + j) * (serving + 1)) % counts[serving]
+    return (slots + j * counts.max(initial=0)).ravel()
 
 
 def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
@@ -371,18 +381,17 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
 
     Sub-interval ``j`` schedules with round-robin offset
     ``first_offset + j``; there are as many sub-intervals as the largest
-    cell has members.  A terminal's interferers are the terminals of the
-    other cells that hold its slot, received through its serving panel
-    and summed in beam order.
+    cell has members, and one ``ul_slot_assignments`` call keys them all.
+    A terminal's interferers are the terminals of the other cells that
+    hold its slot key, received through its serving panel and summed in
+    beam order.
     """
     n = serving.size
     n_sub = int(counts.max())
     idx = np.arange(n)
-    slots = np.stack([ul_slot_assignments(serving, n_blocks, offset=first_offset + j)
-                      for j in range(n_sub)])
-    # holder[b, key]: the terminal of beam b holding the slot key
-    # j * n_sub + s (slot s of sub-interval j); n if none
-    key = np.arange(n_sub)[:, None] * n_sub + slots
+    # key[j, m]: j * n_sub + slot of terminal m in sub-interval j
+    key = ul_slot_assignments(serving, n_blocks, first_offset, n_sub).reshape(n_sub, n)
+    # holder[b, key]: the terminal of beam b holding the slot key; n if none
     holder = np.full((counts.size, n_sub * n_sub), n)
     holder[serving, key] = idx
     # power[c, m]: terminal m received through panel c.  Column n (no

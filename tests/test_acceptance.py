@@ -19,7 +19,11 @@ per release criterion.
    terminals strictly beat omni handsets in mean and cell-edge SE (both
    attachment modes, both directions); beam selection is never worse
    than beam steering (both terminal kinds, both directions); and the
-   per-cell DL mean exceeds the UL mean in every cell.
+   campaign-wide DL mean exceeds the UL mean in every mode and terminal
+   kind, the system-level uplink limit the paper reports.  The ordering is
+   not claimed per cell: grouped by modal serving cell, the UL mean of
+   some cells (a lightly loaded nadir cell, a few rooftop side cells)
+   exceeds their DL mean.
 6. Power-efficiency algebra: a single-stage chain's factor equals its
    stage efficiency exactly; closed forms match the generic chain to
    1e-12 relative; the relay-advantage oracle cases evaluate to 0.5

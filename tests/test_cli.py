@@ -96,9 +96,17 @@ def test_non_finite_value_fails_cleanly(tmp_path, capsys, line):
     scenario.write_text(line + "\n")
     assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {line.split()[0]}: must be finite")
+    assert err.startswith(f"error: {scenario}, line 1: {line.split()[0]}: must be finite")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_invalid_value_error_names_the_line(tmp_path, capsys):
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text("# ground segment\nseed = 3\nue_tx_power_dbm = -inf\n")
+    assert main(["validate", "--config", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {scenario}, line 3: ue_tx_power_dbm: must be finite; got -inf\n"
 
 
 def test_overrides_leave_the_loaded_config_untouched(monkeypatch, capsys):

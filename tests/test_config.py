@@ -88,6 +88,26 @@ def test_non_finite_values_rejected(key, value):
     assert err.value.field == key
 
 
+def test_invalid_value_names_source_and_line():
+    with pytest.raises(ValidationError,
+                       match=r"^scenario.cfg, line 3: altitude_m: must be finite") as err:
+        parse_config("seed = 1\n# comment\naltitude_m = nan\n", source="scenario.cfg")
+    assert err.value.field == "altitude_m"
+    assert err.value.line_no == 3
+    # a check across fields names the line of the field it blames
+    with pytest.raises(ValidationError, match=r"^<string>, line 2: target_los_count: cannot") as err:
+        parse_config("terminal_count = 5\ntarget_los_count = 9\n")
+    assert err.value.line_no == 2
+
+
+def test_invalid_defaulted_field_keeps_no_line():
+    # 10 positions of the default 30-degree step miss the full circle; the
+    # step is blamed, but the text never set it
+    with pytest.raises(ValidationError, match=r"^flight_angular_step_deg: ") as err:
+        parse_config("flight_position_count = 10\n", source="scenario.cfg")
+    assert err.value.line_no is None
+
+
 def test_duplicate_key_reports_line():
     with pytest.raises(ConfigSyntaxError, match="duplicate key") as err:
         parse_config("seed = 1\nseed = 2\n")

@@ -1,14 +1,16 @@
 """Terminal drops, attachment, scheduling and campaign plumbing."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hapsim import simulation
 from hapsim.channel import NtnTables
-from hapsim.config import ScenarioConfig
+from hapsim.config import ScenarioConfig, preset_config
 from hapsim.errors import ConfigError, DomainError, OutOfCoverageError, SchedulingError
 from hapsim.geometry import Point3
 from hapsim.simulation import (
@@ -307,6 +309,43 @@ def test_slots_permute_each_cell_and_rotate_with_the_offset(serving, offset, n_b
 def test_slots_require_positive_blocks():
     with pytest.raises(SchedulingError):
         ul_slot_assignments(np.array([0, 1]), n_blocks=0)
+
+
+def _shared_key_pairs(keys):
+    """Ordered pairs of terminals that share a key: the co-block term count."""
+    return sum(g * (g - 1) for g in Counter(keys.tolist()).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(serving=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+       offset=st.integers(0, 500), n_blocks=st.integers(1, 30), intervals=st.integers(1, 12))
+def test_slot_keys_of_many_intervals_match_one_call_per_interval(serving, offset, n_blocks,
+                                                                 intervals):
+    serving = np.array(serving)
+    width = np.bincount(serving).max()
+    keys = ul_slot_assignments(serving, n_blocks, offset, intervals)
+    assert keys.shape == (intervals * serving.size,)
+    single = [ul_slot_assignments(serving, n_blocks, offset + j) for j in range(intervals)]
+    for j, row in enumerate(keys.reshape(intervals, serving.size)):
+        assert_array_equal(row - j * width, single[j])
+    # keys of different intervals never meet, so shared keys count exactly
+    # the co-slot pairs of each interval
+    assert _shared_key_pairs(keys) == sum(_shared_key_pairs(s) for s in single)
+
+
+@pytest.mark.parametrize("preset, n_calls", [("multi-steering-omni-bp", 12),
+                                             ("multi-selection-cpe-rg", 12),
+                                             ("single-cell-bp", 0)])
+def test_campaign_schedules_each_position_in_one_slot_call(preset, n_calls, monkeypatch):
+    calls = []
+    slots = simulation.ul_slot_assignments
+    monkeypatch.setattr(simulation, "ul_slot_assignments",
+                        lambda *args: calls.append(args) or slots(*args))
+    run_campaign(preset_config(preset))
+    # one call per position with more than one active cell, covering all
+    # of its sub-intervals
+    assert len(calls) == n_calls
+    assert all(intervals > 1 for _, _, _, intervals in calls)
 
 
 @settings(max_examples=40, deadline=None)
