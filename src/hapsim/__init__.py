@@ -6,18 +6,16 @@ spectral efficiency, and evaluates the power-efficiency case for relaying
 through the platform.
 """
 
-from .antenna import ElementPattern, Panel, array_gain, cpe_gain, element_gain, hex_array
+from .antenna import ElementPattern, Panel, array_gain, element_gain, hex_array
 from .architecture import (
     CascadeStage,
-    LinkBudget,
     RepeaterModel,
     bp_effective_dl_eirp,
     cascade_noise_figure,
-    link_budget,
     repeater_noise_at_ue,
     thermal_noise_dbm,
 )
-from .channel import LinkLoss, NtnTables, access_path_loss, feeder_loss, fspl
+from .channel import NtnTables, feeder_loss, fspl
 from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names
 from .consumption import (
     EfficiencyStage,

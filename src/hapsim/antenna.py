@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OutOfCoverageError
-from .geometry import LinkGeometry
 
 __all__ = [
     "ElementPattern",
     "Panel",
     "element_gain",
-    "cpe_gain",
     "planar_panel",
     "single_element_panel",
     "hex_array",
@@ -64,22 +62,6 @@ def element_gain(pattern: ElementPattern, az_off_deg, el_off_deg):
     if gain.ndim == 0:
         return float(gain)
     return gain
-
-
-def cpe_gain(pattern: ElementPattern, pointing_azimuth_deg, link: LinkGeometry | None = None,
-             *, link_azimuth_deg=None, link_elevation_deg=None):
-    """Gain of a rooftop terminal antenna towards the platform.
-
-    The antenna boresight sits on the horizon at ``pointing_azimuth_deg``;
-    the elevation offset therefore equals the link elevation, and the
-    azimuth offset is the wrapped difference between pointing and link
-    azimuth (zero when the installer aligned it perfectly).
-    """
-    if link is not None:
-        link_azimuth_deg = link.azimuth_deg
-        link_elevation_deg = link.elevation_deg
-    az_off = (np.asarray(link_azimuth_deg, dtype=float) - pointing_azimuth_deg + 180.0) % 360.0 - 180.0
-    return element_gain(pattern, az_off, link_elevation_deg)
 
 
 @dataclass(eq=False)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,14 +33,11 @@ __all__ = [
     "THERMAL_NOISE_DENSITY_DBM_HZ",
     "CascadeStage",
     "RepeaterModel",
-    "LinkBudget",
     "thermal_noise_dbm",
     "cascade_noise_figure",
     "bp_effective_dl_eirp",
     "repeater_noise_at_ue",
     "bp_uplink_noise_figure",
-    "power_sum_dbm",
-    "link_budget",
 ]
 
 THERMAL_NOISE_DENSITY_DBM_HZ = -174.0
@@ -62,16 +59,6 @@ class RepeaterModel:
     noise_figure_db: float = 7.0
     max_output_dbm: float = 30.0
     output_limit_enabled: bool = False
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Resolved budget of one link at one platform position."""
-
-    signal_dbm: float
-    interference_dbm: float  # -inf when no co-channel transmitter is active
-    noise_dbm: float
-    sinr_db: float
 
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
@@ -142,27 +129,3 @@ def bp_uplink_noise_figure(repeater: RepeaterModel, gateway_noise_figure_db: flo
         CascadeStage(repeater.gain_db, repeater.noise_figure_db),
         CascadeStage(0.0, gateway_noise_figure_db),
     ])
-
-
-def power_sum_dbm(values_dbm: Iterable[float]) -> float:
-    """Sum powers given in dBm; -inf for an empty collection."""
-    acc = 0.0
-    for v in values_dbm:
-        acc += 10.0 ** (v / 10.0)
-    if acc == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(acc)
-
-
-def link_budget(signal_dbm: float, interference_dbm: float, noise_dbm: float) -> LinkBudget:
-    """Combine signal against interference-plus-noise (both in dBm)."""
-    denom = 10.0 ** (noise_dbm / 10.0)
-    if interference_dbm != -math.inf:
-        denom += 10.0 ** (interference_dbm / 10.0)
-    sinr = signal_dbm - 10.0 * math.log10(denom)
-    return LinkBudget(
-        signal_dbm=signal_dbm,
-        interference_dbm=interference_dbm,
-        noise_dbm=noise_dbm,
-        sinr_db=sinr,
-    )

@@ -19,16 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import LinkGeometry, Point3, link_geometry
+from .geometry import Point3, link_geometry
 
 __all__ = [
     "C_LIGHT",
     "fspl",
     "NtnTables",
-    "LinkLoss",
-    "assign_los",
-    "draw_shadow",
-    "access_path_loss",
     "feeder_loss",
 ]
 
@@ -148,49 +144,6 @@ def _is_number(token: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-@dataclass(frozen=True)
-class LinkLoss:
-    """One access link's loss decomposition (all dB)."""
-
-    fspl_db: float
-    shadow_db: float
-    clutter_db: float
-    los: bool
-
-    @property
-    def total_db(self) -> float:
-        return self.fspl_db + self.shadow_db + self.clutter_db
-
-
-def assign_los(elevation_deg: float, tables: NtnTables, rng: np.random.Generator) -> bool:
-    """Draw the LOS/NLOS state for one terminal at the given elevation."""
-    p = tables.los_probability[tables.bin_index(elevation_deg)]
-    return bool(rng.random() < p)
-
-
-def draw_shadow(elevation_deg: float, los: bool, tables: NtnTables,
-                rng: np.random.Generator) -> float:
-    """Draw a lognormal shadow-fading value (dB) for one terminal."""
-    i = tables.bin_index(elevation_deg)
-    sigma = tables.shadow_std_los_db[i] if los else tables.shadow_std_nlos_db[i]
-    return float(rng.normal(0.0, sigma))
-
-
-def access_path_loss(carrier_hz: float, geom: LinkGeometry, los: bool,
-                     tables: NtnTables, shadow_db: float) -> LinkLoss:
-    """Total loss of a ground-to-platform access link.
-
-    Free-space loss over the slant range, plus the caller's shadow draw
-    (fixed per terminal for a whole campaign), plus per-bin clutter loss
-    when the link is NLOS.
-    """
-    spreading = fspl(carrier_hz, geom.slant_range_m)
-    clutter = 0.0
-    if not los:
-        clutter = float(tables.clutter_loss_nlos_db[tables.bin_index(geom.elevation_deg)])
-    return LinkLoss(fspl_db=spreading, shadow_db=shadow_db, clutter_db=clutter, los=los)
 
 
 def feeder_loss(gateway: Point3, haps: Point3, carrier_hz: float) -> float:

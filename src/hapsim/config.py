@@ -223,7 +223,7 @@ class ScenarioConfig:
             raise ValidationError("outer_cell_center_fraction", "must lie in (0, 1]")
         if not math.isclose(self.flight_position_count * self.flight_angular_step_deg, 360.0):
             raise ValidationError(
-                "flight_angular_step_deg",
+                ("flight_position_count", "flight_angular_step_deg"),
                 "position count times angular step must equal 360 degrees",
             )
         if self.terminal_count is not None and self.terminal_count <= 0:
@@ -240,7 +240,8 @@ class ScenarioConfig:
                 )
         if self.ul_allocation_hz > self.dl_bandwidth_hz:
             raise ValidationError(
-                "ul_allocation_hz", "cannot exceed the system bandwidth"
+                ("ul_allocation_hz", "dl_bandwidth_hz"),
+                "the uplink allocation cannot exceed the system bandwidth",
             )
         return self
 
@@ -298,7 +299,8 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     """Parse scenario text into a validated configuration.
 
     Errors in the text name ``source`` and the line, and so do invalid
-    values of the keys the text sets.
+    values of the keys the text sets; a check across fields names the
+    first line that sets one of them.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -322,9 +324,8 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     try:
         return ScenarioConfig(**values).validate()
     except ValidationError as exc:
-        if exc.field not in lines:
-            raise
-        raise ValidationError(exc.field, exc.reason, lines[exc.field], source) from None
+        line_no = min((lines[f] for f in exc.fields if f in lines), default=None)
+        raise ValidationError(exc.fields, exc.reason, line_no, source) from None
 
 
 def load_config(path) -> ScenarioConfig:

@@ -37,11 +37,17 @@ class ConfigSyntaxError(ConfigError):
 
 
 class ValidationError(ConfigError):
-    """A configuration field holds a value outside its allowed set."""
+    """A configuration field holds a value outside its allowed set.
+
+    ``field`` names one field, or is a tuple of every field a check across
+    fields involves; ``fields`` always holds the tuple and ``field`` the
+    names as the message gives them.
+    """
 
     def __init__(self, field, message, line_no=None, source=None):
-        super().__init__(f"{field}: {message}", line_no, source)
-        self.field = field
+        self.fields = (field,) if isinstance(field, str) else tuple(field)
+        self.field = ", ".join(self.fields)
+        super().__init__(f"{self.field}: {message}", line_no, source)
         self.reason = message
 
 

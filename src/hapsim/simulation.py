@@ -30,7 +30,7 @@ import numpy as np
 from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
-from .errors import ConfigError, DomainError, OutOfCoverageError, SchedulingError
+from .errors import ConfigError, DomainError, SchedulingError
 from .geometry import FlightPattern, Point3, haps_position
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "drop_terminals",
     "build_drop",
     "build_beams",
-    "attach",
     "ul_slot_assignments",
     "run_campaign",
 ]
@@ -313,32 +312,6 @@ def nominal_cells(terminals: Sequence[Terminal], beams: Sequence[Beam]) -> np.nd
     return np.argmin(d2, axis=1)
 
 
-def attach(terminal: Terminal, beams: Sequence[Beam], haps: Point3,
-           mode: str, service_radius_m: float,
-           tx_power_dbm: float = 0.0, access_loss_db: float = 0.0) -> int:
-    """Serving beam of one terminal at one platform position.
-
-    Beam steering serves the fixed cell containing the terminal; beam
-    selection picks the broadside beam with the strongest reference power.
-    A terminal outside the service disc is not served at all.
-    """
-    if math.hypot(terminal.x, terminal.y) > service_radius_m:
-        raise OutOfCoverageError(
-            f"terminal {terminal.terminal_id} lies outside the service area"
-        )
-    if mode == "beam_steering":
-        return int(nominal_cells([terminal], beams)[0])
-    if mode != "beam_selection":
-        raise ConfigError(f"unknown attachment mode {mode!r}")
-    direction = terminal.position.as_array() - haps.as_array()
-    rsrp = [
-        tx_power_dbm - access_loss_db
-        + antenna.array_gain(b.panel, antenna.broadside_weights(b.panel), direction)
-        for b in beams
-    ]
-    return int(np.argmax(rsrp))
-
-
 def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
                         offset: int = 0, intervals: int = 1) -> np.ndarray:
     """Round-robin uplink slots: rank within the cell, in terminal-id order.
@@ -451,14 +424,8 @@ class CampaignResult:
         return rows
 
 
-def run_campaign(config: ScenarioConfig,
-                 position_order: Sequence[int] | None = None) -> CampaignResult:
-    """Run one full campaign over the flight circle.
-
-    ``position_order`` replays the platform positions in a custom order
-    (a permutation); results are order-invariant up to floating-point
-    rounding since per-user totals are plain sums.
-    """
+def run_campaign(config: ScenarioConfig) -> CampaignResult:
+    """Run one full campaign over the flight circle."""
     cfg = config.validate()
     terminals, tables = build_drop(cfg)
     beams = build_beams(cfg)
@@ -476,21 +443,14 @@ def run_campaign(config: ScenarioConfig,
         output_limit_enabled=cfg.repeater_output_limit,
     )
 
-    if position_order is None:
-        order = list(range(cfg.flight_position_count))
-    else:
-        order = list(position_order)
-        if sorted(order) != list(range(cfg.flight_position_count)):
-            raise ConfigError("position_order must be a permutation of all positions")
-
-    # Every array below has the platform positions (in ``order``) on axis 0:
+    # Every array below has the platform positions on axis 0:
     # (P, n) per terminal, (P, beams, n) per beam and terminal.
     n = len(terminals)
-    n_pos = len(order)
+    n_pos = cfg.flight_position_count
     xy = np.array([[t.x, t.y] for t in terminals])
     los = np.array([t.los for t in terminals])
     shadow = np.array([t.shadow_db for t in terminals])
-    platforms = [haps_position(pattern, k) for k in order]
+    platforms = [haps_position(pattern, k) for k in range(n_pos)]
     hpos = np.array([h.as_array() for h in platforms])
 
     dirs = np.empty((n_pos, n, 3))
@@ -591,16 +551,18 @@ def run_campaign(config: ScenarioConfig,
     for p in np.flatnonzero(np.count_nonzero(counts, axis=1) > 1):
         n_sub = int(counts[p].max())
         ul_if_lin = _coblock_interference(serving[p], counts[p], ul_rx_dbm[p], gains[p],
-                                          n_blocks, order[p] * n_sub)
+                                          n_blocks, p * n_sub)
         sinr_ul = own_ul[p] - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
         se_ul[p] = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
 
     # Per-user SE: bits over time-bandwidth, summed over the positions.  A
     # position lasts one second; the downlink shares the cell bandwidth,
-    # the uplink allocation is fixed.
+    # the uplink allocation is fixed.  The mean of capped values can round
+    # one ulp past the cap, so the cap is applied again.
     share = cfg.dl_bandwidth_hz / np.take_along_axis(counts, serving, axis=1)
-    dl_se = (se_dl * share).sum(axis=0) / share.sum(axis=0)
-    ul_se = (se_ul * cfg.ul_allocation_hz).sum(axis=0) / (n_pos * cfg.ul_allocation_hz)
+    dl_se = np.minimum((se_dl * share).sum(axis=0) / share.sum(axis=0), cfg.dl_se_max)
+    ul_se = np.minimum((se_ul * cfg.ul_allocation_hz).sum(axis=0)
+                       / (n_pos * cfg.ul_allocation_hz), cfg.ul_se_max)
 
     report = CampaignReport(dl=aggregate_se(dl_se), ul=aggregate_se(ul_se),
                             n_terminals=n, n_los=int(los.sum()))

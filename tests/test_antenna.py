@@ -11,7 +11,6 @@ from hapsim.antenna import (
     Panel,
     array_gain,
     broadside_weights,
-    cpe_gain,
     element_gain,
     hex_array,
     planar_panel,
@@ -19,7 +18,6 @@ from hapsim.antenna import (
     steering_weights,
 )
 from hapsim.errors import ConfigError
-from hapsim.geometry import Point3, link_geometry
 
 PLATFORM_ELEMENT = ElementPattern(peak_gain_dbi=5.0, hpbw_az_deg=90.0, hpbw_el_deg=90.0)
 CPE_PATTERN = ElementPattern(peak_gain_dbi=12.0, hpbw_az_deg=60.0, hpbw_el_deg=60.0)
@@ -51,30 +49,6 @@ def test_element_rejects_bad_parameters():
         ElementPattern(peak_gain_dbi=5.0, hpbw_az_deg=0.0, hpbw_el_deg=90.0)
     with pytest.raises(ConfigError):
         ElementPattern(peak_gain_dbi=5.0, hpbw_az_deg=90.0, hpbw_el_deg=-1.0)
-
-
-def test_cpe_gain_on_boresight_and_offsets():
-    # boresight on the horizon: elevation offset equals link elevation
-    assert_allclose(cpe_gain(CPE_PATTERN, 0.0, link_azimuth_deg=0.0, link_elevation_deg=0.0), 12.0)
-    assert_allclose(cpe_gain(CPE_PATTERN, 0.0, link_azimuth_deg=30.0, link_elevation_deg=0.0), 9.0)
-    assert_allclose(cpe_gain(CPE_PATTERN, 0.0, link_azimuth_deg=0.0, link_elevation_deg=30.0), 9.0)
-    # 12 - 12*(90/60)^2 = -15 < floor 12 - 30 = -18?  no: floor wins at -18
-    assert_allclose(cpe_gain(CPE_PATTERN, 0.0, link_azimuth_deg=90.0, link_elevation_deg=0.0), -15.0)
-
-
-def test_cpe_gain_accepts_link_object():
-    geom = link_geometry(Point3(20000.0, 0.0, 0.0), Point3(0.0, 0.0, 20000.0))
-    by_link = cpe_gain(CPE_PATTERN, 180.0, link=geom)
-    by_angles = cpe_gain(
-        CPE_PATTERN, 180.0, link_azimuth_deg=geom.azimuth_deg, link_elevation_deg=geom.elevation_deg
-    )
-    assert_allclose(by_link, by_angles)
-
-
-def test_cpe_azimuth_wraps():
-    a = cpe_gain(CPE_PATTERN, 350.0, link_azimuth_deg=10.0, link_elevation_deg=0.0)
-    b = cpe_gain(CPE_PATTERN, 0.0, link_azimuth_deg=20.0, link_elevation_deg=0.0)
-    assert_allclose(a, b)
 
 
 def test_single_element_panel_matches_element():

@@ -12,8 +12,6 @@ from hapsim.architecture import (
     bp_effective_dl_eirp,
     bp_uplink_noise_figure,
     cascade_noise_figure,
-    link_budget,
-    power_sum_dbm,
     repeater_noise_at_ue,
     thermal_noise_dbm,
 )
@@ -96,26 +94,7 @@ def test_bp_uplink_noise_figure_matches_repeater():
     assert_allclose(nf, 7.0, atol=1e-9)
 
 
-def test_power_sum():
-    assert_allclose(power_sum_dbm([0.0, 0.0]), 10.0 * math.log10(2.0), rtol=1e-12)
-    assert_allclose(power_sum_dbm([10.0]), 10.0, rtol=1e-12)
-    assert power_sum_dbm([]) == -math.inf
-
-
-def test_link_budget_noise_limited():
-    b = link_budget(-80.0, -math.inf, -100.0)
-    assert_allclose(b.sinr_db, 20.0, rtol=1e-12)
-    assert b.interference_dbm == -math.inf
-
-
-def test_link_budget_with_interference():
-    # equal interference and noise halve the SINR denominator's dB by 3
-    b = link_budget(-80.0, -100.0, -100.0)
-    assert_allclose(b.sinr_db, 20.0 - 10.0 * math.log10(2.0), rtol=1e-12)
-
-
 def test_dl_sinr_worked_example():
     """EIRP 42.627 dBm, access loss 116.5 dB, UE floor at 20 MHz / NF 7."""
-    rx = 42.627 - 116.5
-    b = link_budget(rx, -math.inf, thermal_noise_dbm(20e6, 7.0))
-    assert_allclose(b.sinr_db, 20.12, atol=5e-3)
+    sinr_db = 42.627 - 116.5 - thermal_noise_dbm(20e6, 7.0)
+    assert_allclose(sinr_db, 20.12, atol=5e-3)

@@ -9,16 +9,12 @@ from numpy.testing import assert_allclose
 
 from hapsim.channel import (
     C_LIGHT,
-    LinkLoss,
     NtnTables,
-    access_path_loss,
-    assign_los,
-    draw_shadow,
     feeder_loss,
     fspl,
 )
 from hapsim.errors import ConfigError, DomainError
-from hapsim.geometry import Point3, link_geometry
+from hapsim.geometry import Point3
 
 
 def test_fspl_reference_values():
@@ -136,43 +132,6 @@ def test_table_validation():
         NtnTables(ele, 0.5 * ones, ones[:1], ones, ones)
 
 
-def test_assign_los_follows_bin_probability():
-    t = NtnTables.default()
-    rng = np.random.default_rng(0)
-    draws = np.array([assign_los(90.0, t, rng) for _ in range(4000)])
-    assert abs(draws.mean() - 0.998) < 0.01
-    rng = np.random.default_rng(0)
-    draws = np.array([assign_los(10.0, t, rng) for _ in range(4000)])
-    assert abs(draws.mean() - 0.782) < 0.02
-
-
-def test_draw_shadow_uses_state_specific_sigma():
-    t = NtnTables.default()
-    rng = np.random.default_rng(1)
-    los = np.array([draw_shadow(10.0, True, t, rng) for _ in range(4000)])
-    nlos = np.array([draw_shadow(10.0, False, t, rng) for _ in range(4000)])
-    assert abs(los.std() - 1.79) < 0.1
-    assert abs(nlos.std() - 8.93) < 0.4
-    assert abs(los.mean()) < 0.1
-
-
-def test_access_path_loss_composition():
-    t = NtnTables.default()
-    geom = link_geometry(Point3(20000.0, 0.0, 0.0), Point3(0.0, 0.0, 20000.0))
-    los = access_path_loss(2.1e9, geom, True, t, shadow_db=2.5)
-    assert los.los is True
-    assert_allclose(los.fspl_db, fspl(2.1e9, geom.slant_range_m))
-    assert_allclose(los.shadow_db, 2.5)
-    assert los.clutter_db == 0.0
-    assert_allclose(los.total_db, los.fspl_db + 2.5)
-
-    # elevation 45 deg ties between the 40- and 50-deg bins; argmin takes
-    # the lower one, so the NLOS clutter comes from the 40-deg row
-    nlos = access_path_loss(2.1e9, geom, False, t, shadow_db=-1.0)
-    assert_allclose(nlos.clutter_db, 18.28)
-    assert_allclose(nlos.total_db, nlos.fspl_db - 1.0 + 18.28)
-
-
 def test_feeder_loss_reference_values():
     gateway = Point3(45_000.0, 0.0, 0.0)
     # closest approach of the flight circle: 42 km ground distance
@@ -185,8 +144,3 @@ def test_feeder_loss_reference_values():
     far = feeder_loss(gateway, Point3(-3000.0, 0.0, 20000.0), 3.65e9)
     assert_allclose(far, fspl(3.65e9, math.hypot(48_000.0, 20_000.0)), rtol=1e-12)
     assert_allclose(far, 138.0137, atol=5e-4)
-
-
-def test_link_loss_total_is_plain_sum():
-    ll = LinkLoss(fspl_db=120.0, shadow_db=3.0, clutter_db=18.0, los=False)
-    assert_allclose(ll.total_db, 141.0)

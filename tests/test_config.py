@@ -100,12 +100,19 @@ def test_invalid_value_names_source_and_line():
     assert err.value.line_no == 2
 
 
-def test_invalid_defaulted_field_keeps_no_line():
-    # 10 positions of the default 30-degree step miss the full circle; the
-    # step is blamed, but the text never set it
-    with pytest.raises(ValidationError, match=r"^flight_angular_step_deg: ") as err:
-        parse_config("flight_position_count = 10\n", source="scenario.cfg")
-    assert err.value.line_no is None
+@pytest.mark.parametrize("text, fields, line_no", [
+    # 10 positions of the default 30-degree step miss the full circle
+    ("flight_position_count = 10\n", "flight_position_count, flight_angular_step_deg", 1),
+    # the default 1 MHz uplink allocation exceeds a 500 kHz system bandwidth
+    ("dl_bandwidth_hz = 5e5\n", "ul_allocation_hz, dl_bandwidth_hz", 1),
+    ("seed = 2\nflight_angular_step_deg = 40\nflight_position_count = 10\n",
+     "flight_position_count, flight_angular_step_deg", 2),
+], ids=["position_count", "dl_bandwidth", "both_set"])
+def test_cross_field_check_names_its_fields_and_first_line(text, fields, line_no):
+    with pytest.raises(ValidationError, match=rf"^scenario.cfg, line {line_no}: {fields}: ") as err:
+        parse_config(text, source="scenario.cfg")
+    assert err.value.fields == tuple(fields.split(", "))
+    assert err.value.line_no == line_no
 
 
 def test_duplicate_key_reports_line():

@@ -1,5 +1,8 @@
 """Public facade and error hierarchy."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import hapsim
@@ -20,6 +23,19 @@ def test_top_level_exports():
                  "power_efficiency_factor", "Point3", "NtnTables", "sinr_to_se"):
         assert hasattr(hapsim, name), name
     assert isinstance(hapsim.__version__, str)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(hapsim.__path__)))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"hapsim.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    exec(f"from hapsim.{module} import *", {})
+
+
+def test_star_import_of_the_package():
+    namespace = {}
+    exec("from hapsim import *", namespace)
+    assert {"run_campaign", "ScenarioConfig", "NtnTables"} <= namespace.keys()
 
 
 def test_all_errors_share_one_base():
