@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,15 @@ from hapsim.channel import (
 )
 from hapsim.errors import ConfigError, DomainError
 from hapsim.geometry import Point3
+from hapsim.simulation import drop_terminals
+
+OVERHEAD = Point3(0.0, 0.0, 20000.0)
+
+
+def _row_of(tables, elevation_deg):
+    """A one-bin table holding the default table's row at ``elevation_deg``."""
+    i = tables.bin_index(elevation_deg)
+    return NtnTables(*(getattr(tables, f.name)[i:i + 1] for f in fields(tables)))
 
 
 def test_fspl_reference_values():
@@ -130,6 +140,26 @@ def test_table_validation():
         NtnTables(ele, np.array([0.5, 1.5]), ones, ones, ones)
     with pytest.raises(ConfigError):
         NtnTables(ele, 0.5 * ones, ones[:1], ones, ones)
+
+
+def test_assign_los_follows_bin_probability():
+    t = NtnTables.default()
+    # a 100 m disc under the platform sits in the 90-degree bin
+    terms = drop_terminals(4000, 100.0, "ue_omni", t, np.random.default_rng(0), OVERHEAD)
+    assert abs(np.mean([term.los for term in terms]) - 0.998) < 0.01
+    terms = drop_terminals(4000, 100.0, "ue_omni", _row_of(t, 10.0),
+                           np.random.default_rng(0), OVERHEAD)
+    assert abs(np.mean([term.los for term in terms]) - 0.782) < 0.02
+
+
+def test_draw_shadow_uses_state_specific_sigma():
+    t = _row_of(NtnTables.default(), 10.0)
+    terms = drop_terminals(8000, 100.0, "ue_omni", t, np.random.default_rng(1), OVERHEAD)
+    los = np.array([term.los for term in terms])
+    shadow = np.array([term.shadow_db for term in terms])
+    assert abs(shadow[los].std() - 1.79) < 0.1
+    assert abs(shadow[~los].std() - 8.93) < 0.4
+    assert abs(shadow[los].mean()) < 0.1
 
 
 def test_feeder_loss_reference_values():
