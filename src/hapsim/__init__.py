@@ -20,6 +20,7 @@ from .config import ScenarioConfig, dump_config, load_config, preset_config, pre
 from .consumption import (
     EfficiencyStage,
     RelayAdvantage,
+    RelayAssessment,
     RelayScenario,
     base_station_chain_efficiency,
     haps_relay_assessment,

@@ -19,7 +19,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import config as config_mod
 from . import consumption as consumption_mod
 from . import report as report_mod
 from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names
@@ -92,17 +91,17 @@ def _cmd_consumption(args) -> int:
     )
     platform = Point3(0.0, 0.0, cfg.altitude_m)
     gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
-    rows = consumption_mod.haps_relay_assessment(
-        [t.position for t in terminals], platform, gateway,
+    assessment = consumption_mod.haps_relay_assessment(
+        [t.x for t in terminals], [t.y for t in terminals], platform, gateway,
         cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source,
     )
-    report_mod.write_consumption_csv(out / "consumption.csv", rows)
+    report_mod.write_consumption_csv(out / "consumption.csv", assessment)
 
-    preferred = sum(r.relay_preferred for r in rows)
-    worst_ratio = max(r.feeder_access_ratio_sq for r in rows)
+    preferred = int(assessment.relay_preferred.sum())
+    worst_ratio = float(assessment.feeder_access_ratio_sq.max())
     print(f"h_relay = {h_relay:.6f}")
     print(f"h_source = {h_source:.6f}")
-    print(f"relay_preferred = {preferred}/{len(rows)} terminals")
+    print(f"relay_preferred = {preferred}/{len(terminals)} terminals")
     print(f"max_feeder_access_ratio_sq = {worst_ratio:.4f} (bound 6.25)")
     print(f"artifacts written to {out}")
     return 0

@@ -230,14 +230,12 @@ class ScenarioConfig:
             raise ValidationError("terminal_count", "must be positive")
         if self.cell_radius_m is not None and self.cell_radius_m <= 0:
             raise ValidationError("cell_radius_m", "must be positive")
-        if self.target_los_count is not None:
-            if self.target_los_count < 0:
-                raise ValidationError("target_los_count", "must be non-negative")
-            if self.target_los_count > self.resolved_terminal_count():
-                raise ValidationError(
-                    "target_los_count",
-                    f"cannot exceed terminal count {self.resolved_terminal_count()}",
-                )
+        if self.target_los_count is not None and self.target_los_count < 0:
+            raise ValidationError("target_los_count", "must be non-negative")
+        target, count = self.resolved_target_los_count(), self.resolved_terminal_count()
+        if target is not None and target > count:
+            raise ValidationError(("terminal_count", "target_los_count"),
+                                  f"LOS target {target} cannot exceed terminal count {count}")
         if self.ul_allocation_hz > self.dl_bandwidth_hz:
             raise ValidationError(
                 ("ul_allocation_hz", "dl_bandwidth_hz"),

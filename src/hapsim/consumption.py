@@ -23,9 +23,10 @@ first term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .geometry import Point3, link_geometry
@@ -34,7 +35,7 @@ __all__ = [
     "EfficiencyStage",
     "RelayScenario",
     "RelayAdvantage",
-    "AssessmentRow",
+    "RelayAssessment",
     "power_efficiency_factor",
     "repeater_chain_efficiency",
     "base_station_chain_efficiency",
@@ -76,28 +77,25 @@ def power_efficiency_factor(stages: Sequence[EfficiencyStage]) -> float:
 def repeater_chain_efficiency(mixer: EfficiencyStage, rf_amp: EfficiencyStage) -> float:
     """H of a repeater transmit chain (mixer then RF amplifier).
 
-    Closed form of :func:`power_efficiency_factor` for the two-stage
-    chain; the antennas on both ends are passive and contribute nothing.
+    The antennas on both ends are passive and contribute nothing.
     """
-    waste = (1.0 / mixer.efficiency - 1.0) + (1.0 / rf_amp.efficiency - 1.0) / mixer.gain
-    return 1.0 / (1.0 + waste)
+    return power_efficiency_factor([mixer, rf_amp])
 
 
 def base_station_chain_efficiency(baseband_amp: EfficiencyStage,
                                   mixer: EfficiencyStage,
                                   rf_amp: EfficiencyStage) -> float:
     """H of a base-station transmit chain (baseband amp, mixer, RF amp)."""
-    waste = (
-        (1.0 / baseband_amp.efficiency - 1.0)
-        + (1.0 / mixer.efficiency - 1.0) / baseband_amp.gain
-        + (1.0 / rf_amp.efficiency - 1.0) / (baseband_amp.gain * mixer.gain)
-    )
-    return 1.0 / (1.0 + waste)
+    return power_efficiency_factor([baseband_amp, mixer, rf_amp])
 
 
 @dataclass(frozen=True)
 class RelayScenario:
-    """Inputs of one relay-versus-direct comparison (gains linear)."""
+    """Inputs of one relay-versus-direct comparison (gains linear).
+
+    Any field may be an array; the fields broadcast against each other,
+    and an array is rejected when any of its entries is out of range.
+    """
 
     d1_m: float
     d2_m: float
@@ -108,13 +106,14 @@ class RelayScenario:
     source_efficiency: float
 
     def __post_init__(self):
-        if self.d1_m < 0 or self.d2_m < 0:
+        if np.any(self.d1_m < 0) or np.any(self.d2_m < 0):
             raise DomainError("relay path distances must be non-negative")
-        if self.d3_m <= 0:
+        if np.any(self.d3_m <= 0):
             raise DomainError("direct-path distance must be positive")
-        if self.relay_rx_gain <= 0 or self.sink_rx_gain <= 0:
+        if np.any(self.relay_rx_gain <= 0) or np.any(self.sink_rx_gain <= 0):
             raise DomainError("receive gains must be positive")
-        if not 0 < self.relay_efficiency <= 1 or not 0 < self.source_efficiency <= 1:
+        if not all(np.all((0 < eta) & (eta <= 1))
+                   for eta in (self.relay_efficiency, self.source_efficiency)):
             raise DomainError("efficiency factors must lie in (0, 1]")
 
 
@@ -128,62 +127,68 @@ class RelayAdvantage:
 
 
 def relay_advantage(scenario: RelayScenario) -> RelayAdvantage:
-    """Evaluate the relay-advantage inequality for one scenario."""
+    """Evaluate the relay-advantage inequality, elementwise for arrays.
+
+    Each square is a product, so scalar and array calls round alike.
+    """
     s = scenario
-    rhs = (
-        (s.d1_m / s.d3_m) ** 2 / (s.relay_rx_gain / s.sink_rx_gain)
-        + (s.d2_m / s.d3_m) ** 2 / (s.relay_efficiency / s.source_efficiency)
-    )
+    r1 = s.d1_m / s.d3_m
+    r2 = s.d2_m / s.d3_m
+    rhs = (r1 * r1 / (s.relay_rx_gain / s.sink_rx_gain)
+           + r2 * r2 / (s.relay_efficiency / s.source_efficiency))
     return RelayAdvantage(rhs=rhs, relay_preferred=rhs < 1.0, margin=1.0 - rhs)
 
 
 @dataclass(frozen=True)
-class AssessmentRow:
-    """Per-terminal relay assessment over the deployed geometry."""
+class RelayAssessment:
+    """Relay verdicts of a deployment: one array entry per terminal.
 
-    terminal_id: int
-    d1_m: float
-    d2_m: float
-    d3_m: float
-    rhs: float
-    relay_preferred: bool
-    margin: float
-    feeder_access_ratio_sq: float
+    The fields are the columns of ``consumption.csv``, in its order.
+    """
+
+    terminal_id: np.ndarray
+    d1_m: np.ndarray
+    d2_m: np.ndarray
+    d3_m: np.ndarray
+    rhs: np.ndarray
+    relay_preferred: np.ndarray
+    margin: np.ndarray
+    feeder_access_ratio_sq: np.ndarray
 
 
-def haps_relay_assessment(terminal_positions: Sequence[Point3], platform: Point3,
-                          gateway: Point3, relay_rx_gain_db: float,
-                          sink_rx_gain_db: float, relay_efficiency: float,
-                          source_efficiency: float) -> list[AssessmentRow]:
-    """Relay-versus-direct verdict for every terminal of a deployment.
+def haps_relay_assessment(x, y, platform: Point3, gateway: Point3,
+                          relay_rx_gain_db: float, sink_rx_gain_db: float,
+                          relay_efficiency: float,
+                          source_efficiency: float) -> RelayAssessment:
+    """Relay-versus-direct verdict for every ground terminal at ``(x, y)``.
 
     The platform is the relay: d1 is the gateway feeder slant, and the
     access slant serves as both relay-sink and direct distance, the
     onboard base station being the direct-transmission alternative.
     """
     d1 = link_geometry(gateway, platform).slant_range_m
-    g_relay = 10.0 ** (relay_rx_gain_db / 10.0)
-    g_sink = 10.0 ** (sink_rx_gain_db / 10.0)
-    rows = []
-    for tid, pos in enumerate(terminal_positions):
-        d_access = link_geometry(platform, pos).slant_range_m
-        verdict = relay_advantage(RelayScenario(
-            d1_m=d1,
-            d2_m=d_access,
-            d3_m=d_access,
-            relay_rx_gain=g_relay,
-            sink_rx_gain=g_sink,
-            relay_efficiency=relay_efficiency,
-            source_efficiency=source_efficiency,
-        ))
-        rows.append(AssessmentRow(
-            terminal_id=tid,
-            d1_m=d1,
-            d2_m=d_access,
-            d3_m=d_access,
-            rhs=verdict.rhs,
-            relay_preferred=verdict.relay_preferred,
-            margin=verdict.margin,
-            feeder_access_ratio_sq=(d1 / d_access) ** 2,
-        ))
-    return rows
+    # the access slant platform -> terminal, in link_geometry's order
+    dx = np.asarray(x, dtype=float) - platform.x
+    dy = np.asarray(y, dtype=float) - platform.y
+    dz = -platform.z
+    d_access = np.sqrt(dx * dx + dy * dy + dz * dz)
+    verdict = relay_advantage(RelayScenario(
+        d1_m=d1,
+        d2_m=d_access,
+        d3_m=d_access,
+        relay_rx_gain=10.0 ** (relay_rx_gain_db / 10.0),
+        sink_rx_gain=10.0 ** (sink_rx_gain_db / 10.0),
+        relay_efficiency=relay_efficiency,
+        source_efficiency=source_efficiency,
+    ))
+    ratio = d1 / d_access
+    return RelayAssessment(
+        terminal_id=np.arange(d_access.size),
+        d1_m=np.full(d_access.size, d1),
+        d2_m=d_access,
+        d3_m=d_access,
+        rhs=verdict.rhs,
+        relay_preferred=verdict.relay_preferred,
+        margin=verdict.margin,
+        feeder_access_ratio_sq=ratio * ratio,
+    )

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .consumption import AssessmentRow
+from .consumption import RelayAssessment
 from .errors import ConfigError
 from .simulation import CampaignResult
 
@@ -117,12 +117,9 @@ CONSUMPTION_CSV_COLUMNS = (
 )
 
 
-def write_consumption_csv(path, rows: Sequence[AssessmentRow]) -> None:
+def write_consumption_csv(path, assessment: RelayAssessment) -> None:
     """Per-terminal relay-versus-direct verdicts."""
+    columns = [getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS]
     lines = [",".join(CONSUMPTION_CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.terminal_id, r.d1_m, r.d2_m, r.d3_m, r.rhs,
-            r.relay_preferred, r.margin, r.feeder_access_ratio_sq,
-        )))
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")

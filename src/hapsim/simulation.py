@@ -30,7 +30,7 @@ import numpy as np
 from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
-from .errors import ConfigError, DomainError, SchedulingError
+from .errors import ConfigError, DomainError
 from .geometry import FlightPattern, Point3, haps_position
 
 __all__ = [
@@ -124,10 +124,6 @@ class Terminal:
     kind: str
     los: bool
     shadow_db: float
-
-    @property
-    def position(self) -> Point3:
-        return Point3(self.x, self.y, 0.0)
 
 
 def cell_centers(layout: str, service_radius_m: float,
@@ -312,13 +308,12 @@ def nominal_cells(terminals: Sequence[Terminal], beams: Sequence[Beam]) -> np.nd
     return np.argmin(d2, axis=1)
 
 
-def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
-                        offset: int = 0, intervals: int = 1) -> np.ndarray:
+def ul_slot_assignments(serving: np.ndarray, offset: int = 0,
+                        intervals: int = 1) -> np.ndarray:
     """Round-robin uplink slots: rank within the cell, in terminal-id order.
 
-    Returns one slot index ``s`` per terminal, which is block
-    ``s % n_blocks`` of TTI ``s // n_blocks``.  Terminals in different
-    cells sharing a slot transmit simultaneously on the same block and
+    Returns one slot index per terminal.  Terminals in different cells
+    sharing a slot transmit simultaneously on the same resource and
     interfere; within a cell ranks are unique, so intra-cell collisions
     cannot happen.
 
@@ -334,8 +329,6 @@ def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
     terminals share a key exactly when they share a slot in the same
     interval.  With one interval the key is the slot itself.
     """
-    if n_blocks <= 0:
-        raise SchedulingError("uplink needs at least one block")
     serving = np.asarray(serving)
     order = np.argsort(serving, kind="stable")
     counts = np.bincount(serving)
@@ -349,7 +342,7 @@ def ul_slot_assignments(serving: np.ndarray, n_blocks: int,
 
 def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
                           ul_rx_dbm: np.ndarray, gains: np.ndarray,
-                          n_blocks: int, first_offset: int) -> np.ndarray:
+                          first_offset: int) -> np.ndarray:
     """Uplink co-block interference (mW), one row per sub-interval.
 
     Sub-interval ``j`` schedules with round-robin offset
@@ -363,7 +356,7 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
     n_sub = int(counts.max())
     idx = np.arange(n)
     # key[j, m]: j * n_sub + slot of terminal m in sub-interval j
-    key = ul_slot_assignments(serving, n_blocks, first_offset, n_sub).reshape(n_sub, n)
+    key = ul_slot_assignments(serving, first_offset, n_sub).reshape(n_sub, n)
     # holder[b, key]: the terminal of beam b holding the slot key; n if none
     holder = np.full((counts.size, n_sub * n_sub), n)
     holder[serving, key] = idx
@@ -539,7 +532,6 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
     own_ul = ul_rx_dbm + at_serving(gains)
-    n_blocks = max(int(cfg.dl_bandwidth_hz // cfg.ul_allocation_hz), 1)
     ul_abs = LinkAbstraction(cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
 
     # With one active cell every slot has a single holder: noise alone.
@@ -551,7 +543,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     for p in np.flatnonzero(np.count_nonzero(counts, axis=1) > 1):
         n_sub = int(counts[p].max())
         ul_if_lin = _coblock_interference(serving[p], counts[p], ul_rx_dbm[p], gains[p],
-                                          n_blocks, p * n_sub)
+                                          p * n_sub)
         sinr_ul = own_ul[p] - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
         se_ul[p] = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
 

@@ -109,6 +109,16 @@ def test_invalid_value_error_names_the_line(tmp_path, capsys):
     assert err == f"error: {scenario}, line 3: ue_tx_power_dbm: must be finite; got -inf\n"
 
 
+def test_auto_los_target_above_terminal_count_fails_before_the_drop(tmp_path, capsys):
+    scenario = tmp_path / "few.cfg"
+    scenario.write_text("terminal_count = 5\n")
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {scenario}, line 1: terminal_count, target_los_count: "
+                   "LOS target 17 cannot exceed terminal count 5\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_overrides_leave_the_loaded_config_untouched(monkeypatch, capsys):
     loaded = preset_config("single-cell-bp")
     monkeypatch.setattr("hapsim.cli.preset_config", lambda name: loaded)

@@ -94,10 +94,11 @@ def test_invalid_value_names_source_and_line():
         parse_config("seed = 1\n# comment\naltitude_m = nan\n", source="scenario.cfg")
     assert err.value.field == "altitude_m"
     assert err.value.line_no == 3
-    # a check across fields names the line of the field it blames
-    with pytest.raises(ValidationError, match=r"^<string>, line 2: target_los_count: cannot") as err:
+    # a check across fields names the first line that sets a field it blames
+    with pytest.raises(ValidationError, match=r"^<string>, line 1: terminal_count, "
+                                              r"target_los_count: LOS target 9 cannot") as err:
         parse_config("terminal_count = 5\ntarget_los_count = 9\n")
-    assert err.value.line_no == 2
+    assert err.value.line_no == 1
 
 
 @pytest.mark.parametrize("text, fields, line_no", [
@@ -107,7 +108,9 @@ def test_invalid_value_names_source_and_line():
     ("dl_bandwidth_hz = 5e5\n", "ul_allocation_hz, dl_bandwidth_hz", 1),
     ("seed = 2\nflight_angular_step_deg = 40\nflight_position_count = 10\n",
      "flight_position_count, flight_angular_step_deg", 2),
-], ids=["position_count", "dl_bandwidth", "both_set"])
+    # the single layout's auto LOS target of 17 exceeds five terminals
+    ("terminal_count = 5\n", "terminal_count, target_los_count", 1),
+], ids=["position_count", "dl_bandwidth", "both_set", "auto_los_target"])
 def test_cross_field_check_names_its_fields_and_first_line(text, fields, line_no):
     with pytest.raises(ValidationError, match=rf"^scenario.cfg, line {line_no}: {fields}: ") as err:
         parse_config(text, source="scenario.cfg")

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from hapsim.config import preset_config
 from hapsim.consumption import (
     EfficiencyStage,
     RelayScenario,
@@ -16,7 +18,8 @@ from hapsim.consumption import (
     repeater_chain_efficiency,
 )
 from hapsim.errors import DomainError
-from hapsim.geometry import Point3
+from hapsim.geometry import Point3, link_geometry
+from hapsim.simulation import build_drop
 
 etas = st.floats(min_value=0.01, max_value=1.0)
 gains = st.floats(min_value=0.1, max_value=1e6)
@@ -146,51 +149,84 @@ def test_relay_advantage_is_scale_invariant(scale):
     assert_allclose(relay_advantage(scaled).rhs, relay_advantage(base).rhs, rtol=1e-12)
 
 
+def test_relay_scenario_rejects_an_array_with_one_bad_entry():
+    good = np.array([1.0, 2.0, 3.0])
+    for bad, field in ((-1.0, "d1_m"), (-1.0, "d2_m"), (0.0, "d3_m")):
+        values = dict(d1_m=good, d2_m=good, d3_m=good)
+        values[field] = np.array([1.0, bad, 3.0])
+        with pytest.raises(DomainError, match="non-negative" if bad < 0 else "positive"):
+            RelayScenario(**values, relay_rx_gain=1.0, sink_rx_gain=1.0,
+                          relay_efficiency=0.5, source_efficiency=0.5)
+    RelayScenario(good, good, good, 1.0, 1.0, 0.5, 0.5)
+
+
 def test_haps_assessment_geometry():
     """Platform relay: d2 = d3 = access slant, d1 = feeder slant."""
     platform = Point3(0.0, 0.0, 20000.0)
     gateway = Point3(45_000.0, 0.0, 0.0)
-    terminals = [Point3(20_000.0, 0.0, 0.0), Point3(0.0, 0.0, 0.0)]
     rows = haps_relay_assessment(
-        terminals, platform, gateway,
+        [20_000.0, 0.0], [0.0, 0.0], platform, gateway,
         relay_rx_gain_db=0.0, sink_rx_gain_db=0.0,
         relay_efficiency=0.5, source_efficiency=0.5,
     )
-    assert len(rows) == 2
+    assert rows.terminal_id.tolist() == [0, 1]
     d1 = math.hypot(45_000.0, 20_000.0)
-    assert_allclose(rows[0].d1_m, d1, rtol=1e-12)
-    assert_allclose(rows[0].d1_m, 49_244.29, atol=5e-3)
-    assert rows[0].d2_m == rows[0].d3_m
-    assert_allclose(rows[0].d2_m, 20_000.0 * math.sqrt(2.0), rtol=1e-12)
+    assert_allclose(rows.d1_m[0], d1, rtol=1e-12)
+    assert_allclose(rows.d1_m[0], 49_244.29, atol=5e-3)
+    assert rows.d2_m[0] == rows.d3_m[0]
+    assert_allclose(rows.d2_m[0], 20_000.0 * math.sqrt(2.0), rtol=1e-12)
     # (d1/d3)^2 = (45^2+20^2)/(20^2+20^2) = 2425/800
-    assert_allclose(rows[0].feeder_access_ratio_sq, 2425.0 / 800.0, rtol=1e-12)
-    assert_allclose(rows[0].feeder_access_ratio_sq, 3.03125, rtol=1e-12)
+    assert_allclose(rows.feeder_access_ratio_sq[0], 2425.0 / 800.0, rtol=1e-12)
+    assert_allclose(rows.feeder_access_ratio_sq[0], 3.03125, rtol=1e-12)
     # d2 = d3 and equal efficiencies make the second term exactly 1, so
     # the relay can never win this comparison without a receive-gain edge
-    assert_allclose(rows[0].rhs, 2425.0 / 800.0 + 1.0, rtol=1e-12)
-    assert not rows[0].relay_preferred
+    assert_allclose(rows.rhs[0], 2425.0 / 800.0 + 1.0, rtol=1e-12)
+    assert not rows.relay_preferred[0]
 
     # nadir terminal: shortest access slant, largest feeder/access ratio
-    assert_allclose(rows[1].d2_m, 20_000.0, rtol=1e-12)
-    assert_allclose(rows[1].feeder_access_ratio_sq, (d1 / 20_000.0) ** 2, rtol=1e-12)
-    assert rows[1].feeder_access_ratio_sq > rows[0].feeder_access_ratio_sq
+    assert_allclose(rows.d2_m[1], 20_000.0, rtol=1e-12)
+    assert_allclose(rows.feeder_access_ratio_sq[1], (d1 / 20_000.0) ** 2, rtol=1e-12)
+    assert rows.feeder_access_ratio_sq[1] > rows.feeder_access_ratio_sq[0]
 
 
 def test_haps_assessment_gain_edge_flips_verdict():
     platform = Point3(0.0, 0.0, 20000.0)
     gateway = Point3(45_000.0, 0.0, 0.0)
     rows = haps_relay_assessment(
-        [Point3(20_000.0, 0.0, 0.0)], platform, gateway,
+        [20_000.0], [0.0], platform, gateway,
         relay_rx_gain_db=10.0, sink_rx_gain_db=0.0,
         relay_efficiency=0.5, source_efficiency=0.5,
     )
     # first term shrinks tenfold: 0.303 + 1.0 > 1 still loses on the
     # efficiency term alone; give the relay a better chain as well
-    assert not rows[0].relay_preferred
+    assert not rows.relay_preferred[0]
     rows = haps_relay_assessment(
-        [Point3(20_000.0, 0.0, 0.0)], platform, gateway,
+        [20_000.0], [0.0], platform, gateway,
         relay_rx_gain_db=10.0, sink_rx_gain_db=0.0,
         relay_efficiency=0.5, source_efficiency=0.25,
     )
-    assert_allclose(rows[0].rhs, 3.03125 / 10.0 + 0.5, rtol=1e-12)
-    assert rows[0].relay_preferred
+    assert_allclose(rows.rhs[0], 3.03125 / 10.0 + 0.5, rtol=1e-12)
+    assert rows.relay_preferred[0]
+
+
+@pytest.mark.parametrize("preset", ["single-cell-bp", "multi-selection-cpe-rg"])
+def test_haps_assessment_rows_equal_scalar_verdicts(preset):
+    cfg = preset_config(preset)
+    terminals, _ = build_drop(cfg)
+    platform = Point3(0.0, 0.0, cfg.altitude_m)
+    gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
+    rows = haps_relay_assessment(
+        [t.x for t in terminals], [t.y for t in terminals], platform, gateway,
+        cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, 0.4, 0.3,
+    )
+    d1 = link_geometry(gateway, platform).slant_range_m
+    for i, t in enumerate(terminals):
+        access = link_geometry(platform, Point3(t.x, t.y, 0.0)).slant_range_m
+        want = relay_advantage(RelayScenario(
+            d1, access, access, 10.0 ** (cfg.relay_rx_gain_db / 10.0),
+            10.0 ** (cfg.sink_rx_gain_db / 10.0), 0.4, 0.3,
+        ))
+        assert (rows.d1_m[i], rows.d2_m[i], rows.d3_m[i]) == (d1, access, access)
+        assert (rows.rhs[i], rows.relay_preferred[i], rows.margin[i]) == (
+            want.rhs, want.relay_preferred, want.margin)
+        assert rows.feeder_access_ratio_sq[i] == (d1 / access) * (d1 / access)

@@ -1,7 +1,9 @@
 """Public facade and error hierarchy."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,38 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"hapsim.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     exec(f"from hapsim.{module} import *", {})
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module binds by import and never reads (``__all__`` counts as a read)."""
+    tree = ast.parse(source)
+    bound, exported = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = ast.literal_eval(node.value)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items()
+                  if name not in read | set(exported))
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(hapsim.__path__)))
+def test_no_module_binds_an_unused_import(module):
+    # the package's __init__ imports only to re-export, so it is not checked
+    source = Path(hapsim.__path__[0], f"{module}.py").read_text()
+    assert _unused_imports(source) == []
+
+
+def test_unused_import_check_sees_a_dead_import():
+    assert _unused_imports("import math\nfrom . import config as cfg\n") == [
+        "line 1: math", "line 2: cfg"]
+    assert _unused_imports("import os.path\nos.sep\n__all__ = ['np']\nimport numpy as np\n") == []
 
 
 def test_star_import_of_the_package():

@@ -109,7 +109,7 @@ def test_cdf_is_sorted_and_normalised(tmp_path):
 
 def test_consumption_csv(tmp_path):
     rows = haps_relay_assessment(
-        [Point3(20_000.0, 0.0, 0.0), Point3(0.0, 0.0, 0.0)],
+        [20_000.0, 0.0], [0.0, 0.0],
         Point3(0.0, 0.0, 20_000.0), Point3(45_000.0, 0.0, 0.0),
         relay_rx_gain_db=105.0, sink_rx_gain_db=0.0,
         relay_efficiency=0.5, source_efficiency=0.5,
@@ -121,5 +121,5 @@ def test_consumption_csv(tmp_path):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert float(first[1]) == rows[0].d1_m
+    assert float(first[1]) == rows.d1_m[0]
     assert first[5] in ("0", "1")
