@@ -88,17 +88,18 @@ def cascade_noise_figure(stages: Sequence[CascadeStage]) -> float:
 
 
 def bp_effective_dl_eirp(gateway_tx_dbm: float, gateway_gain_dbi: float,
-                         feeder_loss_db: float, repeater: RepeaterModel,
-                         panel_gain_dbi: float) -> float:
+                         feeder_loss_db, repeater: RepeaterModel,
+                         panel_gain_dbi: float):
     """Downlink EIRP of a bent pipe with the feeder chain made explicit.
 
     Gateway power plus its antenna gain, attenuated over the feeder link,
     amplified by the repeater (optionally clamped to its rated maximum
-    output), then radiated through the panel.
+    output), then radiated through the panel.  An array of feeder losses
+    gives an array of EIRPs.
     """
     output_dbm = gateway_tx_dbm + gateway_gain_dbi - feeder_loss_db + repeater.gain_db
     if repeater.output_limit_enabled:
-        output_dbm = min(output_dbm, repeater.max_output_dbm)
+        output_dbm = np.minimum(output_dbm, repeater.max_output_dbm)
     return output_dbm + panel_gain_dbi
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import Point3, link_geometry
+from .geometry import link_geometry
 
 __all__ = [
     "C_LIGHT",
@@ -76,33 +76,39 @@ class NtnTables:
 
     @classmethod
     def from_file(cls, path) -> "NtnTables":
-        """Parse a table file: comment/header lines then CSV rows."""
+        """Parse a table file: comments, an optional header line, then CSV rows.
+
+        A header is only allowed before the first data row.  Every value
+        must be a finite number and the shadow sigmas non-negative; an
+        error names the file, the line and the column.
+        """
+        columns = [f.name for f in fields(cls)]
         rows = []
         for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.replace(",", " ").split()]
-            if parts and not _is_number(parts[0]):
+            parts = line.replace(",", " ").split()
+            if not rows and not _is_number(parts[0]):
                 continue  # column-name header
-            if len(parts) != 5:
-                raise ConfigError(
-                    f"{path}:{line_no}: expected 5 fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+            if len(parts) != len(columns):
+                raise ConfigError(f"expected {len(columns)} fields, got {len(parts)}",
+                                  line_no, path)
+            row = []
+            for name, token in zip(columns, parts):
+                value = float(token) if _is_number(token) else math.nan
+                if not math.isfinite(value):
+                    raise ConfigError(f"{name}: must be a finite number; got {token!r}",
+                                      line_no, path)
+                if name.startswith("shadow_std") and value < 0:
+                    raise ConfigError(f"{name}: must be non-negative; got {token}",
+                                      line_no, path)
+                row.append(value)
+            rows.append(row)
         if not rows:
             raise ConfigError(f"{path}: no data rows found")
         data = np.array(rows, dtype=float)
-        return cls(
-            elevation_deg=data[:, 0],
-            los_probability=data[:, 1],
-            shadow_std_los_db=data[:, 2],
-            shadow_std_nlos_db=data[:, 3],
-            clutter_loss_nlos_db=data[:, 4],
-        )
+        return cls(*data.T)
 
     @classmethod
     @functools.cache
@@ -146,7 +152,9 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def feeder_loss(gateway: Point3, haps: Point3, carrier_hz: float) -> float:
-    """Gateway-to-platform loss (dB): pure free-space over the slant range."""
-    geom = link_geometry(gateway, haps)
-    return fspl(carrier_hz, geom.slant_range_m)
+def feeder_loss(gateway, haps, carrier_hz: float):
+    """Gateway-to-platform loss (dB): pure free-space over the slant range.
+
+    Either end may be an array of positions (see :func:`link_geometry`).
+    """
+    return fspl(carrier_hz, link_geometry(gateway, haps).slant_range_m)

@@ -66,10 +66,10 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = run_campaign(cfg)
     report_mod.write_users_csv(out / "users.csv", result.user_rows())
-    report_mod.write_report(out / "report.txt", result, _scenario_name(args))
+    text = report_mod.write_report(out / "report.txt", result, _scenario_name(args))
     report_mod.write_cdf(out / "cdf_dl.txt", result.dl_se)
     report_mod.write_cdf(out / "cdf_ul.txt", result.ul_se)
-    print(report_mod.format_report(result, _scenario_name(args)), end="")
+    print(text, end="")
     print(f"artifacts written to {out}")
     return 0
 

@@ -167,11 +167,8 @@ def haps_relay_assessment(x, y, platform: Point3, gateway: Point3,
     onboard base station being the direct-transmission alternative.
     """
     d1 = link_geometry(gateway, platform).slant_range_m
-    # the access slant platform -> terminal, in link_geometry's order
-    dx = np.asarray(x, dtype=float) - platform.x
-    dy = np.asarray(y, dtype=float) - platform.y
-    dz = -platform.z
-    d_access = np.sqrt(dx * dx + dy * dy + dz * dz)
+    ground = np.column_stack([x, y, np.zeros(len(x))])
+    d_access = link_geometry(platform, ground).slant_range_m
     verdict = relay_advantage(RelayScenario(
         d1_m=d1,
         d2_m=d_access,

@@ -7,7 +7,6 @@ __all__ = [
     "ValidationError",
     "DegenerateGeometryError",
     "OutOfCoverageError",
-    "SchedulingError",
     "DomainError",
 ]
 
@@ -57,10 +56,6 @@ class DegenerateGeometryError(HapsimError):
 
 class OutOfCoverageError(HapsimError):
     """Requested direction or position is not served by any beam."""
-
-
-class SchedulingError(HapsimError):
-    """Link evaluation requested for a terminal that is not scheduled."""
 
 
 class DomainError(HapsimError):

@@ -4,6 +4,11 @@ All coordinates are metres in an east/north/up frame whose origin sits on
 the ground below the centre of the platform's flight circle.  Earth
 curvature is ignored; at the scales involved (tens of km horizontally,
 20 km up) the error stays far below the channel-model granularity.
+
+``link_geometry`` takes each endpoint as a :class:`Point3` or as an array
+of ``(x, y, z)`` rows with shape ``(..., 3)``; the two broadcast against
+each other, so one call covers every terminal-platform pair of a
+campaign.  Two points give floats, arrays give arrays.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class FlightPattern:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Geometry of the ray from one point towards another."""
+    """Geometry of the ray from one point towards another (or of many rays, as arrays)."""
 
     elevation_deg: float
     azimuth_deg: float
@@ -102,19 +107,25 @@ def haps_position(pattern: FlightPattern, run_index: int) -> Point3:
     )
 
 
-def link_geometry(a: Point3, b: Point3) -> LinkGeometry:
+def link_geometry(a, b) -> LinkGeometry:
     """Elevation, azimuth and slant range of the ray a -> b.
 
     Elevation is measured from a's local horizontal plane (positive when b
     is above it), azimuth clockwise-free in [0, 360) from the +x axis.
+    Every pair is one ray; any coincident pair is rejected.
     """
-    dx = b.x - a.x
-    dy = b.y - a.y
-    dz = b.z - a.z
-    horizontal = math.hypot(dx, dy)
-    slant = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if slant == 0.0:
+    d = _coords(b) - _coords(a)
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    horizontal = np.hypot(dx, dy)
+    slant = np.sqrt(horizontal * horizontal + dz * dz)
+    if np.any(slant == 0.0):
         raise DegenerateGeometryError("link endpoints coincide")
-    elevation = math.degrees(math.atan2(dz, horizontal))
-    azimuth = math.degrees(math.atan2(dy, dx)) % 360.0
+    elevation = np.degrees(np.arctan2(dz, horizontal))
+    azimuth = np.degrees(np.arctan2(dy, dx)) % 360.0
+    if slant.ndim == 0:
+        return LinkGeometry(float(elevation), float(azimuth), float(slant))
     return LinkGeometry(elevation, azimuth, slant)
+
+
+def _coords(p) -> np.ndarray:
+    return p.as_array() if isinstance(p, Point3) else np.asarray(p, dtype=float)

@@ -97,17 +97,19 @@ def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(path, result: CampaignResult, scenario_name: str = "custom") -> None:
-    Path(path).write_text(format_report(result, scenario_name))
+def write_report(path, result: CampaignResult, scenario_name: str = "custom") -> str:
+    """Write the aggregate summary and return the text written."""
+    text = format_report(result, scenario_name)
+    Path(path).write_text(text)
+    return text
 
 
 def write_cdf(path, values) -> None:
     """Empirical CDF as two-column text: value, cumulative fraction."""
     ordered = np.sort(np.asarray(values, dtype=float))
-    n = ordered.size
+    fraction = np.arange(1, ordered.size + 1) / ordered.size
     lines = ["# se_bit_per_s_per_hz cumulative_fraction"]
-    for i, v in enumerate(ordered):
-        lines.append(f"{float(v)!r} {(i + 1) / n!r}")
+    lines += [f"{v!r} {f!r}" for v, f in zip(ordered.tolist(), fraction.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

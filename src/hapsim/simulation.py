@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +30,12 @@ from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
 from .errors import ConfigError, DomainError
-from .geometry import FlightPattern, Point3, haps_position
+from .geometry import FlightPattern, Point3, haps_position, link_geometry
 
 __all__ = [
     "LinkAbstraction",
     "AggregateStats",
     "Terminal",
-    "Beam",
     "CampaignReport",
     "CampaignResult",
     "sinr_to_se",
@@ -185,11 +183,8 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     xs = radius * np.cos(theta)
     ys = radius * np.sin(theta)
 
-    elev = np.degrees(np.arctan2(
-        platform_center.z,
-        np.hypot(platform_center.x - xs, platform_center.y - ys),
-    ))
-    bins = tables.bin_indices(elev)
+    ground = np.column_stack([xs, ys, np.zeros(n)])
+    bins = tables.bin_indices(link_geometry(ground, platform_center).elevation_deg)
     p_los = tables.los_probability[bins]
 
     if target_los is None:
@@ -251,17 +246,12 @@ def build_drop(config: ScenarioConfig) -> tuple[list[Terminal], channel.NtnTable
 # ----------------------------------------------------------------------
 # Beams and attachment
 
-@dataclass(frozen=True)
-class Beam:
-    """A panel bound to the ground cell it serves."""
+def build_beams(config: ScenarioConfig) -> tuple[list[Panel], np.ndarray]:
+    """Platform antenna set and the ground cell each panel serves.
 
-    index: int
-    panel: Panel
-    cell_center: Point3
-
-
-def build_beams(config: ScenarioConfig) -> list[Beam]:
-    """Platform antenna set: one fixed antenna, or the hexagonal array."""
+    Returns the panels (one fixed antenna, or the hexagonal array) and
+    their cell centres as an index-aligned ``(n, 2)`` array.
+    """
     centers = cell_centers(
         config.layout,
         config.resolved_cell_radius_m(),
@@ -294,16 +284,14 @@ def build_beams(config: ScenarioConfig) -> list[Beam]:
             side_tilt_deg=config.side_panel_tilt_deg,
             azimuth_offset_deg=config.side_panel_azimuth_offset_deg,
         )
-    return [
-        Beam(index=i, panel=panel, cell_center=Point3(centers[i, 0], centers[i, 1], 0.0))
-        for i, panel in enumerate(panels)
-    ]
+    return panels, centers
 
 
-def nominal_cells(terminals: Sequence[Terminal], beams: Sequence[Beam]) -> np.ndarray:
-    """Fixed cell of each terminal: the nearest cell centre on the ground."""
-    centers = np.array([[b.cell_center.x, b.cell_center.y] for b in beams])
-    xy = np.array([[t.x, t.y] for t in terminals])
+def nominal_cells(xy: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Fixed cell of each terminal: the nearest cell centre on the ground.
+
+    ``xy`` holds one terminal per row, ``centers`` one cell per row.
+    """
     d2 = ((xy[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
 
@@ -421,7 +409,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Run one full campaign over the flight circle."""
     cfg = config.validate()
     terminals, tables = build_drop(cfg)
-    beams = build_beams(cfg)
+    panels, centers = build_beams(cfg)
     pattern = FlightPattern(
         center=Point3(0.0, 0.0, cfg.altitude_m),
         diameter_m=cfg.flight_circle_diameter_m,
@@ -443,19 +431,15 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     xy = np.array([[t.x, t.y] for t in terminals])
     los = np.array([t.los for t in terminals])
     shadow = np.array([t.shadow_db for t in terminals])
-    platforms = [haps_position(pattern, k) for k in range(n_pos)]
-    hpos = np.array([h.as_array() for h in platforms])
-
-    dirs = np.empty((n_pos, n, 3))
-    dirs[..., :2] = xy - hpos[:, None, :2]
-    dirs[..., 2] = -hpos[:, 2:]
-    horiz = np.hypot(dirs[..., 0], dirs[..., 1])
-    slant = np.sqrt(horiz ** 2 + hpos[:, 2:] ** 2)
-    elev = np.degrees(np.arctan2(hpos[:, 2:], horiz))
+    hpos = np.array([haps_position(pattern, k).as_array() for k in range(n_pos)])
+    ground = np.column_stack([xy, np.zeros(n)])
+    dirs = ground - hpos[:, None, :]  # platform -> terminal, for the antennas
+    geom = link_geometry(ground, hpos[:, None, :])  # terminal -> platform
+    elev = geom.elevation_deg
 
     clutter = np.where(los, 0.0, tables.clutter_loss_nlos_db[tables.bin_indices(elev)])
-    loss_dl = channel.fspl(cfg.dl_carrier_hz, slant) + shadow + clutter
-    loss_ul = channel.fspl(cfg.ul_carrier_hz, slant) + shadow + clutter
+    loss_dl = channel.fspl(cfg.dl_carrier_hz, geom.slant_range_m) + shadow + clutter
+    loss_ul = channel.fspl(cfg.ul_carrier_hz, geom.slant_range_m) + shadow + clutter
 
     # Terminal antenna gain towards the platform (identical both directions:
     # omnis are flat, rooftop antennas are azimuth-aligned with the link).
@@ -472,35 +456,32 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     # Per-beam gains towards every terminal: steered beams get one weight
     # set per position, broadside beams one for the whole flight circle.
-    gains = np.empty((n_pos, len(beams), n))
-    for b, beam in enumerate(beams):
+    gains = np.empty((n_pos, len(panels), n))
+    for b, panel in enumerate(panels):
         if cfg.attachment_mode == "beam_steering":
-            center = beam.cell_center.as_array()
-            weights = np.array([antenna.steering_weights(beam.panel, center - h) for h in hpos])
+            center = np.append(centers[b], 0.0)
+            weights = np.array([antenna.steering_weights(panel, center - h) for h in hpos])
         else:
-            weights = antenna.broadside_weights(beam.panel)
-        gains[:, b] = antenna.array_gain(beam.panel, weights, dirs)
+            weights = antenna.broadside_weights(panel)
+        gains[:, b] = antenna.array_gain(panel, weights, dirs)
 
     # Downlink transmit power at each panel input.
     if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
         gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
-        tx_dbm = np.array([
-            architecture.bp_effective_dl_eirp(
-                cfg.gateway_tx_power_dbm, cfg.gateway_antenna_gain_dbi,
-                channel.feeder_loss(gateway, h, cfg.feeder_carrier_hz),
-                repeater, panel_gain_dbi=0.0,
-            )
-            for h in platforms
-        ])[:, None, None]
+        tx_dbm = architecture.bp_effective_dl_eirp(
+            cfg.gateway_tx_power_dbm, cfg.gateway_antenna_gain_dbi,
+            channel.feeder_loss(gateway, hpos, cfg.feeder_carrier_hz),
+            repeater, panel_gain_dbi=0.0,
+        )[:, None, None]
     else:
         tx_dbm = cfg.panel_tx_power_dbm
 
     rsrp = tx_dbm + gains - loss_dl[:, None, :]
     if cfg.attachment_mode == "beam_steering":
-        serving = np.broadcast_to(nominal_cells(terminals, beams), (n_pos, n))
+        serving = np.broadcast_to(nominal_cells(xy, centers), (n_pos, n))
     else:
         serving = np.argmax(rsrp, axis=1)
-    member = serving[:, None, :] == np.arange(len(beams))[:, None]  # (P, beams, n)
+    member = serving[:, None, :] == np.arange(len(panels))[:, None]  # (P, beams, n)
     counts = member.sum(axis=2)
 
     def at_serving(per_beam):

@@ -71,6 +71,17 @@ def test_bp_dl_eirp_output_limit():
     assert_allclose(bp_effective_dl_eirp(43.0, 32.3, 120.0, uncapped, 10.0), 70.3, rtol=1e-12)
 
 
+@pytest.mark.parametrize("limit", [False, True])
+def test_bp_dl_eirp_on_an_array_equals_scalar_calls(limit):
+    rep = RepeaterModel(output_limit_enabled=limit)
+    losses = np.array([90.0, 120.0, 137.673, 137.9, 150.0])
+    eirp = bp_effective_dl_eirp(43.0, 32.3, losses, rep, panel_gain_dbi=10.0)
+    assert eirp.shape == losses.shape
+    assert eirp.tolist() == [bp_effective_dl_eirp(43.0, 32.3, float(loss), rep, 10.0)
+                             for loss in losses]
+    assert (eirp.max() == 40.0) == limit  # the 90 and 120 dB losses exceed the rated output
+
+
 def test_repeater_noise_at_ue_stays_below_handset_floor():
     rep = RepeaterModel()
     losses = np.arange(121.0, 200.0 + 0.5, 0.5)

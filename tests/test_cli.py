@@ -1,5 +1,7 @@
 """Command-line interface: artifacts, overrides, error reporting."""
 
+from importlib import resources
+
 import pytest
 
 from hapsim.cli import main
@@ -117,6 +119,24 @@ def test_auto_los_target_above_terminal_count_fails_before_the_drop(tmp_path, ca
     assert err == (f"error: {scenario}, line 1: terminal_count, target_los_count: "
                    "LOS target 17 cannot exceed terminal count 5\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("40,0.929,-0.92,10.25,18.28", "shadow_std_los_db: must be non-negative; got -0.92"),
+    ("40,0.929,nan,10.25,18.28", "shadow_std_los_db: must be a finite number; got 'nan'"),
+    ("x40,0.929,0.92,10.25,18.28", "elevation_deg: must be a finite number; got 'x40'"),
+])
+def test_bad_channel_table_row_fails_cleanly(tmp_path, capsys, row, message):
+    bundled = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_text()
+    assert "\n40,0.929,0.92,10.25,18.28\n" in bundled
+    table = tmp_path / "table.csv"
+    table.write_text(bundled.replace("\n40,0.929,0.92,10.25,18.28\n", f"\n{row}\n"))
+    line_no = table.read_text().splitlines().index(row) + 1
+    scenario = tmp_path / "edited.cfg"
+    scenario.write_text(f"ntn_table_path = {table}\n")
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {table}, line {line_no}: {message}\n"
 
 
 def test_overrides_leave_the_loaded_config_untouched(monkeypatch, capsys):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import assume, given, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from hapsim.errors import ConfigError, DegenerateGeometryError
 from hapsim.geometry import FlightPattern, LinkGeometry, Point3, haps_position, link_geometry
@@ -89,6 +90,56 @@ def test_azimuth_convention():
 def test_coincident_points_rejected():
     with pytest.raises(DegenerateGeometryError):
         link_geometry(Point3(5.0, 5.0, 5.0), Point3(5.0, 5.0, 5.0))
+
+
+def test_coincident_pair_inside_an_array_rejected():
+    a = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [1.0, 0.0, 0.0]])
+    b = np.array([[0.0, 0.0, 20000.0], [5.0, 5.0, 5.0], [1.0, 0.0, 20000.0]])
+    with pytest.raises(DegenerateGeometryError):
+        link_geometry(a, b)
+    with pytest.raises(DegenerateGeometryError):
+        link_geometry(a, Point3(5.0, 5.0, 5.0))
+
+
+def test_two_points_give_floats_and_arrays_give_arrays():
+    geom = link_geometry(Point3(0.0, 0.0, 0.0), Point3(1000.0, 0.0, 100.0))
+    assert all(type(v) is float for v in
+               (geom.elevation_deg, geom.azimuth_deg, geom.slant_range_m))
+    ground = np.zeros((4, 5, 3))
+    platforms = np.array([[3000.0, 0.0, 20000.0], [0.0, 3000.0, 20000.0], [-3000.0, 0.0, 20000.0],
+                          [0.0, -3000.0, 20000.0]])[:, None, :]
+    assert link_geometry(ground, platforms).slant_range_m.shape == (4, 5)
+
+
+coordinate = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False)
+height = st.floats(min_value=0.0, max_value=3e4, allow_nan=False)
+point = st.tuples(coordinate, coordinate, height)
+
+
+def _apart(a, b):
+    # a millimetre or more: closer points can square to zero, which is degenerate
+    return math.dist(a, b) >= 1e-3
+
+
+@given(pairs=st.lists(st.tuples(point, point), min_size=1, max_size=8))
+def test_array_call_equals_scalar_calls_bit_for_bit(pairs):
+    assume(all(_apart(a, b) for a, b in pairs))
+    a = np.array([pa for pa, _ in pairs])
+    b = np.array([pb for _, pb in pairs])
+    geom = link_geometry(a, b)
+    for i, (pa, pb) in enumerate(pairs):
+        one = link_geometry(Point3(*pa), Point3(*pb))
+        assert (geom.elevation_deg[i], geom.azimuth_deg[i], geom.slant_range_m[i]) == (
+            one.elevation_deg, one.azimuth_deg, one.slant_range_m)
+
+
+@given(origin=point, targets=st.lists(point, min_size=1, max_size=8))
+def test_point_broadcasts_against_an_array(origin, targets):
+    assume(all(_apart(origin, t) for t in targets))
+    geom = link_geometry(Point3(*origin), np.array(targets))
+    for field in ("elevation_deg", "azimuth_deg", "slant_range_m"):
+        expected = [getattr(link_geometry(Point3(*origin), Point3(*t)), field) for t in targets]
+        assert_array_equal(getattr(geom, field), expected)
 
 
 def test_link_geometry_randomised_invariants():

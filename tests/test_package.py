@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from hapsim.errors import (
     DomainError,
     HapsimError,
     OutOfCoverageError,
-    SchedulingError,
     ValidationError,
 )
 
@@ -74,8 +74,7 @@ def test_star_import_of_the_package():
 
 def test_all_errors_share_one_base():
     for exc in (ConfigError, ConfigSyntaxError, ValidationError,
-                DegenerateGeometryError, OutOfCoverageError,
-                SchedulingError, DomainError):
+                DegenerateGeometryError, OutOfCoverageError, DomainError):
         assert issubclass(exc, HapsimError)
     assert issubclass(ConfigSyntaxError, ConfigError)
     assert issubclass(ValidationError, ConfigError)
@@ -98,3 +97,21 @@ def test_one_catch_clause_covers_everything():
         hapsim.fspl(-1.0, 100.0)
     with pytest.raises(HapsimError):
         hapsim.ScenarioConfig(layout="ring").validate()
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracer.py wraps library functions by name; a rename that
+    # breaks the benchmark fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    importlib.import_module("hapsim.cli")
+    originals = {name: getattr(hapsim.geometry, name) for name in ("link_geometry", "haps_position")}
+    tracer = tracer_mod.Tracer()
+    try:  # a failed install still undoes the patches it made
+        tracer.install()
+        assert hapsim.geometry.link_geometry is not originals["link_geometry"]
+    finally:
+        tracer.uninstall()
+    assert {name: getattr(hapsim.geometry, name) for name in originals} == originals

@@ -195,26 +195,31 @@ def test_build_drop_resolves_layout_defaults():
 # Beams and attachment
 
 def test_build_beams_single_and_seven():
-    single = build_beams(ScenarioConfig())
-    assert len(single) == 1
-    assert single[0].panel.n_elements == 1
-    multi = build_beams(ScenarioConfig(layout="seven_cell"))
-    assert len(multi) == 7
-    assert multi[0].panel.n_elements == 4
-    assert all(b.panel.n_elements == 8 for b in multi[1:])
-    # beams and cell centres are index-aligned on azimuth
-    for b in multi[1:]:
-        az_panel = math.degrees(math.atan2(b.panel.boresight[1], b.panel.boresight[0])) % 360.0
-        az_cell = math.degrees(math.atan2(b.cell_center.y, b.cell_center.x)) % 360.0
+    panels, centers = build_beams(ScenarioConfig())
+    assert len(panels) == 1
+    assert panels[0].n_elements == 1
+    assert_array_equal(centers, np.zeros((1, 2)))
+    panels, centers = build_beams(ScenarioConfig(layout="seven_cell"))
+    assert len(panels) == 7
+    assert centers.shape == (7, 2)
+    assert panels[0].n_elements == 4
+    assert all(p.n_elements == 8 for p in panels[1:])
+    # panels and cell centres are index-aligned on azimuth
+    for p, (x, y) in zip(panels[1:], centers[1:]):
+        az_panel = math.degrees(math.atan2(p.boresight[1], p.boresight[0])) % 360.0
+        az_cell = math.degrees(math.atan2(y, x)) % 360.0
         assert_allclose(az_panel, az_cell, atol=1e-9)
+
+
+def _xy(terminals):
+    return np.array([[t.x, t.y] for t in terminals])
 
 
 def test_nominal_cells_take_nearest_center():
     cfg = ScenarioConfig(layout="seven_cell")
-    beams = build_beams(cfg)
+    _, centers = build_beams(cfg)
     terminals, _ = build_drop(cfg)
-    cells = nominal_cells(terminals, beams)
-    centers = np.array([[b.cell_center.x, b.cell_center.y] for b in beams])
+    cells = nominal_cells(_xy(terminals), centers)
     for t, c in zip(terminals, cells):
         d = np.hypot(centers[:, 0] - t.x, centers[:, 1] - t.y)
         assert d[c] == d.min()
@@ -224,7 +229,7 @@ def test_attach_steering_uses_fixed_cells():
     for cfg in (preset_config(p) for p in preset_names() if "steering" in p):
         result = run_campaign(cfg)
         assert_array_equal(result.serving_cell,
-                           nominal_cells(result.terminals, build_beams(cfg)))
+                           nominal_cells(_xy(result.terminals), build_beams(cfg)[1]))
 
 
 def test_attach_selection_prefers_nadir_panel_overhead():
