@@ -4,17 +4,17 @@ Element patterns follow the quadratic-in-angle (parabolic in dB) shape
 used in system simulations: attenuation 12*(offset/hpbw)^2 per principal
 plane, summed over both planes and floored at the front-to-back ratio.
 
-Array panels hold one planar grid of elements per polarization; element
-positions are stored in wavelengths of the operating carrier, so the same
-normalized grid serves every band (half-wavelength spacing by default).
-Steering uses conjugate-phase weights with uniform amplitude, normalized
-to unit total power, so a steered beam combines coherently to exactly
-10*log10(n_elements) of array factor at the target.
+Array panels hold one planar grid of elements per polarization, spaced
+in wavelengths of the operating carrier (half a wavelength by default).
+Beams use conjugate-phase weights with uniform amplitude and unit total
+power, so a steered beam combines coherently to exactly 10*log10(n) of
+array factor at the target.  ``array_gain`` evaluates the array factor in
+closed form; the explicit ``steering_weights`` serve as its reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class Panel:
     """One planar antenna panel with a fixed mounting frame.
 
     ``col_axis``/``row_axis``/``boresight`` form the panel frame in global
-    coordinates; ``element_offsets_wl`` holds the (col, row) position of
-    each element of one co-polarized subarray, in wavelengths.  The second
+    coordinates; one co-polarized subarray is a ``rows`` x ``cols`` grid
+    centred on the panel, ``spacing_wl`` wavelengths apart.  The second
     polarization is an identical co-located grid and is never combined
     with the first for link gain.
     """
@@ -83,7 +83,6 @@ class Panel:
     row_axis: np.ndarray
     polarizations: int = 2
     spacing_wl: float = 0.5
-    element_offsets_wl: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
@@ -96,12 +95,6 @@ class Panel:
             if norm == 0:
                 raise ConfigError(f"panel {name} must be a nonzero vector")
             object.__setattr__(self, name, vec / norm)
-        ci = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.spacing_wl
-        ri = (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.spacing_wl
-        cc, rr = np.meshgrid(ci, ri)
-        object.__setattr__(
-            self, "element_offsets_wl", np.column_stack([cc.ravel(), rr.ravel()])
-        )
 
     @property
     def n_elements(self) -> int:
@@ -184,25 +177,32 @@ def hex_array(element: ElementPattern, *, bottom_rows: int = 2, bottom_cols: int
     return panels
 
 
+def _target_cosines(panel: Panel, target) -> tuple[np.ndarray, np.ndarray]:
+    """Panel-frame (col, row) cosines of ``(..., 3)`` steering targets, checked."""
+    t = np.asarray(target, dtype=float)
+    norm = np.linalg.norm(t, axis=-1, keepdims=True)
+    if np.any(norm == 0):
+        raise OutOfCoverageError("steering target direction is the zero vector")
+    t = t / norm
+    # elementwise: unlike matmul, rounding then cannot depend on the stack's shape
+    if np.any((t * panel.boresight).sum(axis=-1) <= 0):
+        raise OutOfCoverageError("steering target lies behind the panel")
+    return (t * panel.col_axis).sum(axis=-1), (t * panel.row_axis).sum(axis=-1)
+
+
 def steering_weights(panel: Panel, target_direction) -> np.ndarray:
     """Conjugate-phase weights focusing one subarray on a global direction.
 
     Weights have uniform amplitude ``1/sqrt(n)`` (unit total power) and
     back out the per-element propagation phase towards the target, so the
-    array factor there is exactly ``sqrt(n)``.
+    array factor there is exactly ``sqrt(n)``.  Element ``r * cols + c``
+    sits in row ``r`` and column ``c``.
     """
-    t = np.asarray(target_direction, dtype=float)
-    norm = np.linalg.norm(t)
-    if norm == 0:
-        raise OutOfCoverageError("steering target direction is the zero vector")
-    t = t / norm
-    if t @ panel.boresight <= 0:
-        raise OutOfCoverageError("steering target lies behind the panel")
-    u = t @ panel.col_axis
-    v = t @ panel.row_axis
-    phase = 2.0 * np.pi * (panel.element_offsets_wl @ np.array([u, v]))
-    n = panel.n_elements
-    return np.exp(-1j * phase) / np.sqrt(n)
+    u, v = _target_cosines(panel, target_direction)
+    col = (np.arange(panel.cols) - (panel.cols - 1) / 2.0) * panel.spacing_wl
+    row = (np.arange(panel.rows) - (panel.rows - 1) / 2.0) * panel.spacing_wl
+    phase = 2.0 * np.pi * np.add.outer(row * v, col * u).ravel()
+    return np.exp(-1j * phase) / np.sqrt(panel.n_elements)
 
 
 def broadside_weights(panel: Panel) -> np.ndarray:
@@ -210,32 +210,29 @@ def broadside_weights(panel: Panel) -> np.ndarray:
     return steering_weights(panel, panel.boresight)
 
 
-def array_gain(panel: Panel, weights: np.ndarray, directions) -> np.ndarray | float:
-    """Realized gain (dBi) of one weighted subarray in global directions.
+def array_gain(panel: Panel, directions, target=None) -> np.ndarray | float:
+    """Realized gain (dBi) of one subarray steered to ``target``, in global directions.
 
-    Element gain plus ``20*log10|AF|`` where the array factor sums the
-    weighted per-element phases; with steering weights the target sees the
-    element gain plus ``10*log10(n_elements)``.
-
-    ``weights`` is one set ``(n_elements,)`` applied to directions of any
-    shape ``(..., 3)``, or a stack ``(..., n_elements)`` whose leading axes
-    broadcast against those of ``directions`` ``(..., m, 3)``: a
-    ``(P, n_elements)`` stack with ``(P, m, 3)`` directions gives row ``p``
-    the gains of weight set ``p``, exactly as ``P`` separate calls would.
+    Element gain plus ``20*log10|AF|`` for the :func:`steering_weights` of
+    ``target`` (``None``: the boresight).  ``|AF|`` is the product over both
+    panel axes of ``|sin(N pi d x) / sin(pi d x)|``, ``x`` the direction
+    cosine minus the target's, over ``sqrt(n)``: ``sqrt(n)`` on target.
+    ``directions`` is ``(..., m, 3)``; a ``(..., 3)`` stack of targets
+    broadcasts against its leading axes, each row exactly as its own call
+    would give.  A zero or behind-panel target raises ``OutOfCoverageError``.
     """
-    weights = np.asarray(weights)
-    if weights.shape[-1:] != (panel.n_elements,):
-        raise ConfigError(
-            f"expected {panel.n_elements} weights, got shape {weights.shape}"
-        )
     az, el, u, v = panel.local_angles(directions)
-    elem = element_gain(panel.element, az, el)
-    phase = 2.0 * np.pi * (
-        np.multiply.outer(u, panel.element_offsets_wl[:, 0])
-        + np.multiply.outer(v, panel.element_offsets_wl[:, 1])
-    )
-    af = np.abs((np.exp(1j * phase) @ weights[..., None])[..., 0])
-    gain = elem + 20.0 * np.log10(np.maximum(af, 1e-12))
+    t = np.asarray(panel.boresight if target is None else target, dtype=float)
+    ut, vt = _target_cosines(panel, t if t.ndim == 1 else t[..., None, :])
+    af = 1.0 / np.sqrt(panel.n_elements)
+    for count, x in ((panel.cols, u - ut), (panel.rows, v - vt)):
+        # The kernel has period one in d x.  Reduced to r in [-1/2, 1/2] it is
+        # N |sinc(N r) / sinc(r)|, whose divisor is at least 2/pi, and grating
+        # lobes land exactly on r = 0, where it takes its limit N.
+        s = panel.spacing_wl * x
+        r = s - np.round(s)
+        af = af * count * np.abs(np.sinc(count * r) / np.sinc(r))
+    gain = element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))
     if np.ndim(gain) == 0:
         return float(gain)
     return gain

@@ -65,14 +65,19 @@ class NtnTables:
         n = len(self.elevation_deg)
         if n == 0:
             raise ConfigError("channel table has no rows")
-        for name in ("los_probability", "shadow_std_los_db",
-                     "shadow_std_nlos_db", "clutter_loss_nlos_db"):
-            if len(getattr(self, name)) != n:
-                raise ConfigError(f"channel table column {name} has wrong length")
+        for f in fields(self):
+            column = np.asarray(getattr(self, f.name), dtype=float)
+            object.__setattr__(self, f.name, column)
+            if len(column) != n:
+                raise ConfigError(f"channel table column {f.name} has wrong length")
+            if not np.all(np.isfinite(column)):
+                raise ConfigError(f"channel table column {f.name} must be finite")
         if np.any(np.diff(self.elevation_deg) <= 0):
             raise ConfigError("elevation bins must be strictly increasing")
         if np.any((self.los_probability < 0) | (self.los_probability > 1)):
             raise ConfigError("LOS probabilities must lie in [0, 1]")
+        if np.any(self.shadow_std_los_db < 0) or np.any(self.shadow_std_nlos_db < 0):
+            raise ConfigError("shadow-fading sigmas must be non-negative")
 
     @classmethod
     def from_file(cls, path) -> "NtnTables":

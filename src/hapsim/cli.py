@@ -62,9 +62,10 @@ def _scenario_name(args) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _scenario_from_args(args)
+    result = run_campaign(cfg)
+    # created only now, so that a failed campaign leaves no empty directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_campaign(cfg)
     report_mod.write_users_csv(out / "users.csv", result.user_rows())
     text = report_mod.write_report(out / "report.txt", result, _scenario_name(args))
     report_mod.write_cdf(out / "cdf_dl.txt", result.dl_se)
@@ -76,8 +77,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_consumption(args) -> int:
     cfg = _scenario_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     terminals, _ = build_drop(cfg)
 
     h_relay = consumption_mod.repeater_chain_efficiency(
@@ -95,6 +94,8 @@ def _cmd_consumption(args) -> int:
         [t.x for t in terminals], [t.y for t in terminals], platform, gateway,
         cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report_mod.write_consumption_csv(out / "consumption.csv", assessment)
 
     preferred = int(assessment.relay_preferred.sum())

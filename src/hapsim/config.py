@@ -269,11 +269,11 @@ def _parse_value(key: str, raw: str):
             return None
         parse = int if key != "cell_radius_m" else float
         expected = f"{parse.__name__} or 'auto'"
-    elif kind in ("int", int):
+    elif kind == "int":
         parse, expected = int, "integer"
-    elif kind in ("float", float):
+    elif kind == "float":
         parse, expected = float, "number"
-    elif kind in ("bool", bool):
+    elif kind == "bool":
         parse, expected = _parse_bool, "true/false"
     else:
         return raw

@@ -454,16 +454,12 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     else:
         term_gain = np.zeros((n_pos, n))
 
-    # Per-beam gains towards every terminal: steered beams get one weight
-    # set per position, broadside beams one for the whole flight circle.
+    # Per-beam gains towards every terminal; a steered beam aims at its cell centre.
+    steering = cfg.attachment_mode == "beam_steering"
     gains = np.empty((n_pos, len(panels), n))
     for b, panel in enumerate(panels):
-        if cfg.attachment_mode == "beam_steering":
-            center = np.append(centers[b], 0.0)
-            weights = np.array([antenna.steering_weights(panel, center - h) for h in hpos])
-        else:
-            weights = antenna.broadside_weights(panel)
-        gains[:, b] = antenna.array_gain(panel, weights, dirs)
+        target = np.append(centers[b], 0.0) - hpos if steering else None
+        gains[:, b] = antenna.array_gain(panel, dirs, target)
 
     # Downlink transmit power at each panel input.
     if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
@@ -477,7 +473,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         tx_dbm = cfg.panel_tx_power_dbm
 
     rsrp = tx_dbm + gains - loss_dl[:, None, :]
-    if cfg.attachment_mode == "beam_steering":
+    if steering:
         serving = np.broadcast_to(nominal_cells(xy, centers), (n_pos, n))
     else:
         serving = np.argmax(rsrp, axis=1)
@@ -504,7 +500,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     dl_abs = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
     se_dl = sinr_to_se(sinr_dl, dl_abs)
 
-    # Uplink SINR: received at the serving panel with the same weights.
+    # Uplink SINR: received at the serving panel through the same beam.
     if cfg.architecture == "bp" and cfg.bp_ul_noise == "cascade":
         ul_nf = architecture.bp_uplink_noise_figure(repeater, cfg.gateway_noise_figure_db)
     else:

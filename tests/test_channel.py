@@ -136,10 +136,34 @@ def test_table_validation():
     ones = np.ones(2)
     with pytest.raises(ConfigError):
         NtnTables(np.array([20.0, 10.0]), 0.5 * ones, ones, ones, ones)
-    with pytest.raises(ConfigError):
-        NtnTables(ele, np.array([0.5, 1.5]), ones, ones, ones)
+    for p_los in ([0.5, 1.5], [-0.1, 0.5]):
+        with pytest.raises(ConfigError, match=r"LOS probabilities must lie in \[0, 1\]"):
+            NtnTables(ele, np.array(p_los), ones, ones, ones)
     with pytest.raises(ConfigError):
         NtnTables(ele, 0.5 * ones, ones[:1], ones, ones)
+
+
+def _columns() -> dict[str, list[float]]:
+    return {"elevation_deg": [10.0, 20.0], "los_probability": [0.5, 0.9],
+            "shadow_std_los_db": [1.0, 1.0], "shadow_std_nlos_db": [4.0, 4.0],
+            "clutter_loss_nlos_db": [20.0, 18.0]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [f.name for f in fields(NtnTables)])
+def test_direct_construction_rejects_non_finite_values(column, bad):
+    values = _columns()
+    values[column][1] = bad
+    with pytest.raises(ConfigError, match=f"{column} must be finite"):
+        NtnTables(**values)
+
+
+@pytest.mark.parametrize("column", ["shadow_std_los_db", "shadow_std_nlos_db"])
+def test_direct_construction_rejects_negative_shadow_sigmas(column):
+    values = _columns()
+    values[column][0] = -1.0
+    with pytest.raises(ConfigError, match="sigmas must be non-negative"):
+        NtnTables(**values)
 
 
 def test_assign_los_follows_bin_probability():

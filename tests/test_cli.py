@@ -134,9 +134,12 @@ def test_bad_channel_table_row_fails_cleanly(tmp_path, capsys, row, message):
     line_no = table.read_text().splitlines().index(row) + 1
     scenario = tmp_path / "edited.cfg"
     scenario.write_text(f"ntn_table_path = {table}\n")
-    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {table}, line {line_no}: {message}\n"
+    for command in ("run", "consumption"):
+        assert main([command, "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {table}, line {line_no}: {message}\n"
+        # the output directory is created only after the work succeeded
+        assert not (tmp_path / "out").exists()
 
 
 def test_overrides_leave_the_loaded_config_untouched(monkeypatch, capsys):

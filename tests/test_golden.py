@@ -8,7 +8,9 @@ interference powers come from array ``power``, which can differ from
 scalar ``pow`` by one ulp).
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` -- only
-when the model itself changes on purpose.
+when the model itself changes on purpose.  Before it overwrites the file
+it prints, per case, the largest relative DL and UL change against the
+stored values and how many serving cells changed.
 """
 
 from pathlib import Path
@@ -58,10 +60,24 @@ def test_golden_cases_are_all_stored(golden):
                                     for k in ("dl_se", "ul_se", "serving_cell"))
 
 
+def _largest_rel_change(new: np.ndarray, old: np.ndarray) -> float:
+    scale = np.maximum(np.abs(new), np.abs(old))
+    return float(np.max(np.abs(new - old) / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = dict(np.load(GOLDEN)) if GOLDEN.exists() else {}
     arrays = {}
+    print(f"{'case':<26} {'max rel DL':>11} {'max rel UL':>11} {'cells changed':>14}")
     for case in CASES:
         arrays.update(compute(case))
+        if f"{case}/dl_se" not in old:
+            print(f"{case:<26} {'new case':>11}")
+            continue
+        dl, ul, cells = (f"{case}/{k}" for k in ("dl_se", "ul_se", "serving_cell"))
+        print(f"{case:<26} {_largest_rel_change(arrays[dl], old[dl]):>11.2e} "
+              f"{_largest_rel_change(arrays[ul], old[ul]):>11.2e} "
+              f"{int(np.count_nonzero(arrays[cells] != old[cells])):>14}")
     np.savez_compressed(GOLDEN, **arrays)
     print(f"wrote {len(CASES)} cases to {GOLDEN}")

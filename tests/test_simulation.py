@@ -1,16 +1,21 @@
 """Terminal drops, attachment, scheduling and campaign plumbing."""
 
 import dataclasses
+import importlib.util
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import hapsim
 from hapsim import simulation
 from hapsim.channel import NtnTables
+from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.errors import ConfigError, DomainError, HapsimError, ValidationError
 from hapsim.geometry import Point3
@@ -471,3 +476,30 @@ def test_accepted_config_runs_to_bounded_se_or_a_hapsim_error(cfg):
 def test_campaign_rejects_invalid_config():
     with pytest.raises(Exception):
         run_campaign(ScenarioConfig(architecture="mesh"))
+
+
+# ----------------------------------------------------------------------
+# Differential check against the benchmark's independent oracle
+
+@pytest.fixture(scope="module")
+def oracle():
+    """``perfbench/oracle.py``: the model re-derived with its own complex-sum array factor."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("preset", ["multi-steering-cpe-bp", "multi-selection-omni-rg"])
+def test_campaign_agrees_with_the_independent_oracle(oracle, tmp_path, preset):
+    assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    cfg = preset_config(preset)
+    table = oracle.read_table(Path(hapsim.__file__).parent / "data" / "ntn_rural_s_band.csv")
+    drop = oracle.replay_drop(cfg, table)
+    sample = np.arange(0, drop.x.size, 17)
+    model = oracle.campaign_model(cfg, drop, table, sample)
+    users = oracle.read_csv_rows(tmp_path / "users.csv")
+    report = (tmp_path / "report.txt").read_text()
+    assert oracle.check_campaign(cfg, drop, model, sample, users, report) == []
