@@ -4,8 +4,9 @@ Element patterns follow the quadratic-in-angle (parabolic in dB) shape
 used in system simulations: attenuation 12*(offset/hpbw)^2 per principal
 plane, summed over both planes and floored at the front-to-back ratio.
 
-Array panels hold one planar grid of elements per polarization, spaced
-in wavelengths of the operating carrier (half a wavelength by default).
+A panel is one co-polarized planar grid of elements, spaced in
+wavelengths of the operating carrier (half a wavelength by default); a
+link sees one subarray, so no second-polarization grid is modelled.
 Beams use conjugate-phase weights with uniform amplitude and unit total
 power, so a steered beam combines coherently to exactly 10*log10(n) of
 array factor at the target.  ``array_gain`` evaluates the array factor in
@@ -35,16 +36,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ElementPattern:
-    """Quadratic-rolloff radiating element (or standalone antenna)."""
+    """Quadratic-rolloff radiating element (or standalone antenna).
+
+    The pattern is rotationally symmetric: one half-power beamwidth
+    applies in both principal planes.
+    """
 
     peak_gain_dbi: float
-    hpbw_az_deg: float
-    hpbw_el_deg: float
+    hpbw_deg: float
     front_to_back_db: float = 30.0
 
     def __post_init__(self):
-        if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
-            raise ConfigError("half-power beamwidths must be positive")
+        if self.hpbw_deg <= 0:
+            raise ConfigError("half-power beamwidth must be positive")
         if self.front_to_back_db <= 0:
             raise ConfigError("front-to-back ratio must be positive")
 
@@ -57,7 +61,7 @@ def element_gain(pattern: ElementPattern, az_off_deg, el_off_deg):
     """
     az = np.asarray(az_off_deg, dtype=float)
     el = np.asarray(el_off_deg, dtype=float)
-    att = 12.0 * (az / pattern.hpbw_az_deg) ** 2 + 12.0 * (el / pattern.hpbw_el_deg) ** 2
+    att = 12.0 * (az / pattern.hpbw_deg) ** 2 + 12.0 * (el / pattern.hpbw_deg) ** 2
     gain = pattern.peak_gain_dbi - np.minimum(att, pattern.front_to_back_db)
     if gain.ndim == 0:
         return float(gain)
@@ -69,10 +73,9 @@ class Panel:
     """One planar antenna panel with a fixed mounting frame.
 
     ``col_axis``/``row_axis``/``boresight`` form the panel frame in global
-    coordinates; one co-polarized subarray is a ``rows`` x ``cols`` grid
-    centred on the panel, ``spacing_wl`` wavelengths apart.  The second
-    polarization is an identical co-located grid and is never combined
-    with the first for link gain.
+    coordinates; the panel is one co-polarized subarray, a ``rows`` x
+    ``cols`` grid centred on the panel, ``spacing_wl`` wavelengths apart.
+    Its gains are those of that subarray alone.
     """
 
     element: ElementPattern
@@ -81,7 +84,6 @@ class Panel:
     boresight: np.ndarray
     col_axis: np.ndarray
     row_axis: np.ndarray
-    polarizations: int = 2
     spacing_wl: float = 0.5
 
     def __post_init__(self):
@@ -98,7 +100,7 @@ class Panel:
 
     @property
     def n_elements(self) -> int:
-        """Elements of one co-polarized subarray."""
+        """Elements of the subarray."""
         return self.rows * self.cols
 
     def local_angles(self, directions):
@@ -119,7 +121,7 @@ class Panel:
 
 def planar_panel(element: ElementPattern, rows: int, cols: int,
                  boresight_azimuth_deg: float, boresight_elevation_deg: float,
-                 polarizations: int = 2, spacing_wl: float = 0.5) -> Panel:
+                 spacing_wl: float = 0.5) -> Panel:
     """Build a panel whose boresight points at the given compass direction.
 
     Columns run horizontally (constant height), rows stack along the
@@ -140,7 +142,6 @@ def planar_panel(element: ElementPattern, rows: int, cols: int,
         boresight=boresight,
         col_axis=col_axis,
         row_axis=row_axis,
-        polarizations=polarizations,
         spacing_wl=spacing_wl,
     )
 
@@ -149,14 +150,12 @@ def single_element_panel(element: ElementPattern,
                          boresight_azimuth_deg: float = 0.0,
                          boresight_elevation_deg: float = -90.0) -> Panel:
     """A lone antenna modelled as a 1x1 panel (array factor unity)."""
-    return planar_panel(element, 1, 1, boresight_azimuth_deg,
-                        boresight_elevation_deg, polarizations=1)
+    return planar_panel(element, 1, 1, boresight_azimuth_deg, boresight_elevation_deg)
 
 
 def hex_array(element: ElementPattern, *, bottom_rows: int = 2, bottom_cols: int = 2,
-              side_rows: int = 4, side_cols: int = 2, polarizations: int = 2,
-              spacing_wl: float = 0.5, side_tilt_deg: float = 23.0,
-              azimuth_offset_deg: float = 0.0) -> list[Panel]:
+              side_rows: int = 4, side_cols: int = 2, spacing_wl: float = 0.5,
+              side_tilt_deg: float = 23.0, azimuth_offset_deg: float = 0.0) -> list[Panel]:
     """Hexagonal-prism payload: one nadir panel plus six tilted side panels.
 
     Panel 0 faces straight down; panels 1..6 sit at azimuths 60 degrees
@@ -164,15 +163,11 @@ def hex_array(element: ElementPattern, *, bottom_rows: int = 2, bottom_cols: int
     horizon.  The compass orientation is fixed: it does not rotate as the
     platform moves around its flight circle.
     """
-    panels = [
-        planar_panel(element, bottom_rows, bottom_cols, 0.0, -90.0,
-                     polarizations, spacing_wl)
-    ]
+    panels = [planar_panel(element, bottom_rows, bottom_cols, 0.0, -90.0, spacing_wl)]
     for k in range(6):
         az = azimuth_offset_deg + 60.0 * k
         panels.append(
-            planar_panel(element, side_rows, side_cols, az, -side_tilt_deg,
-                         polarizations, spacing_wl)
+            planar_panel(element, side_rows, side_cols, az, -side_tilt_deg, spacing_wl)
         )
     return panels
 

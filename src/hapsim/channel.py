@@ -83,18 +83,21 @@ class NtnTables:
     def from_file(cls, path) -> "NtnTables":
         """Parse a table file: comments, an optional header line, then CSV rows.
 
-        A header is only allowed before the first data row.  Every value
+        At most one header line is allowed, before the first data row, and
+        none of its fields may be a number, so a typo in a data row is
+        never taken for a header: it fails like any bad row.  Every value
         must be a finite number and the shadow sigmas non-negative; an
         error names the file, the line and the column.
         """
         columns = [f.name for f in fields(cls)]
-        rows = []
+        rows, header_seen = [], False
         for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
-            if not rows and not _is_number(parts[0]):
+            if not rows and not header_seen and not any(map(_is_number, parts)):
+                header_seen = True
                 continue  # column-name header
             if len(parts) != len(columns):
                 raise ConfigError(f"expected {len(columns)} fields, got {len(parts)}",

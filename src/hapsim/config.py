@@ -75,7 +75,7 @@ class ScenarioConfig:
     flight_circle_diameter_m: float = 6_000.0
     flight_position_count: int = 12
     flight_angular_step_deg: float = 30.0
-    platform_speed_kmh: float = 110.0  # descriptive only, never used in computation
+    platform_speed_kmh: float = 110.0  # inert: each position is a frozen snapshot
     gateway_distance_m: float = 45_000.0
 
     # Carriers and bandwidth
@@ -114,7 +114,7 @@ class ScenarioConfig:
     bottom_panel_cols: int = 2
     side_panel_rows: int = 4
     side_panel_cols: int = 2
-    panel_polarizations: int = 2
+    panel_polarizations: int = 2  # inert: a link sees one co-polarized subarray
     element_spacing_wl: float = 0.5
     side_panel_tilt_deg: float = 23.0
     side_panel_azimuth_offset_deg: float = 0.0
@@ -141,13 +141,13 @@ class ScenarioConfig:
     # Consumption-factor chains (gains in dB, efficiencies linear)
     repeater_mixer_gain_db: float = 10.0
     repeater_mixer_efficiency: float = 0.8
-    repeater_amp_gain_db: float = 30.0
+    repeater_amp_gain_db: float = 30.0  # inert: a chain's last gain never enters H
     repeater_amp_efficiency: float = 0.35
     bs_baseband_gain_db: float = 10.0
     bs_baseband_efficiency: float = 0.15
     bs_mixer_gain_db: float = 10.0
     bs_mixer_efficiency: float = 0.8
-    bs_amp_gain_db: float = 30.0
+    bs_amp_gain_db: float = 30.0  # inert: a chain's last gain never enters H
     bs_amp_efficiency: float = 0.35
     relay_rx_gain_db: float = 105.0
     sink_rx_gain_db: float = 0.0

@@ -5,10 +5,12 @@ the ground below the centre of the platform's flight circle.  Earth
 curvature is ignored; at the scales involved (tens of km horizontally,
 20 km up) the error stays far below the channel-model granularity.
 
-``link_geometry`` takes each endpoint as a :class:`Point3` or as an array
-of ``(x, y, z)`` rows with shape ``(..., 3)``; the two broadcast against
-each other, so one call covers every terminal-platform pair of a
-campaign.  Two points give floats, arrays give arrays.
+``link_geometry`` gives the elevation and slant range of each ray, the
+two quantities the channel model reads; no bearing is computed.  It takes
+each endpoint as a :class:`Point3` or as an array of ``(x, y, z)`` rows
+with shape ``(..., 3)``; the two broadcast against each other, so one
+call covers every terminal-platform pair of a campaign.  Two points give
+floats, arrays give arrays.
 """
 
 from __future__ import annotations
@@ -49,16 +51,13 @@ class Point3:
 class FlightPattern:
     """Circular station-keeping pattern sampled at fixed azimuth steps.
 
-    ``speed_kmh`` is descriptive metadata only: the simulator evaluates a
-    frozen snapshot per position, so the platform speed never enters any
-    computation.
+    Each position is a frozen snapshot, so the pattern has no speed.
     """
 
     center: Point3 = field(default_factory=lambda: Point3(0.0, 0.0, 20_000.0))
     diameter_m: float = 6_000.0
     position_count: int = 12
     angular_step_deg: float = 30.0
-    speed_kmh: float = 110.0
 
     def __post_init__(self):
         if self.diameter_m <= 0:
@@ -75,17 +74,12 @@ class FlightPattern:
     def radius_m(self) -> float:
         return self.diameter_m / 2.0
 
-    @property
-    def altitude_m(self) -> float:
-        return self.center.z
-
 
 @dataclass(frozen=True)
 class LinkGeometry:
     """Geometry of the ray from one point towards another (or of many rays, as arrays)."""
 
     elevation_deg: float
-    azimuth_deg: float
     slant_range_m: float
 
 
@@ -108,11 +102,10 @@ def haps_position(pattern: FlightPattern, run_index: int) -> Point3:
 
 
 def link_geometry(a, b) -> LinkGeometry:
-    """Elevation, azimuth and slant range of the ray a -> b.
+    """Elevation and slant range of the ray a -> b.
 
     Elevation is measured from a's local horizontal plane (positive when b
-    is above it), azimuth clockwise-free in [0, 360) from the +x axis.
-    Every pair is one ray; any coincident pair is rejected.
+    is above it).  Every pair is one ray; any coincident pair is rejected.
     """
     d = _coords(b) - _coords(a)
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
@@ -121,10 +114,9 @@ def link_geometry(a, b) -> LinkGeometry:
     if np.any(slant == 0.0):
         raise DegenerateGeometryError("link endpoints coincide")
     elevation = np.degrees(np.arctan2(dz, horizontal))
-    azimuth = np.degrees(np.arctan2(dy, dx)) % 360.0
     if slant.ndim == 0:
-        return LinkGeometry(float(elevation), float(azimuth), float(slant))
-    return LinkGeometry(elevation, azimuth, slant)
+        return LinkGeometry(float(elevation), float(slant))
+    return LinkGeometry(elevation, slant)
 
 
 def _coords(p) -> np.ndarray:

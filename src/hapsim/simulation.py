@@ -261,16 +261,14 @@ def build_beams(config: ScenarioConfig) -> tuple[list[Panel], np.ndarray]:
     if config.layout == "single":
         pattern = ElementPattern(
             peak_gain_dbi=config.single_antenna_gain_dbi,
-            hpbw_az_deg=config.single_antenna_hpbw_deg,
-            hpbw_el_deg=config.single_antenna_hpbw_deg,
+            hpbw_deg=config.single_antenna_hpbw_deg,
             front_to_back_db=config.single_antenna_front_to_back_db,
         )
         panels = [antenna.single_element_panel(pattern)]
     else:
         element = ElementPattern(
             peak_gain_dbi=config.array_element_gain_dbi,
-            hpbw_az_deg=config.array_element_hpbw_deg,
-            hpbw_el_deg=config.array_element_hpbw_deg,
+            hpbw_deg=config.array_element_hpbw_deg,
             front_to_back_db=config.array_element_front_to_back_db,
         )
         panels = antenna.hex_array(
@@ -279,7 +277,6 @@ def build_beams(config: ScenarioConfig) -> tuple[list[Panel], np.ndarray]:
             bottom_cols=config.bottom_panel_cols,
             side_rows=config.side_panel_rows,
             side_cols=config.side_panel_cols,
-            polarizations=config.panel_polarizations,
             spacing_wl=config.element_spacing_wl,
             side_tilt_deg=config.side_panel_tilt_deg,
             azimuth_offset_deg=config.side_panel_azimuth_offset_deg,
@@ -415,7 +412,6 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         diameter_m=cfg.flight_circle_diameter_m,
         position_count=cfg.flight_position_count,
         angular_step_deg=cfg.flight_angular_step_deg,
-        speed_kmh=cfg.platform_speed_kmh,
     )
     repeater = architecture.RepeaterModel(
         gain_db=cfg.repeater_gain_db,
@@ -446,8 +442,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     if cfg.terminal_kind == "cpe_directional":
         cpe = ElementPattern(
             peak_gain_dbi=cfg.cpe_gain_dbi,
-            hpbw_az_deg=cfg.cpe_hpbw_deg,
-            hpbw_el_deg=cfg.cpe_hpbw_deg,
+            hpbw_deg=cfg.cpe_hpbw_deg,
             front_to_back_db=cfg.cpe_front_to_back_db,
         )
         term_gain = antenna.element_gain(cpe, 0.0, elev)

@@ -20,8 +20,8 @@ from hapsim.antenna import (
 )
 from hapsim.errors import ConfigError, OutOfCoverageError
 
-PLATFORM_ELEMENT = ElementPattern(peak_gain_dbi=5.0, hpbw_az_deg=90.0, hpbw_el_deg=90.0)
-CPE_PATTERN = ElementPattern(peak_gain_dbi=12.0, hpbw_az_deg=60.0, hpbw_el_deg=60.0)
+PLATFORM_ELEMENT = ElementPattern(peak_gain_dbi=5.0, hpbw_deg=90.0)
+CPE_PATTERN = ElementPattern(peak_gain_dbi=12.0, hpbw_deg=60.0)
 
 
 def test_element_peak_on_boresight():
@@ -47,9 +47,9 @@ def test_element_quadratic_rolloff_sums_planes():
 
 def test_element_rejects_bad_parameters():
     with pytest.raises(ConfigError):
-        ElementPattern(peak_gain_dbi=5.0, hpbw_az_deg=0.0, hpbw_el_deg=90.0)
+        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=0.0)
     with pytest.raises(ConfigError):
-        ElementPattern(peak_gain_dbi=5.0, hpbw_az_deg=90.0, hpbw_el_deg=-1.0)
+        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=-1.0)
 
 
 def test_single_element_panel_matches_element():

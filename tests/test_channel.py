@@ -129,6 +129,10 @@ def test_table_from_file_reports_bad_row_with_line_number(tmp_path):
     p.write_text("# only comments\n")
     with pytest.raises(ConfigError, match="no data rows"):
         NtnTables.from_file(p)
+    # a typo in the first row of a table without a header is not a header
+    p.write_text("x10,0.5,1.0,8.0,19.0\n20,0.9,1.0,8.0,18.0\n")
+    with pytest.raises(ConfigError, match=r"line 1: elevation_deg: must be a finite number; got 'x10'"):
+        NtnTables.from_file(p)
 
 
 def test_table_validation():

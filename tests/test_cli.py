@@ -125,12 +125,17 @@ def test_auto_los_target_above_terminal_count_fails_before_the_drop(tmp_path, ca
     ("40,0.929,-0.92,10.25,18.28", "shadow_std_los_db: must be non-negative; got -0.92"),
     ("40,0.929,nan,10.25,18.28", "shadow_std_los_db: must be a finite number; got 'nan'"),
     ("x40,0.929,0.92,10.25,18.28", "elevation_deg: must be a finite number; got 'x40'"),
+    # a typo in the first data row is not a second header
+    ("x10,0.782,1.79,8.93,19.52", "elevation_deg: must be a finite number; got 'x10'"),
 ])
 def test_bad_channel_table_row_fails_cleanly(tmp_path, capsys, row, message):
+    # each case edits the bundled row of its elevation bin
     bundled = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_text()
-    assert "\n40,0.929,0.92,10.25,18.28\n" in bundled
+    elevation = row.split(",")[0].lstrip("x")
+    original = next(line for line in bundled.splitlines() if line.startswith(f"{elevation},"))
     table = tmp_path / "table.csv"
-    table.write_text(bundled.replace("\n40,0.929,0.92,10.25,18.28\n", f"\n{row}\n"))
+    table.write_text(bundled.replace(f"\n{original}\n", f"\n{row}\n"))
+    assert table.read_text() != bundled
     line_no = table.read_text().splitlines().index(row) + 1
     scenario = tmp_path / "edited.cfg"
     scenario.write_text(f"ntn_table_path = {table}\n")
@@ -184,6 +189,19 @@ def test_consumption_ratio_stays_under_worst_case_bound(tmp_path, capsys):
     ratio_line = next(l for l in text.splitlines() if l.startswith("max_feeder_access_ratio_sq"))
     ratio = float(ratio_line.split(" = ")[1].split()[0])
     assert ratio < 6.25
+
+
+@pytest.mark.parametrize("key", ["repeater_amp_gain_db", "bs_amp_gain_db"])
+def test_last_stage_amp_gain_is_inert(tmp_path, capsys, key):
+    # H reads only the gains before each stage, never the last stage's own
+    out = tmp_path / "out"
+    outputs = []
+    for value in (3.0, 30.0, 55.0):
+        scenario = tmp_path / f"{value}.cfg"
+        scenario.write_text(f"{key} = {value}\n")
+        assert main(["consumption", "--config", str(scenario), "--out", str(out)]) == 0
+        outputs.append(((out / "consumption.csv").read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_workers_flag_matches_serial_run(tmp_path):

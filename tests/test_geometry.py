@@ -25,7 +25,7 @@ def test_default_pattern_closes_the_circle():
     pat = FlightPattern()
     assert pat.position_count * pat.angular_step_deg == 360.0
     assert pat.radius_m == 3000.0
-    assert pat.altitude_m == 20000.0
+    assert pat.center.z == 20000.0
 
 
 def test_pattern_rejects_open_circle():
@@ -78,15 +78,6 @@ def test_cell_edge_link():
     assert_allclose(geom.slant_range_m, 63245.553, atol=5e-3)
 
 
-def test_azimuth_convention():
-    # measured from +x towards +y, wrapped to [0, 360)
-    assert_allclose(link_geometry(Point3(0, 0, 0), Point3(1000.0, 0, 100.0)).azimuth_deg, 0.0)
-    assert_allclose(link_geometry(Point3(0, 0, 0), Point3(0, 1000.0, 100.0)).azimuth_deg, 90.0)
-    az = link_geometry(Point3(0, 0, 0), Point3(1000.0, -1000.0, 100.0)).azimuth_deg
-    assert_allclose(az, 315.0)
-    assert 0.0 <= az < 360.0
-
-
 def test_coincident_points_rejected():
     with pytest.raises(DegenerateGeometryError):
         link_geometry(Point3(5.0, 5.0, 5.0), Point3(5.0, 5.0, 5.0))
@@ -104,7 +95,7 @@ def test_coincident_pair_inside_an_array_rejected():
 def test_two_points_give_floats_and_arrays_give_arrays():
     geom = link_geometry(Point3(0.0, 0.0, 0.0), Point3(1000.0, 0.0, 100.0))
     assert all(type(v) is float for v in
-               (geom.elevation_deg, geom.azimuth_deg, geom.slant_range_m))
+               (geom.elevation_deg, geom.slant_range_m))
     ground = np.zeros((4, 5, 3))
     platforms = np.array([[3000.0, 0.0, 20000.0], [0.0, 3000.0, 20000.0], [-3000.0, 0.0, 20000.0],
                           [0.0, -3000.0, 20000.0]])[:, None, :]
@@ -129,15 +120,15 @@ def test_array_call_equals_scalar_calls_bit_for_bit(pairs):
     geom = link_geometry(a, b)
     for i, (pa, pb) in enumerate(pairs):
         one = link_geometry(Point3(*pa), Point3(*pb))
-        assert (geom.elevation_deg[i], geom.azimuth_deg[i], geom.slant_range_m[i]) == (
-            one.elevation_deg, one.azimuth_deg, one.slant_range_m)
+        assert (geom.elevation_deg[i], geom.slant_range_m[i]) == (
+            one.elevation_deg, one.slant_range_m)
 
 
 @given(origin=point, targets=st.lists(point, min_size=1, max_size=8))
 def test_point_broadcasts_against_an_array(origin, targets):
     assume(all(_apart(origin, t) for t in targets))
     geom = link_geometry(Point3(*origin), np.array(targets))
-    for field in ("elevation_deg", "azimuth_deg", "slant_range_m"):
+    for field in ("elevation_deg", "slant_range_m"):
         expected = [getattr(link_geometry(Point3(*origin), Point3(*t)), field) for t in targets]
         assert_array_equal(getattr(geom, field), expected)
 
@@ -150,15 +141,7 @@ def test_link_geometry_randomised_invariants():
         geom = link_geometry(a, b)
         assert geom.slant_range_m >= abs(b.z - a.z) - 1e-9
         assert -90.0 <= geom.elevation_deg <= 90.0
-        assert 0.0 <= geom.azimuth_deg < 360.0
         # elevation is 90 degrees exactly when there is no horizontal offset
         horizontal = math.hypot(b.x - a.x, b.y - a.y)
         if geom.elevation_deg == 90.0:
             assert horizontal == 0.0
-
-
-def test_speed_is_metadata_only():
-    slow = FlightPattern(speed_kmh=75.0)
-    fast = FlightPattern(speed_kmh=120.0)
-    for k in range(12):
-        assert haps_position(slow, k) == haps_position(fast, k)

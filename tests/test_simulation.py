@@ -400,12 +400,17 @@ def test_campaign_architectures_match_under_default_switches():
     assert_array_equal(bp.ul_se, rg.ul_se)
 
 
-def test_campaign_worker_count_does_not_change_results():
-    serial = run_campaign(ScenarioConfig(layout="seven_cell", workers=1))
-    threaded = run_campaign(ScenarioConfig(layout="seven_cell", workers=4))
-    assert_array_equal(serial.dl_se, threaded.dl_se)
-    assert_array_equal(serial.ul_se, threaded.ul_se)
-    assert_array_equal(serial.serving_cell, threaded.serving_cell)
+@pytest.mark.parametrize("key, value", [
+    ("workers", 4),
+    ("panel_polarizations", 1),
+    ("platform_speed_kmh", 75.0),
+])
+def test_campaign_inert_key_does_not_change_results(key, value):
+    base = run_campaign(ScenarioConfig(layout="seven_cell"))
+    changed = run_campaign(ScenarioConfig(layout="seven_cell", **{key: value}))
+    assert_array_equal(base.dl_se, changed.dl_se)
+    assert_array_equal(base.ul_se, changed.ul_se)
+    assert_array_equal(base.serving_cell, changed.serving_cell)
 
 
 def test_campaign_user_rows_align_with_arrays():
