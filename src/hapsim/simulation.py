@@ -335,15 +335,18 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
     cell has members, and one ``ul_slot_assignments`` call keys them all.
     A terminal's interferers are the terminals of the other cells that
     hold its slot key, received through its serving panel and summed in
-    beam order.
+    beam order.  That sum depends only on the panel and the key, so it is
+    built once as a table ``table[c, k]`` (everything panel ``c`` receives
+    on key ``k``) and each terminal reads its entry.
     """
     n = serving.size
     n_sub = int(counts.max())
+    n_keys = n_sub * n_sub
     idx = np.arange(n)
     # key[j, m]: j * n_sub + slot of terminal m in sub-interval j
     key = ul_slot_assignments(serving, first_offset, n_sub).reshape(n_sub, n)
     # holder[b, key]: the terminal of beam b holding the slot key; n if none
-    holder = np.full((counts.size, n_sub * n_sub), n)
+    holder = np.full((counts.size, n_keys), n)
     holder[serving, key] = idx
     # power[c, m]: terminal m received through panel c.  Column n (no
     # holder) is zero, and so is each terminal's own serving panel: in its
@@ -351,11 +354,11 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
     power = np.zeros((counts.size, n + 1))
     power[:, :n] = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
     power[serving, idx] = 0.0
-    row = serving * (n + 1)  # flat offset of each terminal's serving-panel row
-    total = np.zeros((n_sub, n))
+    table = np.zeros((counts.size, n_keys))
+    held = np.empty_like(table)  # one scratch buffer for every beam's take
     for b in np.flatnonzero(counts):
-        total += power.take(row + holder[b].take(key))
-    return total
+        table += power.take(holder[b], axis=1, out=held, mode="clip")
+    return table.take(serving * n_keys + key)
 
 
 # ----------------------------------------------------------------------
