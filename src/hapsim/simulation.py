@@ -61,15 +61,19 @@ class LinkAbstraction:
     se_max: float = 4.4
 
 
-def sinr_to_se(sinr_db, abstraction: LinkAbstraction = LinkAbstraction()):
-    """Spectral efficiency for a SINR: zero below the floor, capped above.
+def sinr_to_se(sinr, abstraction: LinkAbstraction = LinkAbstraction()):
+    """Spectral efficiency for a linear SINR: zero below the floor, capped above.
 
+    ``sinr`` is a power ratio, not dB.  The floor ``sinr_min_db`` is
+    inclusive and converted to linear units here; a floor beyond the
+    float range is infinite, so every finite SINR falls below it.
     Vectorized; scalars in, scalar out.
     """
-    sinr = np.asarray(sinr_db, dtype=float)
-    linear = 10.0 ** (sinr / 10.0)
-    se = np.minimum(abstraction.attenuation * np.log2(1.0 + linear), abstraction.se_max)
-    se = np.where(sinr < abstraction.sinr_min_db, 0.0, se)
+    sinr = np.asarray(sinr, dtype=float)
+    with np.errstate(over="ignore"):
+        floor = np.power(10.0, abstraction.sinr_min_db / 10.0)
+    se = np.minimum(abstraction.attenuation * np.log2(1.0 + sinr), abstraction.se_max)
+    se = np.where(sinr < floor, 0.0, se)
     if se.ndim == 0:
         return float(se)
     return se
@@ -484,8 +488,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     # Downlink SINR: all active beams radiate from the same platform, so
     # every beam reaches a terminal through the same access loss.
-    rx_dbm = rsrp + term_gain[:, None, :]
-    rx_lin = 10.0 ** (rx_dbm / 10.0)
+    rx_lin = 10.0 ** ((rsrp + term_gain[:, None, :]) / 10.0)
     total_lin = np.where(counts[:, :, None] > 0, rx_lin, 0.0).sum(axis=1)
     interference_lin = np.maximum(total_lin - at_serving(rx_lin), 0.0)
 
@@ -494,7 +497,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         rep_noise = architecture.repeater_noise_at_ue(repeater, cfg.dl_bandwidth_hz, loss_dl)
         noise_dl_lin = noise_dl_lin + 10.0 ** (rep_noise / 10.0)
 
-    sinr_dl = at_serving(rx_dbm) - 10.0 * np.log10(noise_dl_lin + interference_lin)
+    sinr_dl = at_serving(rx_lin) / (noise_dl_lin + interference_lin)
     dl_abs = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
     se_dl = sinr_to_se(sinr_dl, dl_abs)
 
@@ -506,11 +509,11 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     noise_ul_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.ul_allocation_hz, ul_nf) / 10.0)
 
     ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
-    own_ul = ul_rx_dbm + at_serving(gains)
+    own_ul_lin = 10.0 ** ((ul_rx_dbm + at_serving(gains)) / 10.0)
     ul_abs = LinkAbstraction(cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
 
     # With one active cell every slot has a single holder: noise alone.
-    se_ul = sinr_to_se(own_ul - 10.0 * np.log10(noise_ul_lin), ul_abs)
+    se_ul = sinr_to_se(own_ul_lin / noise_ul_lin, ul_abs)
     # One platform position spans many TTIs; the round-robin pointer
     # advances each TTI, so a terminal meets a rotating set of co-block
     # interferers.  Average the achieved SE over one full rotation of
@@ -519,7 +522,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         n_sub = int(counts[p].max())
         ul_if_lin = _coblock_interference(serving[p], counts[p], ul_rx_dbm[p], gains[p],
                                           p * n_sub)
-        sinr_ul = own_ul[p] - 10.0 * np.log10(noise_ul_lin + ul_if_lin)
+        sinr_ul = own_ul_lin[p] / (noise_ul_lin + ul_if_lin)
         se_ul[p] = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
 
     # Per-user SE: bits over time-bandwidth, summed over the positions.  A

@@ -120,9 +120,10 @@ def test_criterion_3_repeater_noise_safely_ignorable():
     # whole access-loss domain: SE with/without the amplified-noise term
     cfg = ScenarioConfig()
     rx = cfg.panel_tx_power_dbm + cfg.single_antenna_gain_dbi - losses
+    rx_lin = 10.0 ** (rx / 10.0)
     floor_lin = 10.0 ** (ue_floor / 10.0)
-    on = rx - 10.0 * np.log10(floor_lin + 10.0 ** (noise / 10.0))
-    off = rx - ue_floor
+    on = rx_lin / (floor_lin + 10.0 ** (noise / 10.0))
+    off = rx_lin / floor_lin
     abstraction = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
     se_on = sinr_to_se(on, abstraction)
     se_off = sinr_to_se(off, abstraction)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -40,11 +41,15 @@ CENTER = Point3(0.0, 0.0, 20000.0)
 # ----------------------------------------------------------------------
 # Link abstraction and aggregation
 
+def _lin(db):
+    return 10.0 ** (np.asarray(db) / 10.0)
+
+
 def test_sinr_to_se_regions():
-    assert sinr_to_se(-15.0) == 0.0
-    assert sinr_to_se(-10.0) > 0.0  # floor is inclusive
-    assert_allclose(sinr_to_se(0.0), 0.6, rtol=1e-12)
-    assert_allclose(sinr_to_se(40.0), 4.4, rtol=1e-12)
+    assert sinr_to_se(_lin(-15.0)) == 0.0
+    assert sinr_to_se(_lin(-10.0)) > 0.0  # floor is inclusive
+    assert_allclose(sinr_to_se(1.0), 0.6, rtol=1e-12)
+    assert_allclose(sinr_to_se(_lin(40.0)), 4.4, rtol=1e-12)
 
 
 def test_sinr_to_se_midrange_value():
@@ -53,17 +58,49 @@ def test_sinr_to_se_midrange_value():
 
 def test_sinr_to_se_custom_abstraction():
     abstraction = LinkAbstraction(attenuation=0.4, sinr_min_db=-5.0, se_max=2.0)
-    assert sinr_to_se(-6.0, abstraction) == 0.0
-    assert_allclose(sinr_to_se(0.0, abstraction), 0.4, rtol=1e-12)
-    assert_allclose(sinr_to_se(40.0, abstraction), 2.0, rtol=1e-12)
+    assert sinr_to_se(_lin(-6.0), abstraction) == 0.0
+    assert_allclose(sinr_to_se(1.0, abstraction), 0.4, rtol=1e-12)
+    assert_allclose(sinr_to_se(_lin(40.0), abstraction), 2.0, rtol=1e-12)
 
 
 def test_sinr_to_se_vectorised_and_monotone():
-    sinr = np.linspace(-20.0, 45.0, 400)
+    sinr = _lin(np.linspace(-20.0, 45.0, 400))
     se = sinr_to_se(sinr)
     assert se.shape == sinr.shape
     assert np.all(np.diff(se) >= 0.0)
     assert se.min() == 0.0 and se.max() == 4.4
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sinr_db=_FINITE, floor_db=_FINITE)
+@example(sinr_db=-10.0, floor_db=-10.0)
+@example(sinr_db=30.0, floor_db=4000.0)
+@example(sinr_db=5000.0, floor_db=4000.0)
+@example(sinr_db=-5000.0, floor_db=-4000.0)
+def test_sinr_to_se_of_the_linear_value_is_the_db_definition(sinr_db, floor_db):
+    abstraction = LinkAbstraction(sinr_min_db=floor_db)
+    with np.errstate(over="ignore"):
+        linear = np.power(10.0, sinr_db / 10.0)
+        floor = np.power(10.0, floor_db / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sinr_to_se(linear, abstraction)
+    # dB values that meet in one linear value cannot be told apart, and
+    # the floor is inclusive, so such a value counts as at the floor
+    below = sinr_db < floor_db and linear != floor
+    want = 0.0 if below else min(0.6 * math.log2(1.0 + linear), 4.4)
+    assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_campaign_with_a_floor_beyond_the_float_range_is_all_outage():
+    cfg = ScenarioConfig(dl_sinr_min_db=4000.0, ul_sinr_min_db=4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_campaign(cfg)
+    assert res.report.dl.outage_count == res.report.ul.outage_count == 20
 
 
 def test_aggregate_edge_is_mean_of_lowest_5_percent():
