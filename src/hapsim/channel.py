@@ -132,14 +132,15 @@ class NtnTables:
     def bin_indices(self, elevation_deg) -> np.ndarray:
         """Nearest-bin lookup for an array of elevations (ties go to the lower bin).
 
-        Elevations more than half a bin spacing outside the table are
-        clamped to the edge bin; one warning gives how many were clamped.
+        Elevations below the first bin or above the last by more than half
+        the spacing of that edge are clamped to the edge bin; one warning
+        gives how many were clamped.
         """
         elev = np.asarray(elevation_deg, dtype=float)
         bins = self.elevation_deg
-        spacing = bins[1] - bins[0] if len(bins) > 1 else math.inf
+        low, high = (bins[1] - bins[0], bins[-1] - bins[-2]) if len(bins) > 1 else (math.inf,) * 2
         idx = np.argmin(np.abs(elev[..., None] - bins), axis=-1)
-        clamped = np.abs(elev - bins[idx]) > spacing / 2 + 1e-9
+        clamped = (elev < bins[0] - low / 2 - 1e-9) | (elev > bins[-1] + high / 2 + 1e-9)
         if clamped.any():
             log.warning(
                 "%d elevation(s) outside channel table range [%g, %g] deg, "

@@ -217,6 +217,12 @@ class ScenarioConfig:
             value = getattr(self, field)
             if not 0 < value <= 1:
                 raise ValidationError(field, f"must lie in (0, 1]; got {value}")
+        for field in ("ue_noise_figure_db", "bs_noise_figure_db",
+                      "gateway_noise_figure_db", "repeater_noise_figure_db"):
+            value = getattr(self, field)
+            if value < 0:
+                raise ValidationError(field, "must be non-negative: a noise figure below "
+                                             f"0 dB is unphysical; got {value}")
         if self.seed < 0:
             raise ValidationError("seed", "must be non-negative")
         if not 0 < self.outer_cell_center_fraction <= 1:

@@ -91,6 +91,18 @@ def test_bin_indices_match_the_scalar_lookup_and_warn_once(caplog):
     assert [r.getMessage()[:15] for r in caplog.records] == ["2 elevation(s) "]
 
 
+def test_non_uniform_table_clamps_only_beyond_its_edges(caplog):
+    # edge spacings 10 (below) and 50 (above); inner bins are 20 and 50 apart
+    t = NtnTables(np.array([10.0, 20.0, 40.0, 90.0]), *[np.full(4, 0.5)] * 4)
+    with caplog.at_level(logging.WARNING, logger="hapsim.channel"):
+        assert t.bin_indices([65.0, 30.0, 5.0, 115.0]).tolist() == [2, 1, 0, 3]
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="hapsim.channel"):
+        assert t.bin_indices([4.9, 115.1, 65.0]).tolist() == [0, 3, 2]
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 elevation(s) outside channel table range [10, 90] deg, clamped to the nearest bin"]
+
+
 def test_default_table_is_parsed_once_and_read_only():
     t = NtnTables.default()
     assert NtnTables.default() is t

@@ -121,6 +121,19 @@ def test_auto_los_target_above_terminal_count_fails_before_the_drop(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["ue_noise_figure_db", "bs_noise_figure_db",
+                                   "gateway_noise_figure_db", "repeater_noise_figure_db"])
+def test_negative_noise_figure_fails_validation_with_its_line(tmp_path, capsys, field):
+    scenario = tmp_path / "cascade.cfg"
+    scenario.write_text(f"bp_ul_noise = cascade\n{field} = -1\n")
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(scenario)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scenario}, line 2: {field}: must be non-negative: "
+            "a noise figure below 0 dB is unphysical; got -1.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("40,0.929,-0.92,10.25,18.28", "shadow_std_los_db: must be non-negative; got -0.92"),
     ("40,0.929,nan,10.25,18.28", "shadow_std_los_db: must be a finite number; got 'nan'"),
