@@ -14,9 +14,11 @@ before any link evaluation starts, so identical seeds give bit-identical
 results.  All platform positions are evaluated together in one thread,
 as arrays with the positions on their first axis; only the uplink
 co-block interference is summed one position at a time, which bounds
-its memory, with all of a position's sub-intervals scheduled by one
-``ul_slot_assignments`` call.  The ``workers`` setting is accepted for
-compatibility and has no effect.
+its memory.  All of a position's sub-intervals are scheduled by one
+``ul_slot_assignments`` call, and the interference is summed once per
+panel and slot key into one table that every terminal reads.  SINRs
+stay in linear units from the received powers to ``sinr_to_se``.  The
+``workers`` setting is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -359,7 +361,9 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
     power[:, :n] = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
     power[serving, idx] = 0.0
     table = np.zeros((counts.size, n_keys))
-    held = np.empty_like(table)  # one scratch buffer for every beam's take
+    # one scratch buffer for every beam's take; the keys are always in
+    # range, and mode="clip" writes into it without an extra copy
+    held = np.empty_like(table)
     for b in np.flatnonzero(counts):
         table += power.take(holder[b], axis=1, out=held, mode="clip")
     return table.take(serving * n_keys + key)

@@ -42,7 +42,7 @@ CENTER = Point3(0.0, 0.0, 20000.0)
 # Link abstraction and aggregation
 
 def _lin(db):
-    return 10.0 ** (np.asarray(db) / 10.0)
+    return 10.0 ** (db / 10.0)
 
 
 def test_sinr_to_se_regions():
@@ -91,7 +91,8 @@ def test_sinr_to_se_of_the_linear_value_is_the_db_definition(sinr_db, floor_db):
     # dB values that meet in one linear value cannot be told apart, and
     # the floor is inclusive, so such a value counts as at the floor
     below = sinr_db < floor_db and linear != floor
-    want = 0.0 if below else min(0.6 * math.log2(1.0 + linear), 4.4)
+    want = 0.0 if below else min(abstraction.attenuation * math.log2(1.0 + linear),
+                                 abstraction.se_max)
     assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -402,15 +403,16 @@ def test_coblock_interference_matches_the_loop_sum(serving, offset, seed):
     assert got.shape == (counts.max(), n)
     # the kernel's own received powers, so only the summation is compared:
     # each terminal's interferers are added in beam order, starting from zero
+    # (a beam holds a slot once, so terminals sorted by beam are in beam order)
     power = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
+    by_beam = np.argsort(serving, kind="stable")
     for j, row in enumerate(got):
         slots = ul_slot_assignments(serving, offset=offset + j)
         want = np.zeros(n)
         for t in range(n):
-            for b in np.flatnonzero(counts):
-                for m in np.flatnonzero((serving == b) & (slots == slots[t])):
-                    if m != t:
-                        want[t] += power[serving[t], m]
+            for m in by_beam:
+                if m != t and slots[m] == slots[t]:
+                    want[t] += power[serving[t], m]
         assert_array_equal(row, want)
 
 
