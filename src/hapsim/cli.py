@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def _cmd_run(args) -> int:
     # created only now, so that a failed campaign leaves no empty directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report_mod.write_users_csv(out / "users.csv", result.user_rows())
+    report_mod.write_users_csv(out / "users.csv", result)
     text = report_mod.write_report(out / "report.txt", result, _scenario_name(args))
     report_mod.write_cdf(out / "cdf_dl.txt", result.dl_se)
     report_mod.write_cdf(out / "cdf_ul.txt", result.ul_se)
@@ -114,6 +115,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: every main() call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hapsim",
@@ -141,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (HapsimError, OSError) as exc:

@@ -1,15 +1,14 @@
 """Campaign artifacts: per-user CSV, aggregate report, CDF data.
 
 All writers emit deterministic bytes for identical inputs: fixed column
-order, fixed row order (terminal id), and shortest-round-trip float
-formatting.  ``read_users_csv`` parses what ``write_users_csv`` emits, so
-artifacts can be post-processed without guessing the schema.
+and row order (terminal id), shortest-round-trip floats, text formatted
+one column at a time and written with one call.  ``read_users_csv`` parses
+what ``write_users_csv`` emits, so artifacts need no schema guessing.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -32,20 +31,20 @@ USER_CSV_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_users_csv(path, rows: Sequence[dict]) -> None:
-    """Per-user results, one line per terminal in id order."""
-    lines = [",".join(USER_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in USER_CSV_COLUMNS))
+def _write_csv(path, header, columns) -> None:
+    """A CSV of equal-length array columns: bools as 1/0, the rest by ``str``."""
+    text = [np.where(c, "1", "0").tolist() if c.dtype == bool else list(map(str, c.tolist()))
+            for c in map(np.asarray, columns)]
+    lines = [",".join(header), *map(",".join, zip(*text))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_users_csv(path, result: CampaignResult) -> None:
+    """Per-user results, one line per terminal in id order."""
+    ts, dl, ul = result.terminals, result.dl_se, result.ul_se
+    _write_csv(path, USER_CSV_COLUMNS, [
+        [t.terminal_id for t in ts], [t.x for t in ts], [t.y for t in ts], [t.kind for t in ts],
+        [t.los for t in ts], result.serving_cell, dl, ul, (dl == 0.0) | (ul == 0.0)])
 
 
 def read_users_csv(path) -> list[dict]:
@@ -121,7 +120,5 @@ CONSUMPTION_CSV_COLUMNS = (
 
 def write_consumption_csv(path, assessment: RelayAssessment) -> None:
     """Per-terminal relay-versus-direct verdicts."""
-    columns = [getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS]
-    lines = [",".join(CONSUMPTION_CSV_COLUMNS)]
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, CONSUMPTION_CSV_COLUMNS,
+               [getattr(assessment, c) for c in CONSUMPTION_CSV_COLUMNS])

@@ -66,12 +66,14 @@ class LinkAbstraction:
 def sinr_to_se(sinr, abstraction: LinkAbstraction = LinkAbstraction()):
     """Spectral efficiency for a linear SINR: zero below the floor, capped above.
 
-    ``sinr`` is a power ratio, not dB.  The floor ``sinr_min_db`` is
-    inclusive and converted to linear units here; a floor beyond the
-    float range is infinite, so every finite SINR falls below it.
-    Vectorized; scalars in, scalar out.
+    ``sinr`` is a linear power ratio: NaN or negative raises ``DomainError``
+    and ``inf`` maps to ``se_max``.  The inclusive floor ``sinr_min_db`` is
+    converted here; a floor beyond the float range is infinite, so every
+    finite SINR falls below it.  Vectorized; scalars in, scalar out.
     """
     sinr = np.asarray(sinr, dtype=float)
+    if not (sinr >= 0.0).all():  # NaN fails the comparison too
+        raise DomainError(f"SINR must be a power ratio >= 0; got {sinr[~(sinr >= 0)].flat[0]}")
     with np.errstate(over="ignore"):
         floor = np.power(10.0, abstraction.sinr_min_db / 10.0)
     se = np.minimum(abstraction.attenuation * np.log2(1.0 + sinr), abstraction.se_max)
@@ -394,7 +396,7 @@ class CampaignResult:
     report: CampaignReport
 
     def user_rows(self) -> list[dict]:
-        """Per-user records in terminal-id order (the CSV payload)."""
+        """Per-user records as dicts, in terminal-id order."""
         rows = []
         for t in self.terminals:
             dl = float(self.dl_se[t.terminal_id])

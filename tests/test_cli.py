@@ -1,9 +1,15 @@
 """Command-line interface: artifacts, overrides, error reporting."""
 
+import argparse
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import hapsim
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, dump_config, preset_config
 from hapsim.report import read_users_csv
@@ -223,3 +229,71 @@ def test_workers_flag_matches_serial_run(tmp_path):
     assert main(["run", "--preset", "multi-steering-omni-bp", "--workers", "4",
                  "--out", str(b)]) == 0
     assert (a / "users.csv").read_bytes() == (b / "users.csv").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# The module as a program, and one parser for every in-process call
+
+ARTIFACTS = ("users.csv", "report.txt", "cdf_dl.txt", "cdf_ul.txt")
+
+
+def _hapsim_process(*args):
+    """``python -m hapsim.cli`` in a child process importing the hapsim under test."""
+    path = [str(Path(hapsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "hapsim.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_run_writes_what_main_writes(tmp_path, capsys):
+    a, b = tmp_path / "process", tmp_path / "in-process"
+    proc = _hapsim_process("run", "--preset", "single-cell-bp", "--out", str(a))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", "--preset", "single-cell-bp", "--out", str(b)]) == 0
+    assert proc.stdout == capsys.readouterr().out.replace(str(b), str(a))
+    for name in ARTIFACTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_unknown_flag_prints_usage_without_a_traceback():
+    proc = _hapsim_process("run", "--preset", "single-cell-bp", "--bogus")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: hapsim ")
+    assert "unrecognized arguments: --bogus" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_repeated_calls_build_no_new_parser(monkeypatch, capsys):
+    assert main(["validate"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert main(["validate", "--seed", "7"]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [
+    ["run", "--seed", "5", "--arch", "rg", "--bogus"],
+    ["run", "--config", "x.cfg", "--preset", "single-cell-bp"],
+    ["validate", "--seed", "five"],
+    ["simulate"],
+    [],
+])
+def test_a_failed_parse_leaves_the_next_call_unaffected(tmp_path, capsys, bad):
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(["run", "--preset", "multi-selection-cpe-rg", "--out", str(before)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out == dump_config(ScenarioConfig())
+    assert main(["run", "--preset", "multi-selection-cpe-rg", "--out", str(after)]) == 0
+    for name in ARTIFACTS:
+        assert (before / name).read_bytes() == (after / name).read_bytes(), name

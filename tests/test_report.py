@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hapsim.config import ScenarioConfig
+from hapsim import report
+from hapsim.cli import main
+from hapsim.config import ScenarioConfig, preset_names
 from hapsim.consumption import haps_relay_assessment
 from hapsim.errors import ConfigError
 from hapsim.geometry import Point3
@@ -29,7 +31,7 @@ def result():
 def test_users_csv_round_trip(tmp_path, result):
     p = tmp_path / "users.csv"
     rows = result.user_rows()
-    write_users_csv(p, rows)
+    write_users_csv(p, result)
     back = read_users_csv(p)
     assert len(back) == len(rows)
     for a, b in zip(rows, back):
@@ -44,7 +46,7 @@ def test_users_csv_round_trip(tmp_path, result):
 
 def test_users_csv_header_and_order(tmp_path, result):
     p = tmp_path / "users.csv"
-    write_users_csv(p, result.user_rows())
+    write_users_csv(p, result)
     lines = p.read_text().splitlines()
     assert lines[0] == ",".join(USER_CSV_COLUMNS)
     ids = [int(line.split(",")[0]) for line in lines[1:]]
@@ -54,8 +56,8 @@ def test_users_csv_header_and_order(tmp_path, result):
 def test_users_csv_is_deterministic(tmp_path, result):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    write_users_csv(a, result.user_rows())
-    write_users_csv(b, result.user_rows())
+    write_users_csv(a, result)
+    write_users_csv(b, result)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -123,3 +125,57 @@ def test_consumption_csv(tmp_path):
     assert first[0] == "0"
     assert float(first[1]) == rows.d1_m[0]
     assert first[5] in ("0", "1")
+
+
+# ----------------------------------------------------------------------
+# The column writers against the per-value formatter they replaced
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _reference_csv(header, rows) -> bytes:
+    """CSV text formatted one value at a time: what the column writers must match."""
+    lines = [",".join(header)]
+    lines += [",".join(_reference_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_DENSE_CPE = ("layout = seven_cell\nattachment_mode = beam_selection\n"
+              "terminal_kind = cpe_directional\nterminal_count = 336\ntarget_los_count = 280\n")
+
+
+@pytest.mark.parametrize("case", [*preset_names(), "dense-selection-cpe"])
+def test_csv_writers_match_the_per_value_reference(tmp_path, monkeypatch, case):
+    if case == "dense-selection-cpe":
+        (tmp_path / "dense.cfg").write_text(_DENSE_CPE)
+        source = ["--config", str(tmp_path / "dense.cfg")]
+    else:
+        source = ["--preset", case]
+    written = {}  # writer name -> the result or assessment the CLI passed it
+
+    def keep(name):
+        writer = getattr(report, name)
+
+        def wrapper(path, payload):
+            written[name] = payload
+            writer(path, payload)
+        monkeypatch.setattr(report, name, wrapper)
+
+    keep("write_users_csv")
+    keep("write_consumption_csv")
+    out = tmp_path / "out"
+    for command in ("run", "consumption"):
+        assert main([command, *source, "--seed", "1", "--out", str(out)]) == 0
+
+    result = written["write_users_csv"]
+    users = ([row[c] for c in USER_CSV_COLUMNS] for row in result.user_rows())
+    assert (out / "users.csv").read_bytes() == _reference_csv(USER_CSV_COLUMNS, users)
+    assessment = written["write_consumption_csv"]
+    verdicts = zip(*(getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS))
+    want = _reference_csv(CONSUMPTION_CSV_COLUMNS, verdicts)
+    assert (out / "consumption.csv").read_bytes() == want

@@ -71,6 +71,22 @@ def test_sinr_to_se_vectorised_and_monotone():
     assert se.min() == 0.0 and se.max() == 4.4
 
 
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (-0.5, "-0.5"), (-2.0, "-2.0")])
+def test_sinr_to_se_rejects_nan_and_negative_values_by_name(bad, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"SINR .*got {shown}$"):
+            sinr_to_se(bad)
+        # one bad entry among valid ones fails the whole array, named
+        with pytest.raises(DomainError, match=f"got {shown}$"):
+            sinr_to_se(np.array([[1.0, 0.0], [bad, 10.0]]))
+
+
+def test_sinr_to_se_maps_infinity_to_the_cap():
+    assert sinr_to_se(math.inf) == 4.4
+    assert_array_equal(sinr_to_se(np.array([math.inf, 0.0, -0.0])), [4.4, 0.0, 0.0])
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
