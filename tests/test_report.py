@@ -1,5 +1,8 @@
 """Artifact writers: per-user CSV, report text, CDF data."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -96,6 +99,32 @@ def test_write_report(tmp_path, result):
     p = tmp_path / "report.txt"
     write_report(p, result, "custom")
     assert p.read_text() == format_report(result, "custom")
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_artifact_modes_match_open_and_survive_a_rerun(tmp_path, umask):
+    out = tmp_path / "out"
+    names = ("users.csv", "report.txt", "cdf_dl.txt", "cdf_ul.txt", "consumption.csv")
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "reference.txt", "w"):
+            pass
+        for command in ("run", "consumption"):
+            assert main([command, "--out", str(out)]) == 0
+        created = {name: _mode(out / name) for name in names}
+        for name in names:
+            (out / name).chmod(0o640)
+        for command in ("run", "consumption"):
+            assert main([command, "--seed", "2", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert _mode(tmp_path / "reference.txt") == 0o666 & ~umask
+    assert created == dict.fromkeys(names, _mode(tmp_path / "reference.txt"))
+    assert {name: _mode(out / name) for name in names} == dict.fromkeys(names, 0o640)
 
 
 def test_cdf_is_sorted_and_normalised(tmp_path):
