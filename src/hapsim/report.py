@@ -4,9 +4,9 @@ All writers emit deterministic bytes for identical inputs: fixed column
 and row order (terminal id), shortest-round-trip floats, text formatted
 one column at a time and written with one call.  ``read_users_csv`` parses
 what ``write_users_csv`` emits, so artifacts need no schema guessing.
-Each artifact is overwritten in place and cut to length: truncating a written
-file on open cost 100-245 us per file on ext4, against 19-36 us.  A failed write
-leaves an incomplete artifact (new head, maybe a stale tail); the CLI exits 1.
+Artifacts are overwritten in place and cut to length: truncating a written file on open
+cost 66-245 us on ext4, against 7-36 us.  A failed write (the CLI exits 1) or a crash can
+leave an artifact incomplete or holding older bytes at its new length; rerun to regenerate.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ USER_CSV_COLUMNS = (
 
 
 def _overwrite(path, text: str) -> None:
-    """Write ``text`` over ``path`` in place and cut the stale tail: ``write_text``
-    minus its ``O_TRUNC`` (100-245 us per rewrite); a failure leaves it incomplete."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+    """Overwrite in place, cut the stale tail: ``write_text`` minus ``O_TRUNC`` (66-245 us)."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # only fh translates newlines
+    with open(os.open(path, flags, 0o666), "w") as fh:
         fh.write(text)
         fh.truncate()
 

@@ -127,6 +127,23 @@ def test_artifact_modes_match_open_and_survive_a_rerun(tmp_path, umask):
     assert {name: _mode(out / name) for name in names} == dict.fromkeys(names, 0o640)
 
 
+def test_artifacts_open_in_binary_mode_where_the_os_has_one(tmp_path, monkeypatch):
+    # On Windows a descriptor opened without O_BINARY would add a second "\r"
+    # to every "\r\n" the text layer writes; stand in a flag bit to see it passed.
+    fake_binary, seen, real_open = 0x40000000, [], os.open
+
+    def recording_open(path, flags, mode=0o777):
+        seen.append(flags)
+        return real_open(path, flags & ~fake_binary, mode)
+
+    monkeypatch.setattr(os, "O_BINARY", fake_binary, raising=False)
+    monkeypatch.setattr(os, "open", recording_open)
+    write_cdf(tmp_path / "cdf.txt", [1.0, 2.0])
+    assert seen and all(flags & fake_binary for flags in seen)
+    assert (tmp_path / "cdf.txt").read_bytes() == b"# se_bit_per_s_per_hz cumulative_fraction\n" \
+        b"1.0 0.5\n2.0 1.0\n"
+
+
 def test_cdf_is_sorted_and_normalised(tmp_path):
     p = tmp_path / "cdf.txt"
     write_cdf(p, [2.0, 0.5, 1.0, 1.5])
