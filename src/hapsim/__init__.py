@@ -8,8 +8,6 @@ through the platform.
 
 from .antenna import ElementPattern, Panel, array_gain, element_gain, hex_array
 from .architecture import (
-    CascadeStage,
-    RepeaterModel,
     bp_effective_dl_eirp,
     cascade_noise_figure,
     repeater_noise_at_ue,
@@ -19,7 +17,6 @@ from .channel import NtnTables, feeder_loss, fspl
 from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names
 from .consumption import (
     EfficiencyStage,
-    RelayAdvantage,
     RelayAssessment,
     RelayScenario,
     base_station_chain_efficiency,
@@ -33,7 +30,6 @@ from .geometry import FlightPattern, LinkGeometry, Point3, haps_position, link_g
 from .simulation import (
     AggregateStats,
     CampaignResult,
-    LinkAbstraction,
     Terminal,
     aggregate_se,
     run_campaign,

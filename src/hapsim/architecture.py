@@ -1,4 +1,4 @@
-"""Bent-pipe and regenerative payload link budgets.
+"""Bent-pipe and regenerative payload link budgets, from plain dB, dBm and Hz values.
 
 A regenerative payload carries the base station: panels transmit at their
 own power rating and uplink reception ends at the onboard receiver.  A
@@ -22,7 +22,6 @@ Two modelling switches matter for cross-architecture comparisons:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +30,6 @@ from .errors import DomainError
 
 __all__ = [
     "THERMAL_NOISE_DENSITY_DBM_HZ",
-    "CascadeStage",
-    "RepeaterModel",
     "thermal_noise_dbm",
     "cascade_noise_figure",
     "bp_effective_dl_eirp",
@@ -43,24 +40,6 @@ __all__ = [
 THERMAL_NOISE_DENSITY_DBM_HZ = -174.0
 
 
-@dataclass(frozen=True)
-class CascadeStage:
-    """One receive-chain stage: net gain and noise figure, both dB."""
-
-    gain_db: float
-    noise_figure_db: float
-
-
-@dataclass(frozen=True)
-class RepeaterModel:
-    """Amplify-and-forward repeater parameters."""
-
-    gain_db: float = 105.0
-    noise_figure_db: float = 7.0
-    max_output_dbm: float = 30.0
-    output_limit_enabled: bool = False
-
-
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Receiver noise floor over a bandwidth: kT density + 10log10(B) + NF."""
     if bandwidth_hz <= 0:
@@ -68,8 +47,8 @@ def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> floa
     return THERMAL_NOISE_DENSITY_DBM_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def cascade_noise_figure(stages: Sequence[CascadeStage]) -> float:
-    """Friis noise figure (dB) of stages in signal order.
+def cascade_noise_figure(stages: Sequence[tuple[float, float]]) -> float:
+    """Friis noise figure (dB) of ``(gain_db, noise_figure_db)`` stages in signal order.
 
     Each stage's excess noise is divided by the total gain ahead of it, so
     a high-gain first stage makes everything downstream negligible.
@@ -78,33 +57,32 @@ def cascade_noise_figure(stages: Sequence[CascadeStage]) -> float:
         raise DomainError("cascade needs at least one stage")
     total = 0.0
     gain_before = 1.0
-    for stage in stages:
-        factor = 10.0 ** (stage.noise_figure_db / 10.0)
+    for gain_db, noise_figure_db in stages:
+        factor = 10.0 ** (noise_figure_db / 10.0)
         if factor < 1.0:
             raise DomainError("noise figure below 0 dB is unphysical")
         total += (factor - 1.0) / gain_before
-        gain_before *= 10.0 ** (stage.gain_db / 10.0)
+        gain_before *= 10.0 ** (gain_db / 10.0)
     return 10.0 * math.log10(1.0 + total)
 
 
-def bp_effective_dl_eirp(gateway_tx_dbm: float, gateway_gain_dbi: float,
-                         feeder_loss_db, repeater: RepeaterModel,
-                         panel_gain_dbi: float):
-    """Downlink EIRP of a bent pipe with the feeder chain made explicit.
+def bp_effective_dl_eirp(gateway_tx_dbm: float, gateway_gain_dbi: float, feeder_loss_db,
+                         repeater_gain_db: float, max_output_dbm: float | None):
+    """Downlink power at the panel input of a bent pipe with the feeder chain made explicit.
 
     Gateway power plus its antenna gain, attenuated over the feeder link,
-    amplified by the repeater (optionally clamped to its rated maximum
-    output), then radiated through the panel.  An array of feeder losses
-    gives an array of EIRPs.
+    amplified by the repeater gain and clamped to the repeater's rated
+    ``max_output_dbm`` (``None``: no clamp).  An array of feeder losses
+    gives an array of powers.
     """
-    output_dbm = gateway_tx_dbm + gateway_gain_dbi - feeder_loss_db + repeater.gain_db
-    if repeater.output_limit_enabled:
-        output_dbm = np.minimum(output_dbm, repeater.max_output_dbm)
-    return output_dbm + panel_gain_dbi
+    output_dbm = gateway_tx_dbm + gateway_gain_dbi - feeder_loss_db + repeater_gain_db
+    if max_output_dbm is not None:
+        output_dbm = np.minimum(output_dbm, max_output_dbm)
+    return output_dbm
 
 
-def repeater_noise_at_ue(repeater: RepeaterModel, bandwidth_hz: float,
-                         access_loss_db) -> float | np.ndarray:
+def repeater_noise_at_ue(repeater_gain_db: float, repeater_noise_figure_db: float,
+                         bandwidth_hz: float, access_loss_db) -> float | np.ndarray:
     """Repeater-amplified noise as received on the ground (dBm).
 
     Thermal floor over the bandwidth, raised by the repeater gain and
@@ -113,20 +91,19 @@ def repeater_noise_at_ue(repeater: RepeaterModel, bandwidth_hz: float,
     default budgets ignore it.
     """
     floor = thermal_noise_dbm(bandwidth_hz)
-    out = floor + repeater.gain_db + repeater.noise_figure_db - np.asarray(access_loss_db, dtype=float)
+    out = floor + repeater_gain_db + repeater_noise_figure_db - np.asarray(access_loss_db, dtype=float)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def bp_uplink_noise_figure(repeater: RepeaterModel, gateway_noise_figure_db: float) -> float:
+def bp_uplink_noise_figure(repeater_gain_db: float, repeater_noise_figure_db: float,
+                           gateway_noise_figure_db: float) -> float:
     """Uplink noise figure of the bent pipe referred to the repeater input.
 
     The feeder chain is treated as loss-compensated, so the cascade is the
     repeater followed by the gateway receiver; with 105 dB in front, the
     gateway's contribution vanishes and the repeater figure dominates.
     """
-    return cascade_noise_figure([
-        CascadeStage(repeater.gain_db, repeater.noise_figure_db),
-        CascadeStage(0.0, gateway_noise_figure_db),
-    ])
+    return cascade_noise_figure([(repeater_gain_db, repeater_noise_figure_db),
+                                 (0.0, gateway_noise_figure_db)])

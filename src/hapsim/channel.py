@@ -14,11 +14,10 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, read_utf8
 from .geometry import link_geometry
 
 __all__ = [
@@ -91,7 +90,7 @@ class NtnTables:
         """
         columns = [f.name for f in fields(cls)]
         rows, header_seen = [], False
-        for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for line_no, raw in enumerate(read_utf8(path).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -17,9 +17,8 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import ConfigSyntaxError, ValidationError
+from .errors import ConfigSyntaxError, ValidationError, read_utf8
 
 __all__ = [
     "ScenarioConfig",
@@ -334,7 +333,7 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     """Load and validate a scenario file; an empty file is the baseline."""
-    return parse_config(Path(path).read_text(), source=str(path))
+    return parse_config(read_utf8(path), source=str(path))
 
 
 def dump_config(config: ScenarioConfig) -> str:

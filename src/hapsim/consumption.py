@@ -34,7 +34,6 @@ from .geometry import Point3, link_geometry
 __all__ = [
     "EfficiencyStage",
     "RelayScenario",
-    "RelayAdvantage",
     "RelayAssessment",
     "power_efficiency_factor",
     "repeater_chain_efficiency",
@@ -117,26 +116,17 @@ class RelayScenario:
             raise DomainError("efficiency factors must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class RelayAdvantage:
-    """Outcome of the comparison; the relay wins when rhs < 1."""
+def relay_advantage(scenario: RelayScenario):
+    """Right-hand side of the relay-advantage inequality, elementwise for arrays.
 
-    rhs: float
-    relay_preferred: bool
-    margin: float
-
-
-def relay_advantage(scenario: RelayScenario) -> RelayAdvantage:
-    """Evaluate the relay-advantage inequality, elementwise for arrays.
-
-    Each square is a product, so scalar and array calls round alike.
+    The relay wins below 1.  Each square is a product, so scalar and
+    array calls round alike.
     """
     s = scenario
     r1 = s.d1_m / s.d3_m
     r2 = s.d2_m / s.d3_m
-    rhs = (r1 * r1 / (s.relay_rx_gain / s.sink_rx_gain)
-           + r2 * r2 / (s.relay_efficiency / s.source_efficiency))
-    return RelayAdvantage(rhs=rhs, relay_preferred=rhs < 1.0, margin=1.0 - rhs)
+    return (r1 * r1 / (s.relay_rx_gain / s.sink_rx_gain)
+            + r2 * r2 / (s.relay_efficiency / s.source_efficiency))
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,7 @@ def haps_relay_assessment(x, y, platform: Point3, gateway: Point3,
     d1 = link_geometry(gateway, platform).slant_range_m
     ground = np.column_stack([x, y, np.zeros(len(x))])
     d_access = link_geometry(platform, ground).slant_range_m
-    verdict = relay_advantage(RelayScenario(
+    rhs = relay_advantage(RelayScenario(
         d1_m=d1,
         d2_m=d_access,
         d3_m=d_access,
@@ -184,8 +174,8 @@ def haps_relay_assessment(x, y, platform: Point3, gateway: Point3,
         d1_m=np.full(d_access.size, d1),
         d2_m=d_access,
         d3_m=d_access,
-        rhs=verdict.rhs,
-        relay_preferred=verdict.relay_preferred,
-        margin=verdict.margin,
+        rhs=rhs,
+        relay_preferred=rhs < 1.0,
+        margin=1.0 - rhs,
         feeder_access_ratio_sq=ratio * ratio,
     )

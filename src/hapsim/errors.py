@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the input-file reader."""
 
 __all__ = [
     "HapsimError",
@@ -60,3 +60,14 @@ class OutOfCoverageError(HapsimError):
 
 class DomainError(HapsimError):
     """Numeric argument outside the mathematical domain of an operation."""
+
+
+def read_utf8(path) -> str:
+    """An input file's text; a byte that is not UTF-8 raises ``ConfigError`` naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"not valid UTF-8 (byte 0x{data[exc.start]:02x})", line, path) from None

@@ -2,8 +2,7 @@
 
 All writers emit deterministic bytes for identical inputs: fixed column
 and row order (terminal id), shortest-round-trip floats, text formatted
-one column at a time and written with one call.  ``read_users_csv`` parses
-what ``write_users_csv`` emits, so artifacts need no schema guessing.
+one column at a time and written with one call.
 Artifacts are overwritten in place and cut to length: truncating a written file on open
 cost 66-245 us on ext4, against 7-36 us.  A failed write (the CLI exits 1) or a crash can
 leave an artifact incomplete or holding older bytes at its new length; rerun to regenerate.
@@ -12,18 +11,15 @@ leave an artifact incomplete or holding older bytes at its new length; rerun to 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 
 from .consumption import RelayAssessment
-from .errors import ConfigError
 from .simulation import CampaignResult
 
 __all__ = [
     "USER_CSV_COLUMNS",
     "write_users_csv",
-    "read_users_csv",
     "write_report",
     "write_cdf",
     "write_consumption_csv",
@@ -57,32 +53,6 @@ def write_users_csv(path, result: CampaignResult) -> None:
     _write_csv(path, USER_CSV_COLUMNS, [
         [t.terminal_id for t in ts], [t.x for t in ts], [t.y for t in ts], [t.kind for t in ts],
         [t.los for t in ts], result.serving_cell, dl, ul, (dl == 0.0) | (ul == 0.0)])
-
-
-def read_users_csv(path) -> list[dict]:
-    """Parse a per-user CSV back into typed records."""
-    text = Path(path).read_text().splitlines()
-    if not text or text[0].split(",") != list(USER_CSV_COLUMNS):
-        raise ConfigError(f"{path}: not a per-user results file")
-    rows = []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(USER_CSV_COLUMNS):
-            raise ConfigError(f"{path}: malformed row {line!r}")
-        rows.append({
-            "terminal_id": int(parts[0]),
-            "x": float(parts[1]),
-            "y": float(parts[2]),
-            "kind": parts[3],
-            "los": parts[4] == "1",
-            "serving_cell": int(parts[5]),
-            "dl_se": float(parts[6]),
-            "ul_se": float(parts[7]),
-            "outage": parts[8] == "1",
-        })
-    return rows
 
 
 def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:

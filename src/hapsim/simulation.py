@@ -35,7 +35,6 @@ from .errors import ConfigError, DomainError
 from .geometry import FlightPattern, Point3, haps_position, link_geometry
 
 __all__ = [
-    "LinkAbstraction",
     "AggregateStats",
     "Terminal",
     "CampaignReport",
@@ -54,17 +53,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Link abstraction
 
-@dataclass(frozen=True)
-class LinkAbstraction:
-    """Truncated, attenuated Shannon mapping from SINR to bit/s/Hz."""
-
-    attenuation: float = 0.6
-    sinr_min_db: float = -10.0
-    se_max: float = 4.4
-
-
-def sinr_to_se(sinr, abstraction: LinkAbstraction = LinkAbstraction()):
-    """Spectral efficiency for a linear SINR: zero below the floor, capped above.
+def sinr_to_se(sinr, attenuation: float, sinr_min_db: float, se_max: float):
+    """Spectral efficiency ``attenuation * log2(1 + sinr)``: zero below the floor, capped above.
 
     ``sinr`` is a linear power ratio: NaN or negative raises ``DomainError``
     and ``inf`` maps to ``se_max``.  The inclusive floor ``sinr_min_db`` is
@@ -75,8 +65,8 @@ def sinr_to_se(sinr, abstraction: LinkAbstraction = LinkAbstraction()):
     if not (sinr >= 0.0).all():  # NaN fails the comparison too
         raise DomainError(f"SINR must be a power ratio >= 0; got {sinr[~(sinr >= 0)].flat[0]}")
     with np.errstate(over="ignore"):
-        floor = np.power(10.0, abstraction.sinr_min_db / 10.0)
-    se = np.minimum(abstraction.attenuation * np.log2(1.0 + sinr), abstraction.se_max)
+        floor = np.power(10.0, sinr_min_db / 10.0)
+    se = np.minimum(attenuation * np.log2(1.0 + sinr), se_max)
     se = np.where(sinr < floor, 0.0, se)
     if se.ndim == 0:
         return float(se)
@@ -426,12 +416,6 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         position_count=cfg.flight_position_count,
         angular_step_deg=cfg.flight_angular_step_deg,
     )
-    repeater = architecture.RepeaterModel(
-        gain_db=cfg.repeater_gain_db,
-        noise_figure_db=cfg.repeater_noise_figure_db,
-        max_output_dbm=cfg.repeater_max_output_dbm,
-        output_limit_enabled=cfg.repeater_output_limit,
-    )
 
     # Every array below has the platform positions on axis 0:
     # (P, n) per terminal, (P, beams, n) per beam and terminal.
@@ -474,8 +458,8 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
         tx_dbm = architecture.bp_effective_dl_eirp(
             cfg.gateway_tx_power_dbm, cfg.gateway_antenna_gain_dbi,
-            channel.feeder_loss(gateway, hpos, cfg.feeder_carrier_hz),
-            repeater, panel_gain_dbi=0.0,
+            channel.feeder_loss(gateway, hpos, cfg.feeder_carrier_hz), cfg.repeater_gain_db,
+            cfg.repeater_max_output_dbm if cfg.repeater_output_limit else None,
         )[:, None, None]
     else:
         tx_dbm = cfg.panel_tx_power_dbm
@@ -500,26 +484,27 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     noise_dl_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.dl_bandwidth_hz, cfg.ue_noise_figure_db) / 10.0)
     if cfg.architecture == "bp" and cfg.bp_repeater_noise_at_ue:
-        rep_noise = architecture.repeater_noise_at_ue(repeater, cfg.dl_bandwidth_hz, loss_dl)
+        rep_noise = architecture.repeater_noise_at_ue(
+            cfg.repeater_gain_db, cfg.repeater_noise_figure_db, cfg.dl_bandwidth_hz, loss_dl)
         noise_dl_lin = noise_dl_lin + 10.0 ** (rep_noise / 10.0)
 
     sinr_dl = at_serving(rx_lin) / (noise_dl_lin + interference_lin)
-    dl_abs = LinkAbstraction(cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
-    se_dl = sinr_to_se(sinr_dl, dl_abs)
+    se_dl = sinr_to_se(sinr_dl, cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
 
     # Uplink SINR: received at the serving panel through the same beam.
     if cfg.architecture == "bp" and cfg.bp_ul_noise == "cascade":
-        ul_nf = architecture.bp_uplink_noise_figure(repeater, cfg.gateway_noise_figure_db)
+        ul_nf = architecture.bp_uplink_noise_figure(
+            cfg.repeater_gain_db, cfg.repeater_noise_figure_db, cfg.gateway_noise_figure_db)
     else:
         ul_nf = cfg.bs_noise_figure_db
     noise_ul_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.ul_allocation_hz, ul_nf) / 10.0)
 
     ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
     own_ul_lin = 10.0 ** ((ul_rx_dbm + at_serving(gains)) / 10.0)
-    ul_abs = LinkAbstraction(cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
+    ul_abs = (cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
 
     # With one active cell every slot has a single holder: noise alone.
-    se_ul = sinr_to_se(own_ul_lin / noise_ul_lin, ul_abs)
+    se_ul = sinr_to_se(own_ul_lin / noise_ul_lin, *ul_abs)
     # One platform position spans many TTIs; the round-robin pointer
     # advances each TTI, so a terminal meets a rotating set of co-block
     # interferers.  Average the achieved SE over one full rotation of
@@ -529,7 +514,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         ul_if_lin = _coblock_interference(serving[p], counts[p], ul_rx_dbm[p], gains[p],
                                           p * n_sub)
         sinr_ul = own_ul_lin[p] / (noise_ul_lin + ul_if_lin)
-        se_ul[p] = sinr_to_se(sinr_ul, ul_abs).sum(axis=0) / n_sub
+        se_ul[p] = sinr_to_se(sinr_ul, *ul_abs).sum(axis=0) / n_sub
 
     # Per-user SE: bits over time-bandwidth, summed over the positions.  A
     # position lasts one second; the downlink shares the cell bandwidth,

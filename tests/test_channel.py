@@ -147,6 +147,15 @@ def test_table_from_file_reports_bad_row_with_line_number(tmp_path):
         NtnTables.from_file(p)
 
 
+def test_table_from_file_reads_utf8_and_names_the_line_of_a_bad_byte(tmp_path):
+    p = tmp_path / "table.csv"
+    p.write_bytes("# Elevation in °\n10,0.5,1.0,8.0,19.0\n".encode("utf-8"))
+    assert_allclose(NtnTables.from_file(p).elevation_deg, [10.0])
+    p.write_bytes(b"# Elevation in \xb0\n10,0.5,1.0,8.0,19.0\n")
+    with pytest.raises(ConfigError, match=r"table\.csv, line 1: not valid UTF-8 \(byte 0xb0\)$"):
+        NtnTables.from_file(p)
+
+
 def test_table_validation():
     ele = np.array([10.0, 20.0])
     ones = np.ones(2)

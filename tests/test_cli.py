@@ -13,7 +13,6 @@ import pytest
 import hapsim
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, dump_config, preset_config
-from hapsim.report import read_users_csv
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -22,8 +21,8 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert rc == 0
     for name in ("users.csv", "report.txt", "cdf_dl.txt", "cdf_ul.txt"):
         assert (out / name).exists(), name
-    rows = read_users_csv(out / "users.csv")
-    assert len(rows) == 20
+    lines = (out / "users.csv").read_text().splitlines()
+    assert len(lines) == 1 + 20  # header and one row per terminal
     captured = capsys.readouterr()
     assert "scenario = single-cell-bp" in captured.out
     assert f"artifacts written to {out}" in captured.out
@@ -263,6 +262,28 @@ def test_unknown_flag_prints_usage_without_a_traceback():
     assert "unrecognized arguments: --bogus" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_scenario_file_that_is_not_utf8_fails_without_a_traceback(tmp_path):
+    scenario = tmp_path / "latin1.cfg"
+    scenario.write_bytes(b"\xffseed = 2\n")
+    proc = _hapsim_process("validate", "--config", str(scenario))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {scenario}, line 1: not valid UTF-8 (byte 0xff)\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_channel_table_that_is_not_utf8_fails_without_a_traceback(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"# elevation profile\n10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(f"ntn_table_path = {table}\n")
+    out = tmp_path / "out"
+    proc = _hapsim_process("run", "--config", str(scenario), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {table}, line 3: not valid UTF-8 (byte 0xe9)\n"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_repeated_calls_build_no_new_parser(monkeypatch, capsys):

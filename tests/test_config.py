@@ -14,7 +14,7 @@ from hapsim.config import (
     preset_config,
     preset_names,
 )
-from hapsim.errors import ConfigSyntaxError, ValidationError
+from hapsim.errors import ConfigError, ConfigSyntaxError, ValidationError
 
 
 def test_empty_text_is_the_baseline():
@@ -184,6 +184,15 @@ def test_load_config_from_file(tmp_path):
     cfg = load_config(p)
     assert cfg.layout == "seven_cell"
     assert cfg.seed == 4
+
+
+def test_load_config_reads_utf8_and_names_the_line_of_a_bad_byte(tmp_path):
+    p = tmp_path / "scenario.cfg"
+    p.write_bytes("# Höhenplattform\nseed = 4\n".encode("utf-8"))
+    assert load_config(p).seed == 4
+    p.write_bytes(b"seed = 4\n# H\xf6henplattform\n")
+    with pytest.raises(ConfigError, match=r"scenario\.cfg, line 2: not valid UTF-8 \(byte 0xf6\)$"):
+        load_config(p)
 
 
 def test_preset_catalogue():

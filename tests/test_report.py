@@ -11,13 +11,11 @@ from hapsim import report
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_names
 from hapsim.consumption import haps_relay_assessment
-from hapsim.errors import ConfigError
 from hapsim.geometry import Point3
 from hapsim.report import (
     CONSUMPTION_CSV_COLUMNS,
     USER_CSV_COLUMNS,
     format_report,
-    read_users_csv,
     write_cdf,
     write_consumption_csv,
     write_report,
@@ -35,16 +33,17 @@ def test_users_csv_round_trip(tmp_path, result):
     p = tmp_path / "users.csv"
     rows = result.user_rows()
     write_users_csv(p, result)
-    back = read_users_csv(p)
+    header, *lines = p.read_text().splitlines()
+    back = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert len(back) == len(rows)
     for a, b in zip(rows, back):
-        assert a["terminal_id"] == b["terminal_id"]
+        assert a["terminal_id"] == int(b["terminal_id"])
         assert a["kind"] == b["kind"]
-        assert a["los"] == b["los"]
-        assert a["outage"] == b["outage"]
+        assert a["los"] == (b["los"] == "1")
+        assert a["outage"] == (b["outage"] == "1")
         # repr round-trip keeps floats exact
-        assert a["dl_se"] == b["dl_se"]
-        assert a["x"] == b["x"]
+        assert a["dl_se"] == float(b["dl_se"])
+        assert a["x"] == float(b["x"])
 
 
 def test_users_csv_header_and_order(tmp_path, result):
@@ -62,20 +61,6 @@ def test_users_csv_is_deterministic(tmp_path, result):
     write_users_csv(a, result)
     write_users_csv(b, result)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_read_users_csv_rejects_foreign_files(tmp_path):
-    p = tmp_path / "other.csv"
-    p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError, match="not a per-user results file"):
-        read_users_csv(p)
-
-
-def test_read_users_csv_rejects_malformed_rows(tmp_path):
-    p = tmp_path / "broken.csv"
-    p.write_text(",".join(USER_CSV_COLUMNS) + "\n1,2,3\n")
-    with pytest.raises(ConfigError, match="malformed row"):
-        read_users_csv(p)
 
 
 def test_report_layout(result):

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import hapsim
 from hapsim import simulation
+from hapsim.architecture import bp_uplink_noise_figure
 from hapsim.channel import NtnTables
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config, preset_names
@@ -23,7 +24,6 @@ from hapsim.geometry import Point3
 from hapsim.simulation import (
     AggregateStats,
     _coblock_interference,
-    LinkAbstraction,
     aggregate_se,
     build_beams,
     build_drop,
@@ -45,27 +45,30 @@ def _lin(db):
     return 10.0 ** (db / 10.0)
 
 
+LINK = (0.6, -10.0, 4.4)  # attenuation, inclusive floor (dB), cap
+
+
 def test_sinr_to_se_regions():
-    assert sinr_to_se(_lin(-15.0)) == 0.0
-    assert sinr_to_se(_lin(-10.0)) > 0.0  # floor is inclusive
-    assert_allclose(sinr_to_se(1.0), 0.6, rtol=1e-12)
-    assert_allclose(sinr_to_se(_lin(40.0)), 4.4, rtol=1e-12)
+    assert sinr_to_se(_lin(-15.0), *LINK) == 0.0
+    assert sinr_to_se(_lin(-10.0), *LINK) > 0.0  # floor is inclusive
+    assert_allclose(sinr_to_se(1.0, *LINK), 0.6, rtol=1e-12)
+    assert_allclose(sinr_to_se(_lin(40.0), *LINK), 4.4, rtol=1e-12)
 
 
 def test_sinr_to_se_midrange_value():
-    assert_allclose(sinr_to_se(10.0), 0.6 * math.log2(11.0), rtol=1e-12)
+    assert_allclose(sinr_to_se(10.0, *LINK), 0.6 * math.log2(11.0), rtol=1e-12)
 
 
 def test_sinr_to_se_custom_abstraction():
-    abstraction = LinkAbstraction(attenuation=0.4, sinr_min_db=-5.0, se_max=2.0)
-    assert sinr_to_se(_lin(-6.0), abstraction) == 0.0
-    assert_allclose(sinr_to_se(1.0, abstraction), 0.4, rtol=1e-12)
-    assert_allclose(sinr_to_se(_lin(40.0), abstraction), 2.0, rtol=1e-12)
+    abstraction = dict(attenuation=0.4, sinr_min_db=-5.0, se_max=2.0)
+    assert sinr_to_se(_lin(-6.0), **abstraction) == 0.0
+    assert_allclose(sinr_to_se(1.0, **abstraction), 0.4, rtol=1e-12)
+    assert_allclose(sinr_to_se(_lin(40.0), **abstraction), 2.0, rtol=1e-12)
 
 
 def test_sinr_to_se_vectorised_and_monotone():
     sinr = _lin(np.linspace(-20.0, 45.0, 400))
-    se = sinr_to_se(sinr)
+    se = sinr_to_se(sinr, *LINK)
     assert se.shape == sinr.shape
     assert np.all(np.diff(se) >= 0.0)
     assert se.min() == 0.0 and se.max() == 4.4
@@ -76,15 +79,15 @@ def test_sinr_to_se_rejects_nan_and_negative_values_by_name(bad, shown):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"SINR .*got {shown}$"):
-            sinr_to_se(bad)
+            sinr_to_se(bad, *LINK)
         # one bad entry among valid ones fails the whole array, named
         with pytest.raises(DomainError, match=f"got {shown}$"):
-            sinr_to_se(np.array([[1.0, 0.0], [bad, 10.0]]))
+            sinr_to_se(np.array([[1.0, 0.0], [bad, 10.0]]), *LINK)
 
 
 def test_sinr_to_se_maps_infinity_to_the_cap():
-    assert sinr_to_se(math.inf) == 4.4
-    assert_array_equal(sinr_to_se(np.array([math.inf, 0.0, -0.0])), [4.4, 0.0, 0.0])
+    assert sinr_to_se(math.inf, *LINK) == 4.4
+    assert_array_equal(sinr_to_se(np.array([math.inf, 0.0, -0.0]), *LINK), [4.4, 0.0, 0.0])
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -97,18 +100,17 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(sinr_db=5000.0, floor_db=4000.0)
 @example(sinr_db=-5000.0, floor_db=-4000.0)
 def test_sinr_to_se_of_the_linear_value_is_the_db_definition(sinr_db, floor_db):
-    abstraction = LinkAbstraction(sinr_min_db=floor_db)
+    attenuation, _, se_max = LINK
     with np.errstate(over="ignore"):
         linear = np.power(10.0, sinr_db / 10.0)
         floor = np.power(10.0, floor_db / 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sinr_to_se(linear, abstraction)
+        got = sinr_to_se(linear, attenuation, floor_db, se_max)
     # dB values that meet in one linear value cannot be told apart, and
     # the floor is inclusive, so such a value counts as at the floor
     below = sinr_db < floor_db and linear != floor
-    want = 0.0 if below else min(abstraction.attenuation * math.log2(1.0 + linear),
-                                 abstraction.se_max)
+    want = 0.0 if below else min(attenuation * math.log2(1.0 + linear), se_max)
     assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -553,6 +555,49 @@ def test_campaign_rejects_invalid_config():
 
 
 # ----------------------------------------------------------------------
+# Bent-pipe link-budget switches, campaign-wide
+
+BP_LAYOUTS = ["single-cell-bp", "multi-selection-cpe-bp"]
+
+
+def _bp(preset, **changes):
+    return run_campaign(dataclasses.replace(preset_config(preset), **changes))
+
+
+@pytest.mark.parametrize("preset", BP_LAYOUTS)
+def test_cascade_uplink_noise_is_the_matched_floor_at_the_cascade_figure(preset):
+    cascade = _bp(preset, bp_ul_noise="cascade")
+    matched = _bp(preset, bs_noise_figure_db=bp_uplink_noise_figure(105.0, 7.0, 3.0))
+    assert_array_equal(cascade.ul_se, matched.ul_se)
+    assert_array_equal(cascade.dl_se, matched.dl_se)
+
+
+# 50 dBm at the gateway leaves more than 43 dBm at every repeater output
+EXPLICIT = dict(bp_feeder_chain="explicit", gateway_tx_power_dbm=50.0, repeater_max_output_dbm=43.0)
+
+
+@pytest.mark.parametrize("preset", BP_LAYOUTS)
+def test_explicit_feeder_chain_clamped_to_the_panel_power_is_the_compensated_chain(preset):
+    compensated = _bp(preset)
+    assert preset_config(preset).panel_tx_power_dbm == 43.0
+    clamped = _bp(preset, repeater_output_limit=True, **EXPLICIT)
+    assert_array_equal(clamped.dl_se, compensated.dl_se)
+    assert_array_equal(clamped.ul_se, compensated.ul_se)
+    unclamped = _bp(preset, repeater_output_limit=False, **EXPLICIT)
+    assert not np.array_equal(unclamped.dl_se, compensated.dl_se)
+
+
+@pytest.mark.parametrize("preset", ["single-cell-rg", "multi-selection-cpe-rg"])
+def test_regenerative_payload_ignores_every_bent_pipe_switch(preset):
+    plain = _bp(preset)
+    switched = _bp(preset, bp_ul_noise="cascade", bp_repeater_noise_at_ue=True,
+                   repeater_output_limit=True, **EXPLICIT)
+    assert_array_equal(switched.dl_se, plain.dl_se)
+    assert_array_equal(switched.ul_se, plain.ul_se)
+    assert_array_equal(switched.serving_cell, plain.serving_cell)
+
+
+# ----------------------------------------------------------------------
 # Differential check against the benchmark's independent oracle
 
 @pytest.fixture(scope="module")
@@ -577,3 +622,14 @@ def test_campaign_agrees_with_the_independent_oracle(oracle, tmp_path, preset):
     users = oracle.read_csv_rows(tmp_path / "users.csv")
     report = (tmp_path / "report.txt").read_text()
     assert oracle.check_campaign(cfg, drop, model, sample, users, report) == []
+
+
+@pytest.mark.parametrize("preset", ["multi-steering-cpe-bp", "multi-selection-omni-rg"])
+def test_consumption_agrees_with_the_independent_oracle(oracle, tmp_path, preset, capsys):
+    assert main(["consumption", "--preset", preset, "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    cfg = preset_config(preset)
+    table = oracle.read_table(Path(hapsim.__file__).parent / "data" / "ntn_rural_s_band.csv")
+    drop = oracle.replay_drop(cfg, table)
+    rows = oracle.read_csv_rows(tmp_path / "consumption.csv")
+    assert oracle.check_consumption(cfg, drop, rows, stdout) == []
