@@ -26,7 +26,7 @@ from .consumption import (
     repeater_chain_efficiency,
 )
 from .errors import HapsimError
-from .geometry import FlightPattern, LinkGeometry, Point3, haps_position, link_geometry
+from .geometry import FlightPattern, Point3, haps_position, link_geometry
 from .simulation import (
     AggregateStats,
     CampaignResult,

@@ -165,4 +165,4 @@ def feeder_loss(gateway, haps, carrier_hz: float):
 
     Either end may be an array of positions (see :func:`link_geometry`).
     """
-    return fspl(carrier_hz, link_geometry(gateway, haps).slant_range_m)
+    return fspl(carrier_hz, link_geometry(gateway, haps)[1])

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``          - simulate one campaign and write its artifacts
 * ``consumption``  - relay-versus-direct power-efficiency assessment
-* ``validate``     - check a scenario file and print its canonical form
+* ``validate``     - check a scenario and its drop, then print its canonical form
 
 A scenario comes from ``--preset`` or ``--config`` (an empty file is the
 single-cell bent-pipe baseline); ``--seed`` and ``--arch`` override
@@ -111,6 +111,7 @@ def _cmd_consumption(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _scenario_from_args(args)
+    build_drop(cfg)  # loads the channel table and checks the LOS target, as ``run`` does
     print(dump_config(cfg), end="")
     return 0
 

@@ -156,9 +156,9 @@ def haps_relay_assessment(x, y, platform: Point3, gateway: Point3,
     access slant serves as both relay-sink and direct distance, the
     onboard base station being the direct-transmission alternative.
     """
-    d1 = link_geometry(gateway, platform).slant_range_m
+    _, d1 = link_geometry(gateway, platform)
     ground = np.column_stack([x, y, np.zeros(len(x))])
-    d_access = link_geometry(platform, ground).slant_range_m
+    _, d_access = link_geometry(platform, ground)
     rhs = relay_advantage(RelayScenario(
         d1_m=d1,
         d2_m=d_access,

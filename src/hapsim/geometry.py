@@ -5,12 +5,12 @@ the ground below the centre of the platform's flight circle.  Earth
 curvature is ignored; at the scales involved (tens of km horizontally,
 20 km up) the error stays far below the channel-model granularity.
 
-``link_geometry`` gives the elevation and slant range of each ray, the
-two quantities the channel model reads; no bearing is computed.  It takes
-each endpoint as a :class:`Point3` or as an array of ``(x, y, z)`` rows
-with shape ``(..., 3)``; the two broadcast against each other, so one
-call covers every terminal-platform pair of a campaign.  Two points give
-floats, arrays give arrays.
+``link_geometry`` gives the pair ``(elevation_deg, slant_range_m)`` of
+each ray, the two quantities the channel model reads; no bearing is
+computed.  It takes each endpoint as a :class:`Point3` or as an array of
+``(x, y, z)`` rows with shape ``(..., 3)``; the two broadcast against
+each other, so one call covers every terminal-platform pair of a
+campaign.  Two points give floats, arrays give arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import ConfigError, DegenerateGeometryError
 __all__ = [
     "Point3",
     "FlightPattern",
-    "LinkGeometry",
     "haps_position",
     "link_geometry",
 ]
@@ -75,14 +74,6 @@ class FlightPattern:
         return self.diameter_m / 2.0
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of the ray from one point towards another (or of many rays, as arrays)."""
-
-    elevation_deg: float
-    slant_range_m: float
-
-
 def haps_position(pattern: FlightPattern, run_index: int) -> Point3:
     """Platform position for one simulation run.
 
@@ -101,8 +92,8 @@ def haps_position(pattern: FlightPattern, run_index: int) -> Point3:
     )
 
 
-def link_geometry(a, b) -> LinkGeometry:
-    """Elevation and slant range of the ray a -> b.
+def link_geometry(a, b):
+    """``(elevation_deg, slant_range_m)`` of the ray a -> b.
 
     Elevation is measured from a's local horizontal plane (positive when b
     is above it).  Every pair is one ray; any coincident pair is rejected.
@@ -115,8 +106,8 @@ def link_geometry(a, b) -> LinkGeometry:
         raise DegenerateGeometryError("link endpoints coincide")
     elevation = np.degrees(np.arctan2(dz, horizontal))
     if slant.ndim == 0:
-        return LinkGeometry(float(elevation), float(slant))
-    return LinkGeometry(elevation, slant)
+        return float(elevation), float(slant)
+    return elevation, slant
 
 
 def _coords(p) -> np.ndarray:

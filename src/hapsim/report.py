@@ -10,12 +10,13 @@ leave an artifact incomplete or holding older bytes at its new length; rerun to 
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 
 from .consumption import RelayAssessment
-from .simulation import CampaignResult
+from .simulation import USER_CSV_COLUMNS, CampaignResult
 
 __all__ = [
     "USER_CSV_COLUMNS",
@@ -24,11 +25,6 @@ __all__ = [
     "write_cdf",
     "write_consumption_csv",
 ]
-
-USER_CSV_COLUMNS = (
-    "terminal_id", "x", "y", "kind", "los", "serving_cell",
-    "dl_se", "ul_se", "outage",
-)
 
 
 def _overwrite(path, text: str) -> None:
@@ -39,26 +35,22 @@ def _overwrite(path, text: str) -> None:
         fh.truncate()
 
 
-def _write_csv(path, header, columns) -> None:
-    """A CSV of equal-length array columns: bools as 1/0, the rest by ``str``."""
+def _write_csv(path, columns: dict) -> None:
+    """A CSV of equal-length columns, named by the keys: bools as 1/0, the rest by ``str``."""
     text = [np.where(c, "1", "0").tolist() if c.dtype == bool else list(map(str, c.tolist()))
-            for c in map(np.asarray, columns)]
-    lines = [",".join(header), *map(",".join, zip(*text))]
+            for c in map(np.asarray, columns.values())]
+    lines = [",".join(columns), *map(",".join, zip(*text))]
     _overwrite(path, "\n".join(lines) + "\n")
 
 
 def write_users_csv(path, result: CampaignResult) -> None:
     """Per-user results, one line per terminal in id order."""
-    ts, dl, ul = result.terminals, result.dl_se, result.ul_se
-    _write_csv(path, USER_CSV_COLUMNS, [
-        [t.terminal_id for t in ts], [t.x for t in ts], [t.y for t in ts], [t.kind for t in ts],
-        [t.los for t in ts], result.serving_cell, dl, ul, (dl == 0.0) | (ul == 0.0)])
+    _write_csv(path, result.user_columns())
 
 
 def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
     """Human-readable aggregate summary (stable key = value lines)."""
     cfg = result.config
-    rep = result.report
     lines = [
         f"scenario = {scenario_name}",
         f"architecture = {cfg.architecture}",
@@ -66,14 +58,14 @@ def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
         f"attachment_mode = {cfg.attachment_mode}",
         f"terminal_kind = {cfg.terminal_kind}",
         f"seed = {cfg.seed}",
-        f"terminals = {rep.n_terminals}",
-        f"los_terminals = {rep.n_los}",
-        f"dl_mean_se = {rep.dl.mean_se:.6f}",
-        f"dl_cell_edge_se = {rep.dl.cell_edge_se:.6f}",
-        f"dl_outage_count = {rep.dl.outage_count}",
-        f"ul_mean_se = {rep.ul.mean_se:.6f}",
-        f"ul_cell_edge_se = {rep.ul.cell_edge_se:.6f}",
-        f"ul_outage_count = {rep.ul.outage_count}",
+        f"terminals = {len(result.terminals)}",
+        f"los_terminals = {sum(t.los for t in result.terminals)}",
+        f"dl_mean_se = {result.dl.mean_se:.6f}",
+        f"dl_cell_edge_se = {result.dl.cell_edge_se:.6f}",
+        f"dl_outage_count = {result.dl.outage_count}",
+        f"ul_mean_se = {result.ul.mean_se:.6f}",
+        f"ul_cell_edge_se = {result.ul.cell_edge_se:.6f}",
+        f"ul_outage_count = {result.ul.outage_count}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -94,13 +86,9 @@ def write_cdf(path, values) -> None:
     _overwrite(path, "\n".join(lines) + "\n")
 
 
-CONSUMPTION_CSV_COLUMNS = (
-    "terminal_id", "d1_m", "d2_m", "d3_m", "rhs", "relay_preferred",
-    "margin", "feeder_access_ratio_sq",
-)
+CONSUMPTION_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RelayAssessment))
 
 
 def write_consumption_csv(path, assessment: RelayAssessment) -> None:
     """Per-terminal relay-versus-direct verdicts."""
-    _write_csv(path, CONSUMPTION_CSV_COLUMNS,
-               [getattr(assessment, c) for c in CONSUMPTION_CSV_COLUMNS])
+    _write_csv(path, {c: getattr(assessment, c) for c in CONSUMPTION_CSV_COLUMNS})

@@ -37,7 +37,7 @@ from .geometry import FlightPattern, Point3, haps_position, link_geometry
 __all__ = [
     "AggregateStats",
     "Terminal",
-    "CampaignReport",
+    "USER_CSV_COLUMNS",
     "CampaignResult",
     "sinr_to_se",
     "aggregate_se",
@@ -84,7 +84,6 @@ class AggregateStats:
     cell_edge_se: float
     outage_count: int
     edge_user_count: int
-    n_users: int
 
 
 def aggregate_se(per_user_se) -> AggregateStats:
@@ -103,7 +102,6 @@ def aggregate_se(per_user_se) -> AggregateStats:
         cell_edge_se=float(ordered[:edge_n].mean()),
         outage_count=int(np.count_nonzero(values == 0.0)),
         edge_user_count=edge_n,
-        n_users=int(values.size),
     )
 
 
@@ -182,7 +180,8 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     ys = radius * np.sin(theta)
 
     ground = np.column_stack([xs, ys, np.zeros(n)])
-    bins = tables.bin_indices(link_geometry(ground, platform_center).elevation_deg)
+    elevation, _ = link_geometry(ground, platform_center)
+    bins = tables.bin_indices(elevation)
     p_los = tables.los_probability[bins]
 
     if target_los is None:
@@ -364,14 +363,10 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
 # ----------------------------------------------------------------------
 # Campaign
 
-@dataclass(frozen=True)
-class CampaignReport:
-    """Aggregate statistics of one campaign."""
-
-    dl: AggregateStats
-    ul: AggregateStats
-    n_terminals: int
-    n_los: int
+USER_CSV_COLUMNS = (
+    "terminal_id", "x", "y", "kind", "los", "serving_cell",
+    "dl_se", "ul_se", "outage",
+)
 
 
 @dataclass
@@ -383,31 +378,27 @@ class CampaignResult:
     dl_se: np.ndarray
     ul_se: np.ndarray
     serving_cell: np.ndarray  # modal serving beam over the flight circle
-    report: CampaignReport
+    dl: AggregateStats
+    ul: AggregateStats
+
+    def user_columns(self) -> dict[str, list]:
+        """The ``users.csv`` columns as lists of Python values, in terminal-id order."""
+        ts, dl, ul = self.terminals, self.dl_se, self.ul_se
+        return dict(zip(USER_CSV_COLUMNS, (
+            [t.terminal_id for t in ts], [t.x for t in ts], [t.y for t in ts],
+            [t.kind for t in ts], [t.los for t in ts], self.serving_cell.tolist(),
+            dl.tolist(), ul.tolist(), ((dl == 0.0) | (ul == 0.0)).tolist(),
+        )))
 
     def user_rows(self) -> list[dict]:
         """Per-user records as dicts, in terminal-id order."""
-        rows = []
-        for t in self.terminals:
-            dl = float(self.dl_se[t.terminal_id])
-            ul = float(self.ul_se[t.terminal_id])
-            rows.append({
-                "terminal_id": t.terminal_id,
-                "x": t.x,
-                "y": t.y,
-                "kind": t.kind,
-                "los": t.los,
-                "serving_cell": int(self.serving_cell[t.terminal_id]),
-                "dl_se": dl,
-                "ul_se": ul,
-                "outage": dl == 0.0 or ul == 0.0,
-            })
-        return rows
+        columns = self.user_columns()
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Run one full campaign over the flight circle."""
-    cfg = config.validate()
+    cfg = config  # build_drop validates it before any work
     terminals, tables = build_drop(cfg)
     panels, centers = build_beams(cfg)
     pattern = FlightPattern(
@@ -427,12 +418,11 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     hpos = np.array([haps_position(pattern, k).as_array() for k in range(n_pos)])
     ground = np.column_stack([xy, np.zeros(n)])
     dirs = ground - hpos[:, None, :]  # platform -> terminal, for the antennas
-    geom = link_geometry(ground, hpos[:, None, :])  # terminal -> platform
-    elev = geom.elevation_deg
+    elev, slant = link_geometry(ground, hpos[:, None, :])  # terminal -> platform
 
     clutter = np.where(los, 0.0, tables.clutter_loss_nlos_db[tables.bin_indices(elev)])
-    loss_dl = channel.fspl(cfg.dl_carrier_hz, geom.slant_range_m) + shadow + clutter
-    loss_ul = channel.fspl(cfg.ul_carrier_hz, geom.slant_range_m) + shadow + clutter
+    loss_dl = channel.fspl(cfg.dl_carrier_hz, slant) + shadow + clutter
+    loss_ul = channel.fspl(cfg.ul_carrier_hz, slant) + shadow + clutter
 
     # Terminal antenna gain towards the platform (identical both directions:
     # omnis are flat, rooftop antennas are azimuth-aligned with the link).
@@ -525,9 +515,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     ul_se = np.minimum((se_ul * cfg.ul_allocation_hz).sum(axis=0)
                        / (n_pos * cfg.ul_allocation_hz), cfg.ul_se_max)
 
-    report = CampaignReport(dl=aggregate_se(dl_se), ul=aggregate_se(ul_se),
-                            n_terminals=n, n_los=int(los.sum()))
     # the most frequent serving beam; ties go to the lowest index
     modal = member.sum(axis=0).argmax(axis=0)
     return CampaignResult(config=cfg, terminals=terminals, dl_se=dl_se, ul_se=ul_se,
-                          serving_cell=modal, report=report)
+                          serving_cell=modal, dl=aggregate_se(dl_se), ul=aggregate_se(ul_se))

@@ -139,14 +139,14 @@ def test_criterion_4_reference_bands_and_runtime():
     t0 = time.perf_counter()
     single = run_campaign(ScenarioConfig())
     single_dt = time.perf_counter() - t0
-    dl, ul = single.report.dl.mean_se, single.report.ul.mean_se
+    dl, ul = single.dl.mean_se, single.ul.mean_se
     assert 0.6 <= dl <= 1.1, f"single-cell DL mean {dl:.4f} outside [0.6, 1.1]"
     assert 0.25 <= ul <= 0.50, f"single-cell UL mean {ul:.4f} outside [0.25, 0.50]"
 
     t0 = time.perf_counter()
     multi = _campaign(1, "steering", "ue_omni")
     multi_dt = time.perf_counter() - t0
-    dl_multi = multi.report.dl.mean_se
+    dl_multi = multi.dl.mean_se
     assert 0.9 <= dl_multi <= 1.6, f"seven-cell DL mean {dl_multi:.4f} outside [0.9, 1.6]"
     assert max(single_dt, multi_dt) < 60.0, "campaign exceeded the 60 s budget"
 
@@ -159,8 +159,8 @@ def test_criterion_5_ordering_properties():
             for kind in ("ue_omni", "cpe_directional")
         }
         for mode in ("steering", "selection"):
-            omni = results[(mode, "ue_omni")].report
-            cpe = results[(mode, "cpe_directional")].report
+            omni = results[(mode, "ue_omni")]
+            cpe = results[(mode, "cpe_directional")]
             for direction in ("dl", "ul"):
                 o, c = getattr(omni, direction), getattr(cpe, direction)
                 assert c.mean_se > o.mean_se, (
@@ -172,8 +172,8 @@ def test_criterion_5_ordering_properties():
                     f"not above omni {o.cell_edge_se:.4f}"
                 )
         for kind in ("ue_omni", "cpe_directional"):
-            steer = results[("steering", kind)].report
-            select = results[("selection", kind)].report
+            steer = results[("steering", kind)]
+            select = results[("selection", kind)]
             for direction in ("dl", "ul"):
                 st, se = getattr(steer, direction), getattr(select, direction)
                 assert se.mean_se >= st.mean_se, (
@@ -186,8 +186,8 @@ def test_criterion_5_ordering_properties():
                 )
         # every scenario combination reports a higher DL than UL mean
         for (mode, kind), res in results.items():
-            dl_mean = res.report.dl.mean_se
-            ul_mean = res.report.ul.mean_se
+            dl_mean = res.dl.mean_se
+            ul_mean = res.ul.mean_se
             assert dl_mean > ul_mean, (
                 f"seed {seed} {mode}/{kind}: DL mean {dl_mean:.4f} "
                 f"not above UL mean {ul_mean:.4f}"

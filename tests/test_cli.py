@@ -286,6 +286,28 @@ def test_channel_table_that_is_not_utf8_fails_without_a_traceback(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["missing-table", "non-utf8-table", "unreachable-los-target"])
+def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys, case):
+    table = tmp_path / "table.csv"
+    if case == "missing-table":
+        lines, named = f"ntn_table_path = {table}\n", str(table)
+    elif case == "non-utf8-table":
+        table.write_bytes(b"10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
+        lines, named = f"ntn_table_path = {table}\n", str(table)
+    else:
+        lines, named = "layout = seven_cell\nterminal_count = 420\n", "LOS target 175/420"
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(lines)
+    proc = _hapsim_process("validate", "--config", str(scenario))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    # the same line that ``run`` prints for the same scenario
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == proc.stderr
+
+
 def test_repeated_calls_build_no_new_parser(monkeypatch, capsys):
     assert main(["validate"]) == 0
     built = []

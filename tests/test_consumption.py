@@ -217,9 +217,9 @@ def test_haps_assessment_rows_equal_scalar_verdicts(preset):
         [t.x for t in terminals], [t.y for t in terminals], platform, gateway,
         cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, 0.4, 0.3,
     )
-    d1 = link_geometry(gateway, platform).slant_range_m
+    _, d1 = link_geometry(gateway, platform)
     for i, t in enumerate(terminals):
-        access = link_geometry(platform, Point3(t.x, t.y, 0.0)).slant_range_m
+        _, access = link_geometry(platform, Point3(t.x, t.y, 0.0))
         want = relay_advantage(RelayScenario(
             d1, access, access, 10.0 ** (cfg.relay_rx_gain_db / 10.0),
             10.0 ** (cfg.sink_rx_gain_db / 10.0), 0.4, 0.3,

@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hapsim.errors import ConfigError, DegenerateGeometryError
-from hapsim.geometry import FlightPattern, LinkGeometry, Point3, haps_position, link_geometry
+from hapsim.geometry import FlightPattern, Point3, haps_position, link_geometry
 
 
 def test_point_below_ground_rejected():
@@ -60,22 +60,22 @@ def test_all_positions_at_constant_radius():
 
 
 def test_nadir_link():
-    geom = link_geometry(Point3(0, 0, 0), Point3(0, 0, 20000.0))
-    assert_allclose(geom.elevation_deg, 90.0)
-    assert_allclose(geom.slant_range_m, 20000.0)
+    elevation, slant = link_geometry(Point3(0, 0, 0), Point3(0, 0, 20000.0))
+    assert_allclose(elevation, 90.0)
+    assert_allclose(slant, 20000.0)
 
 
 def test_45_degree_link():
-    geom = link_geometry(Point3(20000.0, 0, 0), Point3(0, 0, 20000.0))
-    assert_allclose(geom.elevation_deg, 45.0)
-    assert_allclose(geom.slant_range_m, 20000.0 * math.sqrt(2.0), rtol=1e-12)
+    elevation, slant = link_geometry(Point3(20000.0, 0, 0), Point3(0, 0, 20000.0))
+    assert_allclose(elevation, 45.0)
+    assert_allclose(slant, 20000.0 * math.sqrt(2.0), rtol=1e-12)
 
 
 def test_cell_edge_link():
-    geom = link_geometry(Point3(60000.0, 0, 0), Point3(0, 0, 20000.0))
-    assert_allclose(geom.elevation_deg, math.degrees(math.atan2(20.0, 60.0)), rtol=1e-12)
-    assert_allclose(geom.elevation_deg, 18.4349, atol=5e-5)
-    assert_allclose(geom.slant_range_m, 63245.553, atol=5e-3)
+    elevation, slant = link_geometry(Point3(60000.0, 0, 0), Point3(0, 0, 20000.0))
+    assert_allclose(elevation, math.degrees(math.atan2(20.0, 60.0)), rtol=1e-12)
+    assert_allclose(elevation, 18.4349, atol=5e-5)
+    assert_allclose(slant, 63245.553, atol=5e-3)
 
 
 def test_coincident_points_rejected():
@@ -93,13 +93,14 @@ def test_coincident_pair_inside_an_array_rejected():
 
 
 def test_two_points_give_floats_and_arrays_give_arrays():
-    geom = link_geometry(Point3(0.0, 0.0, 0.0), Point3(1000.0, 0.0, 100.0))
-    assert all(type(v) is float for v in
-               (geom.elevation_deg, geom.slant_range_m))
+    pair = link_geometry(Point3(0.0, 0.0, 0.0), Point3(1000.0, 0.0, 100.0))
+    assert type(pair) is tuple and len(pair) == 2
+    assert all(type(v) is float for v in pair)
     ground = np.zeros((4, 5, 3))
     platforms = np.array([[3000.0, 0.0, 20000.0], [0.0, 3000.0, 20000.0], [-3000.0, 0.0, 20000.0],
                           [0.0, -3000.0, 20000.0]])[:, None, :]
-    assert link_geometry(ground, platforms).slant_range_m.shape == (4, 5)
+    elevation, slant = link_geometry(ground, platforms)
+    assert elevation.shape == slant.shape == (4, 5)
 
 
 coordinate = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False)
@@ -117,20 +118,18 @@ def test_array_call_equals_scalar_calls_bit_for_bit(pairs):
     assume(all(_apart(a, b) for a, b in pairs))
     a = np.array([pa for pa, _ in pairs])
     b = np.array([pb for _, pb in pairs])
-    geom = link_geometry(a, b)
+    elevation, slant = link_geometry(a, b)
     for i, (pa, pb) in enumerate(pairs):
-        one = link_geometry(Point3(*pa), Point3(*pb))
-        assert (geom.elevation_deg[i], geom.slant_range_m[i]) == (
-            one.elevation_deg, one.slant_range_m)
+        assert (elevation[i], slant[i]) == link_geometry(Point3(*pa), Point3(*pb))
 
 
 @given(origin=point, targets=st.lists(point, min_size=1, max_size=8))
 def test_point_broadcasts_against_an_array(origin, targets):
     assume(all(_apart(origin, t) for t in targets))
-    geom = link_geometry(Point3(*origin), np.array(targets))
-    for field in ("elevation_deg", "slant_range_m"):
-        expected = [getattr(link_geometry(Point3(*origin), Point3(*t)), field) for t in targets]
-        assert_array_equal(getattr(geom, field), expected)
+    pairs = link_geometry(Point3(*origin), np.array(targets))
+    for i, values in enumerate(pairs):  # elevation, then slant range
+        expected = [link_geometry(Point3(*origin), Point3(*t))[i] for t in targets]
+        assert_array_equal(values, expected)
 
 
 def test_link_geometry_randomised_invariants():
@@ -138,10 +137,10 @@ def test_link_geometry_randomised_invariants():
     for _ in range(300):
         a = Point3(*rng.uniform(-1e5, 1e5, 2), rng.uniform(0, 100))
         b = Point3(*rng.uniform(-1e5, 1e5, 2), rng.uniform(200, 3e4))
-        geom = link_geometry(a, b)
-        assert geom.slant_range_m >= abs(b.z - a.z) - 1e-9
-        assert -90.0 <= geom.elevation_deg <= 90.0
+        elevation, slant = link_geometry(a, b)
+        assert slant >= abs(b.z - a.z) - 1e-9
+        assert -90.0 <= elevation <= 90.0
         # elevation is 90 degrees exactly when there is no horizontal offset
         horizontal = math.hypot(b.x - a.x, b.y - a.y)
-        if geom.elevation_deg == 90.0:
+        if elevation == 90.0:
             assert horizontal == 0.0

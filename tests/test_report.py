@@ -1,5 +1,6 @@
 """Artifact writers: per-user CSV, report text, CDF data."""
 
+import dataclasses
 import os
 import stat
 
@@ -9,8 +10,8 @@ from numpy.testing import assert_allclose
 
 from hapsim import report
 from hapsim.cli import main
-from hapsim.config import ScenarioConfig, preset_names
-from hapsim.consumption import haps_relay_assessment
+from hapsim.config import ScenarioConfig, preset_config, preset_names
+from hapsim.consumption import RelayAssessment, haps_relay_assessment
 from hapsim.geometry import Point3
 from hapsim.report import (
     CONSUMPTION_CSV_COLUMNS,
@@ -77,7 +78,7 @@ def test_report_layout(result):
     values = dict(line.split(" = ") for line in lines)
     assert values["terminals"] == "20"
     assert values["los_terminals"] == "17"
-    assert_allclose(float(values["dl_mean_se"]), result.report.dl.mean_se, atol=1e-6)
+    assert_allclose(float(values["dl_mean_se"]), result.dl.mean_se, atol=1e-6)
 
 
 def test_write_report(tmp_path, result):
@@ -210,3 +211,24 @@ def test_csv_writers_match_the_per_value_reference(tmp_path, monkeypatch, case):
     verdicts = zip(*(getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS))
     want = _reference_csv(CONSUMPTION_CSV_COLUMNS, verdicts)
     assert (out / "consumption.csv").read_bytes() == want
+
+
+# ----------------------------------------------------------------------
+# One schema per CSV: the writers and the in-memory rows share their columns
+
+@pytest.mark.parametrize("preset", ["single-cell-bp", "multi-selection-cpe-bp"])
+def test_each_csv_has_one_schema(tmp_path, preset):
+    for command in ("run", "consumption"):
+        assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+    rows = run_campaign(preset_config(preset)).user_rows()
+    header, *lines = (tmp_path / "users.csv").read_text().splitlines()
+    assert header == ",".join(USER_CSV_COLUMNS)
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        assert tuple(row) == USER_CSV_COLUMNS
+        assert {type(v) for v in row.values()} <= {int, float, str, bool}
+        text = [("1" if v else "0") if type(v) is bool else str(v) for v in row.values()]
+        assert ",".join(text) == line
+    header = (tmp_path / "consumption.csv").read_text().splitlines()[0]
+    assert header == ",".join(CONSUMPTION_CSV_COLUMNS)
+    assert CONSUMPTION_CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(RelayAssessment))

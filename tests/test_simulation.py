@@ -21,6 +21,7 @@ from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.errors import ConfigError, DomainError, HapsimError, ValidationError
 from hapsim.geometry import Point3
+from hapsim.report import format_report
 from hapsim.simulation import (
     AggregateStats,
     _coblock_interference,
@@ -119,7 +120,7 @@ def test_campaign_with_a_floor_beyond_the_float_range_is_all_outage():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run_campaign(cfg)
-    assert res.report.dl.outage_count == res.report.ul.outage_count == 20
+    assert res.dl.outage_count == res.ul.outage_count == 20
 
 
 def test_aggregate_edge_is_mean_of_lowest_5_percent():
@@ -457,11 +458,11 @@ def test_campaign_looks_up_all_positions_in_one_clamped_lookup(tmp_path, caplog,
 def test_campaign_report_consistent_with_arrays():
     res = run_campaign(ScenarioConfig())
     assert res.dl_se.shape == (20,)
-    assert res.report.n_terminals == 20
-    assert res.report.n_los == 17
-    recomputed = aggregate_se(res.dl_se)
-    assert res.report.dl == recomputed
-    assert res.report.ul == aggregate_se(res.ul_se)
+    lines = format_report(res).splitlines()
+    assert "terminals = 20" in lines
+    assert "los_terminals = 17" in lines
+    assert res.dl == aggregate_se(res.dl_se)
+    assert res.ul == aggregate_se(res.ul_se)
 
 
 def test_campaign_architectures_match_under_default_switches():
@@ -611,25 +612,32 @@ def oracle():
     return module
 
 
-@pytest.mark.parametrize("preset", ["multi-steering-cpe-bp", "multi-selection-omni-rg"])
+ORACLE_SEEDS = (1, 2, 3)
+
+
+@pytest.mark.parametrize("preset", preset_names())
 def test_campaign_agrees_with_the_independent_oracle(oracle, tmp_path, preset):
-    assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
-    cfg = preset_config(preset)
     table = oracle.read_table(Path(hapsim.__file__).parent / "data" / "ntn_rural_s_band.csv")
-    drop = oracle.replay_drop(cfg, table)
-    sample = np.arange(0, drop.x.size, 17)
-    model = oracle.campaign_model(cfg, drop, table, sample)
-    users = oracle.read_csv_rows(tmp_path / "users.csv")
-    report = (tmp_path / "report.txt").read_text()
-    assert oracle.check_campaign(cfg, drop, model, sample, users, report) == []
+    for seed in ORACLE_SEEDS:
+        out = tmp_path / str(seed)
+        assert main(["run", "--preset", preset, "--seed", str(seed), "--out", str(out)]) == 0
+        cfg = dataclasses.replace(preset_config(preset), seed=seed)
+        drop = oracle.replay_drop(cfg, table)
+        sample = np.arange(0, drop.x.size, 17)
+        model = oracle.campaign_model(cfg, drop, table, sample)
+        users = oracle.read_csv_rows(out / "users.csv")
+        report = (out / "report.txt").read_text()
+        assert oracle.check_campaign(cfg, drop, model, sample, users, report) == [], seed
 
 
-@pytest.mark.parametrize("preset", ["multi-steering-cpe-bp", "multi-selection-omni-rg"])
+@pytest.mark.parametrize("preset", preset_names())
 def test_consumption_agrees_with_the_independent_oracle(oracle, tmp_path, preset, capsys):
-    assert main(["consumption", "--preset", preset, "--out", str(tmp_path)]) == 0
-    stdout = capsys.readouterr().out
-    cfg = preset_config(preset)
     table = oracle.read_table(Path(hapsim.__file__).parent / "data" / "ntn_rural_s_band.csv")
-    drop = oracle.replay_drop(cfg, table)
-    rows = oracle.read_csv_rows(tmp_path / "consumption.csv")
-    assert oracle.check_consumption(cfg, drop, rows, stdout) == []
+    for seed in ORACLE_SEEDS:
+        out = tmp_path / str(seed)
+        assert main(["consumption", "--preset", preset, "--seed", str(seed), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        cfg = dataclasses.replace(preset_config(preset), seed=seed)
+        drop = oracle.replay_drop(cfg, table)
+        rows = oracle.read_csv_rows(out / "consumption.csv")
+        assert oracle.check_consumption(cfg, drop, rows, stdout) == [], seed
