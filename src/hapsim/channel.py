@@ -85,7 +85,8 @@ class NtnTables:
         At most one header line is allowed, before the first data row, and
         none of its fields may be a number, so a typo in a data row is
         never taken for a header: it fails like any bad row.  Every value
-        must be a finite number and the shadow sigmas non-negative; an
+        must be a finite number, the elevations strictly increasing, the
+        LOS probabilities in [0, 1] and the shadow sigmas non-negative; an
         error names the file, the line and the column.
         """
         columns = [f.name for f in fields(cls)]
@@ -110,7 +111,12 @@ class NtnTables:
                 if name.startswith("shadow_std") and value < 0:
                     raise ConfigError(f"{name}: must be non-negative; got {token}",
                                       line_no, path)
+                if name == "los_probability" and not 0 <= value <= 1:
+                    raise ConfigError(f"{name}: must lie in [0, 1]; got {token}", line_no, path)
                 row.append(value)
+            if rows and row[0] <= rows[-1][0]:
+                raise ConfigError(f"elevation_deg: must be strictly increasing; got {parts[0]} "
+                                  f"after {rows[-1][0]:.15g}", line_no, path)
             rows.append(row)
         if not rows:
             raise ConfigError(f"{path}: no data rows found")

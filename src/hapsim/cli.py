@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``          - simulate one campaign and write its artifacts
 * ``consumption``  - relay-versus-direct power-efficiency assessment
-* ``validate``     - check a scenario and its drop, then print its canonical form
+* ``validate``     - run a scenario's campaign, writing nothing, then print its canonical form
 
 A scenario comes from ``--preset`` or ``--config`` (an empty file is the
 single-cell bent-pipe baseline); ``--seed`` and ``--arch`` override
@@ -49,8 +49,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
         cfg = ScenarioConfig()
     overrides = {"seed": args.seed, "architecture": args.arch,
                  "workers": getattr(args, "workers", None)}
-    return dataclasses.replace(
-        cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    # not validated here: every command reaches ``build_drop``, which validates first
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _scenario_name(args) -> str:
@@ -111,7 +111,7 @@ def _cmd_consumption(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _scenario_from_args(args)
-    build_drop(cfg)  # loads the channel table and checks the LOS target, as ``run`` does
+    run_campaign(cfg)  # accepts exactly what ``run`` accepts; writes nothing
     print(dump_config(cfg), end="")
     return 0
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigSyntaxError, ValidationError, read_utf8
@@ -27,10 +26,7 @@ __all__ = [
     "dump_config",
     "preset_config",
     "preset_names",
-    "TABLE_PATH_ENV_VAR",
 ]
-
-TABLE_PATH_ENV_VAR = "HAPSIM_NTN_TABLES"
 
 _ENUMS = {
     "architecture": ("bp", "rg"),
@@ -176,10 +172,8 @@ class ScenarioConfig:
         return _LAYOUT_DEFAULTS[self.layout]["target_los_count"]
 
     def resolved_table_path(self) -> str | None:
-        """Explicit key beats the environment override beats the bundle."""
-        if self.ntn_table_path:
-            return self.ntn_table_path
-        return os.environ.get(TABLE_PATH_ENV_VAR) or None
+        """The ``ntn_table_path`` key, or ``None`` for the bundled table."""
+        return self.ntn_table_path or None
 
     def validate(self) -> "ScenarioConfig":
         # map() keeps this check cheap: validate() runs once per scenario resolved

@@ -31,7 +31,7 @@ import numpy as np
 from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, OutOfCoverageError, ValidationError
 from .geometry import FlightPattern, Point3, haps_position, link_geometry
 
 __all__ = [
@@ -322,8 +322,7 @@ def ul_slot_assignments(serving: np.ndarray, offset: int = 0,
     return (slots + j * counts.max(initial=0)).ravel()
 
 
-def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
-                          ul_rx_dbm: np.ndarray, gains: np.ndarray,
+def _coblock_interference(serving: np.ndarray, counts: np.ndarray, ul_lin: np.ndarray,
                           first_offset: int) -> np.ndarray:
     """Uplink co-block interference (mW), one row per sub-interval.
 
@@ -349,7 +348,7 @@ def _coblock_interference(serving: np.ndarray, counts: np.ndarray,
     # holder) is zero, and so is each terminal's own serving panel: in its
     # own beam a terminal finds itself, which is not interference.
     power = np.zeros((counts.size, n + 1))
-    power[:, :n] = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
+    power[:, :n] = ul_lin
     power[serving, idx] = 0.0
     table = np.zeros((counts.size, n_keys))
     # one scratch buffer for every beam's take; the keys are always in
@@ -441,7 +440,11 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     gains = np.empty((n_pos, len(panels), n))
     for b, panel in enumerate(panels):
         target = np.append(centers[b], 0.0) - hpos if steering else None
-        gains[:, b] = antenna.array_gain(panel, dirs, target)
+        try:
+            gains[:, b] = antenna.array_gain(panel, dirs, target)
+        except OutOfCoverageError:
+            raise ValidationError(("side_panel_tilt_deg", "outer_cell_center_fraction"),
+                                  f"the centre of cell {b} lies behind its panel") from None
 
     # Downlink transmit power at each panel input.
     if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
@@ -490,7 +493,8 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     noise_ul_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.ul_allocation_hz, ul_nf) / 10.0)
 
     ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
-    own_ul_lin = 10.0 ** ((ul_rx_dbm + at_serving(gains)) / 10.0)
+    ul_lin = 10.0 ** ((ul_rx_dbm[:, None, :] + gains) / 10.0)  # (P, beams, n)
+    own_ul_lin = at_serving(ul_lin)
     ul_abs = (cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
 
     # With one active cell every slot has a single holder: noise alone.
@@ -501,8 +505,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     # the largest cell rather than freezing a single collision draw.
     for p in np.flatnonzero(np.count_nonzero(counts, axis=1) > 1):
         n_sub = int(counts[p].max())
-        ul_if_lin = _coblock_interference(serving[p], counts[p], ul_rx_dbm[p], gains[p],
-                                          p * n_sub)
+        ul_if_lin = _coblock_interference(serving[p], counts[p], ul_lin[p], p * n_sub)
         sinr_ul = own_ul_lin[p] / (noise_ul_lin + ul_if_lin)
         se_ul[p] = sinr_to_se(sinr_ul, *ul_abs).sum(axis=0) / n_sub
 

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, overrides, error reporting."""
 
 import argparse
+import dataclasses
 import errno
 import os
 import subprocess
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import hapsim
+from hapsim.channel import NtnTables
 from hapsim.cli import main
-from hapsim.config import ScenarioConfig, dump_config, preset_config
+from hapsim.config import ScenarioConfig, dump_config, preset_config, preset_names
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -146,6 +148,7 @@ def test_negative_noise_figure_fails_validation_with_its_line(tmp_path, capsys, 
     ("x40,0.929,0.92,10.25,18.28", "elevation_deg: must be a finite number; got 'x40'"),
     # a typo in the first data row is not a second header
     ("x10,0.782,1.79,8.93,19.52", "elevation_deg: must be a finite number; got 'x10'"),
+    ("40,1.5,0.92,10.25,18.28", "los_probability: must lie in [0, 1]; got 1.5"),
 ])
 def test_bad_channel_table_row_fails_cleanly(tmp_path, capsys, row, message):
     # each case edits the bundled row of its elevation bin
@@ -158,11 +161,31 @@ def test_bad_channel_table_row_fails_cleanly(tmp_path, capsys, row, message):
     line_no = table.read_text().splitlines().index(row) + 1
     scenario = tmp_path / "edited.cfg"
     scenario.write_text(f"ntn_table_path = {table}\n")
-    for command in ("run", "consumption"):
-        assert main([command, "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    out = ["--out", str(tmp_path / "out")]
+    for command in (["run", *out], ["consumption", *out], ["validate"]):
+        assert main([*command, "--config", str(scenario)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {table}, line {line_no}: {message}\n"
         # the output directory is created only after the work succeeded
+        assert not (tmp_path / "out").exists()
+
+
+def test_channel_table_row_out_of_order_fails_cleanly(tmp_path, capsys):
+    # the bundled 40-degree row moved before the 30-degree one
+    bundled = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_text()
+    row_30, row_40 = (next(line for line in bundled.splitlines() if line.startswith(f"{e},"))
+                      for e in (30, 40))
+    table = tmp_path / "table.csv"
+    table.write_text(bundled.replace(f"{row_30}\n{row_40}\n", f"{row_40}\n{row_30}\n"))
+    assert table.read_text() != bundled
+    line_no = table.read_text().splitlines().index(row_30) + 1
+    scenario = tmp_path / "swapped.cfg"
+    scenario.write_text(f"ntn_table_path = {table}\n")
+    out = ["--out", str(tmp_path / "out")]
+    for command in (["run", *out], ["consumption", *out], ["validate"]):
+        assert main([*command, "--config", str(scenario)]) == 1
+        assert capsys.readouterr().err == (f"error: {table}, line {line_no}: elevation_deg: "
+                                           "must be strictly increasing; got 30 after 40\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -237,12 +260,12 @@ def test_workers_flag_matches_serial_run(tmp_path):
 ARTIFACTS = ("users.csv", "report.txt", "cdf_dl.txt", "cdf_ul.txt")
 
 
-def _hapsim_process(*args):
+def _hapsim_process(*args, cwd=None):
     """``python -m hapsim.cli`` in a child process importing the hapsim under test."""
     path = [str(Path(hapsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, "-m", "hapsim.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
 
 
 def test_module_run_writes_what_main_writes(tmp_path, capsys):
@@ -286,16 +309,24 @@ def test_channel_table_that_is_not_utf8_fails_without_a_traceback(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["missing-table", "non-utf8-table", "unreachable-los-target"])
+@pytest.mark.parametrize("case", ["missing-table", "non-utf8-table", "unreachable-los-target",
+                                  "side-panels-tilted-up", "cell-centres-above-flat-panels"])
 def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys, case):
     table = tmp_path / "table.csv"
+    steering = "side_panel_tilt_deg, outer_cell_center_fraction: the centre of cell"
     if case == "missing-table":
         lines, named = f"ntn_table_path = {table}\n", str(table)
     elif case == "non-utf8-table":
         table.write_bytes(b"10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
         lines, named = f"ntn_table_path = {table}\n", str(table)
-    else:
+    elif case == "unreachable-los-target":
         lines, named = "layout = seven_cell\nterminal_count = 420\n", "LOS target 175/420"
+    elif case == "side-panels-tilted-up":
+        lines, named = "layout = seven_cell\nside_panel_tilt_deg = -70\n", steering
+    else:
+        # horizontal side panels see a centre 1 km out behind them from the flight circle
+        lines = "layout = seven_cell\nside_panel_tilt_deg = 0\nouter_cell_center_fraction = 0.01\n"
+        named = steering
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(lines)
     proc = _hapsim_process("validate", "--config", str(scenario))
@@ -306,6 +337,40 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
     # the same line that ``run`` prints for the same scenario
     assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == proc.stderr
+
+
+def test_validate_runs_the_campaign_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    proc = _hapsim_process("validate", "--preset", "multi-steering-omni-bp", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == dump_config(preset_config("multi-steering-omni-bp"))
+    assert list(tmp_path.iterdir()) == []
+    campaigns = []
+    monkeypatch.setattr("hapsim.cli.run_campaign", campaigns.append)
+    assert main(["validate", "--preset", "single-cell-rg", "--seed", "4"]) == 0
+    assert campaigns == [dataclasses.replace(preset_config("single-cell-rg"), seed=4)]
+
+
+def test_the_printed_scenario_is_the_whole_input(tmp_path, monkeypatch, capsys):
+    # the bundled table with 10 dB more NLOS clutter, named in the environment,
+    # which must play no part in a result
+    tables = NtnTables.default()
+    columns = [getattr(tables, f.name).tolist() for f in dataclasses.fields(tables)]
+    columns[-1] = [loss + 10.0 for loss in columns[-1]]
+    edited = tmp_path / "edited.csv"
+    edited.write_text("".join(",".join(map(repr, row)) + "\n" for row in zip(*columns)))
+    for preset in preset_names():
+        monkeypatch.setenv("HAPSIM_NTN_TABLES", str(edited))
+        by_preset, by_file = tmp_path / preset / "preset", tmp_path / preset / "file"
+        assert main(["run", "--preset", preset, "--out", str(by_preset)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--preset", preset]) == 0
+        printed = tmp_path / f"{preset}.cfg"  # the stem names the scenario in report.txt
+        printed.write_text(capsys.readouterr().out)
+        # the printout alone, run where the variable is unset
+        monkeypatch.delenv("HAPSIM_NTN_TABLES")
+        assert main(["run", "--config", str(printed), "--out", str(by_file)]) == 0
+        for name in ARTIFACTS:
+            assert (by_preset / name).read_bytes() == (by_file / name).read_bytes(), (preset, name)
 
 
 def test_repeated_calls_build_no_new_parser(monkeypatch, capsys):

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from hapsim.config import (
-    TABLE_PATH_ENV_VAR,
     ScenarioConfig,
     dump_config,
     load_config,
@@ -209,10 +208,11 @@ def test_preset_catalogue():
         preset_config("multi-anything")
 
 
-def test_table_path_resolution_precedence(monkeypatch):
-    monkeypatch.delenv(TABLE_PATH_ENV_VAR, raising=False)
+def test_table_path_resolves_from_the_key_alone(monkeypatch):
+    # a table path in the environment plays no part
+    monkeypatch.setenv("HAPSIM_NTN_TABLES", "/tmp/alt.csv")
     assert ScenarioConfig().resolved_table_path() is None
-    monkeypatch.setenv(TABLE_PATH_ENV_VAR, "/tmp/alt.csv")
-    assert ScenarioConfig().resolved_table_path() == "/tmp/alt.csv"
     explicit = ScenarioConfig(ntn_table_path="/etc/custom.csv")
     assert explicit.resolved_table_path() == "/etc/custom.csv"
+    parsed = parse_config("ntn_table_path = /etc/custom.csv\n")
+    assert parsed.resolved_table_path() == "/etc/custom.csv"

@@ -418,12 +418,12 @@ def test_coblock_interference_matches_the_loop_sum(serving, offset, seed):
     ul_rx_dbm = rng.uniform(-130.0, -60.0, n)
     gains = rng.uniform(-20.0, 30.0, (7, n))
     counts = np.bincount(serving, minlength=7)
-    got = _coblock_interference(serving, counts, ul_rx_dbm, gains, offset)
+    power = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
+    got = _coblock_interference(serving, counts, power, offset)
     assert got.shape == (counts.max(), n)
-    # the kernel's own received powers, so only the summation is compared:
+    # the powers the kernel is given, so only the summation is compared:
     # each terminal's interferers are added in beam order, starting from zero
     # (a beam holds a slot once, so terminals sorted by beam are in beam order)
-    power = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
     by_beam = np.argsort(serving, kind="stable")
     for j, row in enumerate(got):
         slots = ul_slot_assignments(serving, offset=offset + j)
