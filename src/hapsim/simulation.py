@@ -194,9 +194,10 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
             if int(los.sum()) == target_los:
                 break
         else:
-            raise ConfigError(
+            raise ValidationError(
+                ("terminal_count", "target_los_count"),
                 f"could not hit LOS target {target_los}/{n} (expected LOS count "
-                f"{p_los.sum():.1f}); check the target against the elevation profile"
+                f"{p_los.sum():.1f}); check the target against the elevation profile",
             )
 
     sigma = np.where(los, tables.shadow_std_los_db[bins], tables.shadow_std_nlos_db[bins])

@@ -320,7 +320,8 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
         table.write_bytes(b"10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
         lines, named = f"ntn_table_path = {table}\n", str(table)
     elif case == "unreachable-los-target":
-        lines, named = "layout = seven_cell\nterminal_count = 420\n", "LOS target 175/420"
+        lines = "layout = seven_cell\nterminal_count = 420\n"
+        named = "terminal_count, target_los_count: could not hit LOS target 175/420"
     elif case == "side-panels-tilted-up":
         lines, named = "layout = seven_cell\nside_panel_tilt_deg = -70\n", steering
     else:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapsim.config import (
     ScenarioConfig,
@@ -14,6 +15,34 @@ from hapsim.config import (
     preset_names,
 )
 from hapsim.errors import ConfigError, ConfigSyntaxError, ValidationError
+
+FIELDS = dataclasses.fields(ScenarioConfig)
+NUMERIC = [f.name for f in FIELDS if f.type.startswith(("int", "float"))]
+FLOATS = [f.name for f in FIELDS if f.type.startswith("float")]
+AUTO = ("terminal_count", "cell_radius_m", "target_los_count")
+
+
+def _domain(f: dataclasses.Field) -> tuple[float, float]:
+    """The bounds a numeric key admits; a number without a declared domain need only be finite."""
+    lo, hi, _ = f.metadata.get("range", (-math.inf, math.inf, None))
+    return lo, hi
+
+
+def _out_of_domain(f: dataclasses.Field) -> list[str]:
+    """Scenario-text values outside a key's domain; none for a key without one."""
+    if "choices" in f.metadata:
+        return ["mesh"]
+    if f.name not in NUMERIC:
+        return []
+    lo, hi = _domain(f)
+    values = ["inf", "-inf"] if lo == -math.inf else ["-1" if lo == 0 else "0"]
+    return values + ["2"] * (hi == 1)
+
+
+def _closed_bounds(f: dataclasses.Field) -> list[str]:
+    """Scenario-text bounds a key admits: 0 when non-negative, 1 for a fraction."""
+    lo, hi = _domain(f)
+    return ["0"] * (lo == 0) + ["1"] * (hi == 1)
 
 
 def test_empty_text_is_the_baseline():
@@ -78,13 +107,77 @@ def test_unknown_key_names_source_and_line():
     assert err.value.line_no == 3
 
 
-@pytest.mark.parametrize("key", ["altitude_m", "panel_tx_power_dbm", "dl_bandwidth_hz",
-                                 "cell_radius_m", "ul_se_max"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# an int key read from a file is never infinite, so only nan is tried for it
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{value}-{key}") for key in NUMERIC
+    for value in ((math.nan, math.inf, -math.inf) if key in FLOATS else (math.nan,))
+])
 def test_non_finite_values_rejected(key, value):
-    with pytest.raises(ValidationError, match="must be finite") as err:
+    with pytest.raises(ValidationError, match=f"must be finite; got {value}$") as err:
         ScenarioConfig(**{key: value}).validate()
     assert err.value.field == key
+
+
+def test_every_key_but_the_bools_and_the_table_path_has_a_domain():
+    assert [f.name for f in FIELDS if not _out_of_domain(f)] == [
+        "repeater_output_limit", "bp_repeater_noise_at_ue", "ntn_table_path"]
+
+
+@pytest.mark.parametrize("key, raw", [(f.name, raw) for f in FIELDS for raw in _out_of_domain(f)])
+def test_out_of_domain_value_names_its_key_and_line(key, raw):
+    with pytest.raises(ValidationError, match=rf"^s\.cfg, line 2: {key}: .*; got ") as err:
+        parse_config(f"# out of domain on the next line\n{key} = {raw}\n", source="s.cfg")
+    assert err.value.field == key
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("key, raw", [(f.name, raw) for f in FIELDS for raw in _closed_bounds(f)])
+def test_closed_domain_bounds_are_accepted(key, raw):
+    cfg = parse_config(f"{key} = {raw}\n")
+    assert getattr(cfg, key) == float(raw)
+
+
+def test_the_first_invalid_key_in_declaration_order_is_named():
+    # seed is declared before the three other keys, whatever their domains
+    with pytest.raises(ValidationError, match="^<string>, line 4: seed: ") as err:
+        parse_config("workers = 0\naltitude_m = nan\nbp_ul_noise = loud\nseed = -1\n")
+    assert err.value.line_no == 4
+
+
+def _admitted(f: dataclasses.Field) -> st.SearchStrategy:
+    """Any value a key's domain admits."""
+    if "choices" in f.metadata:
+        return st.sampled_from(f.metadata["choices"])
+    if f.type == "bool":
+        return st.booleans()
+    if f.type == "str":
+        return st.from_regex(r"[\w./-]*", fullmatch=True)
+    lo, hi = _domain(f)
+    if f.type.startswith("int"):
+        values = st.integers(min_value=math.ceil(lo))
+    else:
+        values = st.floats(min_value=lo if lo > -math.inf else None,
+                           max_value=hi if hi < math.inf else None,
+                           allow_nan=False, allow_infinity=False)
+    return st.none() | values if f.name in AUTO else values
+
+
+@st.composite
+def _configs(draw) -> ScenarioConfig:
+    cfg = ScenarioConfig(**{f.name: draw(_admitted(f)) for f in FIELDS})
+    # the three checks across keys
+    cfg.flight_angular_step_deg = 360.0 / cfg.flight_position_count
+    cfg.ul_allocation_hz, cfg.dl_bandwidth_hz = sorted((cfg.ul_allocation_hz, cfg.dl_bandwidth_hz))
+    target = cfg.resolved_target_los_count()
+    if target is not None and target > cfg.resolved_terminal_count():
+        cfg.terminal_count = target
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_any_admitted_config_round_trips_through_its_dump(cfg):
+    assert parse_config(dump_config(cfg)) == cfg
 
 
 def test_invalid_value_names_source_and_line():

@@ -235,8 +235,9 @@ def test_unreachable_los_target_fails_before_any_redraw():
     # about 354 LOS: no redraw can plausibly hit it
     t = NtnTables.default()
     rng = np.random.default_rng(4)
-    with pytest.raises(ConfigError, match="LOS target 175/420"):
+    with pytest.raises(ValidationError, match="LOS target 175/420") as err:
         drop_terminals(420, 100_000.0, "ue_omni", t, rng, CENTER, target_los=175)
+    assert err.value.fields == ("terminal_count", "target_los_count")
     untouched = np.random.default_rng(4)
     untouched.random(420), untouched.random(420)  # the radii and angles of the drop
     assert rng.random() == untouched.random()
