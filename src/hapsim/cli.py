@@ -91,8 +91,9 @@ def _cmd_consumption(args) -> int:
     )
     platform = Point3(0.0, 0.0, cfg.altitude_m)
     gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
+    _, xs, ys, *_ = zip(*terminals)
     assessment = consumption_mod.haps_relay_assessment(
-        [t.x for t in terminals], [t.y for t in terminals], platform, gateway,
+        xs, ys, platform, gateway,
         cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source,
     )
     out = Path(args.out)

@@ -35,11 +35,23 @@ def _overwrite(path, text: str) -> None:
         fh.truncate()
 
 
+def _column_text(c: np.ndarray) -> list[str]:
+    """Bools as 1/0, the rest by ``str``; a float column of one bit pattern takes one ``str``."""
+    if c.dtype == bool:
+        return np.where(c, "1", "0").tolist()
+    if c.dtype == float and c.size and (c.view(np.uint64) == c[:1].view(np.uint64)).all():
+        return [str(c[0].item())] * c.size
+    return list(map(str, c.tolist()))
+
+
 def _write_csv(path, columns: dict) -> None:
-    """A CSV of equal-length columns, named by the keys: bools as 1/0, the rest by ``str``."""
-    text = [np.where(c, "1", "0").tolist() if c.dtype == bool else list(map(str, c.tolist()))
-            for c in map(np.asarray, columns.values())]
-    lines = [",".join(columns), *map(",".join, zip(*text))]
+    """A CSV of equal-length columns, named by the keys; each distinct column is formatted once."""
+    # keyed on the caller's objects, which ``columns`` keeps alive, so no id is reused
+    text = {}
+    for c in columns.values():
+        if id(c) not in text:
+            text[id(c)] = _column_text(np.asarray(c))
+    lines = [",".join(columns), *map(",".join, zip(*(text[id(c)] for c in columns.values())))]
     _overwrite(path, "\n".join(lines) + "\n")
 
 

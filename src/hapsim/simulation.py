@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +110,7 @@ def aggregate_se(per_user_se) -> AggregateStats:
 # ----------------------------------------------------------------------
 # Layout and terminal drop
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(NamedTuple):
     """One dropped terminal with its frozen channel state."""
 
     terminal_id: int
@@ -203,17 +204,8 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     sigma = np.where(los, tables.shadow_std_los_db[bins], tables.shadow_std_nlos_db[bins])
     shadow = rng.normal(0.0, sigma)
 
-    return [
-        Terminal(
-            terminal_id=i,
-            x=float(xs[i]),
-            y=float(ys[i]),
-            kind=kind,
-            los=bool(los[i]),
-            shadow_db=float(shadow[i]),
-        )
-        for i in range(n)
-    ]
+    return list(map(Terminal, range(n), xs.tolist(), ys.tolist(), repeat(kind),
+                    los.tolist(), shadow.tolist()))
 
 
 def _load_tables(config: ScenarioConfig) -> channel.NtnTables:
@@ -383,10 +375,10 @@ class CampaignResult:
 
     def user_columns(self) -> dict[str, list]:
         """The ``users.csv`` columns as lists of Python values, in terminal-id order."""
-        ts, dl, ul = self.terminals, self.dl_se, self.ul_se
+        ids, xs, ys, kinds, los, _ = map(list, zip(*self.terminals))
+        dl, ul = self.dl_se, self.ul_se
         return dict(zip(USER_CSV_COLUMNS, (
-            [t.terminal_id for t in ts], [t.x for t in ts], [t.y for t in ts],
-            [t.kind for t in ts], [t.los for t in ts], self.serving_cell.tolist(),
+            ids, xs, ys, kinds, los, self.serving_cell.tolist(),
             dl.tolist(), ul.tolist(), ((dl == 0.0) | (ul == 0.0)).tolist(),
         )))
 
@@ -412,9 +404,8 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     # (P, n) per terminal, (P, beams, n) per beam and terminal.
     n = len(terminals)
     n_pos = cfg.flight_position_count
-    xy = np.array([[t.x, t.y] for t in terminals])
-    los = np.array([t.los for t in terminals])
-    shadow = np.array([t.shadow_db for t in terminals])
+    _, xs, ys, _, los, shadow = zip(*terminals)
+    xy, los, shadow = np.column_stack([xs, ys]), np.array(los), np.array(shadow)
     hpos = np.array([haps_position(pattern, k).as_array() for k in range(n_pos)])
     ground = np.column_stack([xy, np.zeros(n)])
     dirs = ground - hpos[:, None, :]  # platform -> terminal, for the antennas
