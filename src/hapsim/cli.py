@@ -80,22 +80,18 @@ def _cmd_consumption(args) -> int:
     cfg = _scenario_from_args(args)
     terminals, _ = build_drop(cfg)
 
-    h_relay = consumption_mod.repeater_chain_efficiency(
-        EfficiencyStage(10.0 ** (cfg.repeater_mixer_gain_db / 10.0), cfg.repeater_mixer_efficiency),
-        EfficiencyStage(10.0 ** (cfg.repeater_amp_gain_db / 10.0), cfg.repeater_amp_efficiency),
-    )
+    def stage(name):  # the ``<name>_gain_db`` and ``<name>_efficiency`` keys
+        gain_db, efficiency = getattr(cfg, f"{name}_gain_db"), getattr(cfg, f"{name}_efficiency")
+        return EfficiencyStage(10.0 ** (gain_db / 10.0), efficiency)
+
+    h_relay = consumption_mod.repeater_chain_efficiency(stage("repeater_mixer"), stage("repeater_amp"))
     h_source = consumption_mod.base_station_chain_efficiency(
-        EfficiencyStage(10.0 ** (cfg.bs_baseband_gain_db / 10.0), cfg.bs_baseband_efficiency),
-        EfficiencyStage(10.0 ** (cfg.bs_mixer_gain_db / 10.0), cfg.bs_mixer_efficiency),
-        EfficiencyStage(10.0 ** (cfg.bs_amp_gain_db / 10.0), cfg.bs_amp_efficiency),
-    )
+        stage("bs_baseband"), stage("bs_mixer"), stage("bs_amp"))
     platform = Point3(0.0, 0.0, cfg.altitude_m)
     gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
     _, xs, ys, *_ = zip(*terminals)
     assessment = consumption_mod.haps_relay_assessment(
-        xs, ys, platform, gateway,
-        cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source,
-    )
+        xs, ys, platform, gateway, cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_mod.write_consumption_csv(out / "consumption.csv", assessment)

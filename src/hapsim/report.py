@@ -47,10 +47,8 @@ def _column_text(c: np.ndarray) -> list[str]:
 def _write_csv(path, columns: dict) -> None:
     """A CSV of equal-length columns, named by the keys; each distinct column is formatted once."""
     # keyed on the caller's objects, which ``columns`` keeps alive, so no id is reused
-    text = {}
-    for c in columns.values():
-        if id(c) not in text:
-            text[id(c)] = _column_text(np.asarray(c))
+    distinct = {id(c): c for c in columns.values()}
+    text = {key: _column_text(np.asarray(c)) for key, c in distinct.items()}
     lines = [",".join(columns), *map(",".join, zip(*(text[id(c)] for c in columns.values())))]
     _overwrite(path, "\n".join(lines) + "\n")
 

@@ -219,17 +219,10 @@ def build_drop(config: ScenarioConfig) -> tuple[list[Terminal], channel.NtnTable
     """The campaign drop implied by a configuration (seed included)."""
     config.validate()
     tables = _load_tables(config)
-    rng = np.random.default_rng(config.seed)
-    center = Point3(0.0, 0.0, config.altitude_m)
     terminals = drop_terminals(
-        config.resolved_terminal_count(),
-        config.resolved_cell_radius_m(),
-        config.terminal_kind,
-        tables,
-        rng,
-        center,
-        config.resolved_target_los_count(),
-    )
+        config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,
+        tables, np.random.default_rng(config.seed), Point3(0.0, 0.0, config.altitude_m),
+        config.resolved_target_los_count())
     return terminals, tables
 
 
