@@ -186,17 +186,23 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         # one comparison per key: validate() runs once per scenario resolved
         values = self.__dict__
-        for field, choices, lo, hi, reason in _DOMAINS:
+        for field, choices, lo, hi, reason, integral in _DOMAINS:
             value = values[field]
             if choices is not None:
                 if value in choices:
                     continue
                 value = repr(value)
-            elif (value is None and field in _AUTO) or lo <= value <= hi:
+            elif ((value is None and field in _AUTO)
+                  or lo <= value <= hi and (not integral or isinstance(value, int))):
                 continue
             elif not -math.inf < value < math.inf:
                 reason = "must be finite"
+            elif lo <= value <= hi:
+                reason = "must be an integer"
             raise ValidationError(field, f"{reason}; got {value}")
+        path = self.ntn_table_path  # a value is parsed stripped and from one line: keep it so
+        if path != path.strip() or len(path.splitlines()) > 1:
+            raise ValidationError("ntn_table_path", f"must be one line without outer whitespace; got {path!r}")
         if not math.isclose(self.flight_position_count * self.flight_angular_step_deg, 360.0):
             raise ValidationError(
                 ("flight_position_count", "flight_angular_step_deg"),
@@ -222,17 +228,17 @@ _AUTO = _LAYOUT_DEFAULTS["single"].keys()
 
 
 def _domain_of(f: dataclasses.Field) -> tuple | None:
-    """``(field, choices, lo, hi, reason)`` for a key with a domain, else ``None``."""
+    """``(field, choices, lo, hi, reason, integral)`` for a key with a domain, else ``None``."""
     if "choices" in f.metadata:
         choices = f.metadata["choices"]
-        return f.name, choices, None, None, f"must be one of {', '.join(choices)}"
+        return f.name, choices, None, None, f"must be one of {', '.join(choices)}", False
     if not f.type.startswith(("int", "float")):
         return None
     lo, hi, reason = f.metadata.get("range", (-math.inf, math.inf, "must be finite"))
     if f.type.startswith("float"):
         # clipped to the finite floats: nan fails every comparison, +-inf these bounds
         lo, hi = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
-    return f.name, None, lo, hi, reason
+    return f.name, None, lo, hi, reason, f.type.startswith("int")
 
 
 # every key with a domain, in declaration order

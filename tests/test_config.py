@@ -15,10 +15,12 @@ from hapsim.config import (
     preset_names,
 )
 from hapsim.errors import ConfigError, ConfigSyntaxError, ValidationError
+from hapsim.simulation import run_campaign
 
 FIELDS = dataclasses.fields(ScenarioConfig)
 NUMERIC = [f.name for f in FIELDS if f.type.startswith(("int", "float"))]
 FLOATS = [f.name for f in FIELDS if f.type.startswith("float")]
+INTS = [f.name for f in FIELDS if f.type.startswith("int")]
 AUTO = ("terminal_count", "cell_radius_m", "target_los_count")
 
 
@@ -118,6 +120,28 @@ def test_non_finite_values_rejected(key, value):
     assert err.value.field == key
 
 
+# a scenario file parses an int key with ``int``; only in-process values can be other numbers
+@pytest.mark.parametrize("key, value, reason", [
+    pytest.param(key, value, reason, id=f"{value}-{key}") for key in INTS
+    for value, reason in ((0.5, "must be an integer"), (math.inf, "must be finite"))
+])
+def test_int_keys_reject_non_integers(key, value, reason):
+    with pytest.raises(ValidationError, match=f"^{key}: {reason}; got {value}$") as err:
+        ScenarioConfig(**{key: value}).validate()
+    assert err.value.field == key
+
+
+def test_a_non_integer_seed_fails_validation_before_the_campaign():
+    with pytest.raises(ValidationError, match="^seed: must be an integer; got 0.5$"):
+        run_campaign(ScenarioConfig(seed=0.5))
+
+
+@pytest.mark.parametrize("path", [" t.csv", "t.csv ", "\tt.csv", "t.csv\n", "a\nseed = 5"])
+def test_a_table_path_that_would_not_round_trip_is_rejected(path):
+    with pytest.raises(ValidationError, match="^ntn_table_path: must be one line without outer"):
+        ScenarioConfig(ntn_table_path=path).validate()
+
+
 def test_every_key_but_the_bools_and_the_table_path_has_a_domain():
     assert [f.name for f in FIELDS if not _out_of_domain(f)] == [
         "repeater_output_limit", "bp_repeater_noise_at_ue", "ntn_table_path"]
@@ -151,7 +175,7 @@ def _admitted(f: dataclasses.Field) -> st.SearchStrategy:
     if f.type == "bool":
         return st.booleans()
     if f.type == "str":
-        return st.from_regex(r"[\w./-]*", fullmatch=True)
+        return _PATHS
     lo, hi = _domain(f)
     if f.type.startswith("int"):
         values = st.integers(min_value=math.ceil(lo))
@@ -160,6 +184,20 @@ def _admitted(f: dataclasses.Field) -> st.SearchStrategy:
                            max_value=hi if hi < math.inf else None,
                            allow_nan=False, allow_infinity=False)
     return st.none() | values if f.name in AUTO else values
+
+
+_PATHS = st.from_regex(r"[\w./-]*", fullmatch=True)
+_EDGES = st.sampled_from(["", " ", "\t", "\n"])  # what parsing strips from a value
+_BREAKS = st.sampled_from(["", "\n", "\r", "\u2028"])  # what splits scenario text into lines
+
+
+@st.composite
+def _table_paths(draw) -> tuple[str, bool]:
+    """A table path, and whether it is one line without outer whitespace."""
+    if draw(st.booleans()):
+        return draw(_PATHS), True
+    lead, brk, trail = draw(st.tuples(_EDGES, _BREAKS, _EDGES).filter(any))
+    return lead + draw(_PATHS) + brk + draw(_PATHS) + trail, False
 
 
 @st.composite
@@ -174,10 +212,15 @@ def _configs(draw) -> ScenarioConfig:
     return cfg
 
 
-@settings(max_examples=60, deadline=None)
-@given(_configs())
-def test_any_admitted_config_round_trips_through_its_dump(cfg):
-    assert parse_config(dump_config(cfg)) == cfg
+@settings(max_examples=120, deadline=None)
+@given(_configs(), _table_paths())
+def test_any_admitted_config_round_trips_through_its_dump(cfg, table_path):
+    cfg.ntn_table_path, one_clean_line = table_path
+    if one_clean_line:
+        assert parse_config(dump_config(cfg)) == cfg
+    else:  # a padded or broken path would not parse back: validate() rejects it
+        with pytest.raises(ValidationError, match="^ntn_table_path: "):
+            cfg.validate()
 
 
 def test_invalid_value_names_source_and_line():

@@ -6,6 +6,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hapsim import report
@@ -211,6 +212,44 @@ def test_csv_writers_match_the_per_value_reference(tmp_path, monkeypatch, case):
     verdicts = zip(*(getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS))
     want = _reference_csv(CONSUMPTION_CSV_COLUMNS, verdicts)
     assert (out / "consumption.csv").read_bytes() == want
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+_FLOATS = st.floats(allow_subnormal=True) | _SIGNED_ZEROS | st.sampled_from([5e-324, -5e-324])
+
+
+def _column(n: int) -> st.SearchStrategy:
+    """A column of ``n`` values, as an array or a list."""
+    arrays = st.one_of(
+        st.lists(_FLOATS, min_size=n, max_size=n).map(np.array),
+        _FLOATS.map(lambda v: np.full(n, v)),  # one bit pattern
+        st.lists(_SIGNED_ZEROS, min_size=n, max_size=n).map(np.array),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n).map(np.array),
+    )
+    return arrays | arrays.map(np.ndarray.tolist)
+
+
+@st.composite
+def _csv_columns(draw) -> dict:
+    """Named columns, some of them the same object as an earlier one."""
+    n = draw(st.integers(0, 6))
+    columns = {}
+    for i in range(draw(st.integers(1, 6))):
+        if columns and draw(st.booleans()):
+            columns[f"c{i}"] = columns[draw(st.sampled_from(sorted(columns)))]
+        else:
+            columns[f"c{i}"] = draw(_column(n))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_csv_columns())
+def test_csv_writer_matches_the_per_value_reference(tmp_path_factory, columns):
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+    report._write_csv(path, columns)
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    assert path.read_bytes() == _reference_csv(columns, rows)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hapsim.channel import NtnTables
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.errors import ConfigError, DomainError, HapsimError, ValidationError
-from hapsim.geometry import Point3
+from hapsim.geometry import Point3, link_geometry
 from hapsim.report import format_report
 from hapsim.simulation import (
     AggregateStats,
@@ -211,6 +211,44 @@ def test_drop_draws_los_and_shadow_from_the_table():
     assert abs(shadow[los].std() - 1.79) < 0.1
     assert abs(shadow[~los].std() - 8.93) < 0.4
     assert abs(shadow[los].mean()) < 0.1
+
+
+class _Recorder:
+    """A seeded generator that keeps every array ``drop_terminals`` draws from it."""
+
+    def __init__(self, seed: int):
+        self.rng, self.uniform, self.gaussian = np.random.default_rng(seed), [], []
+
+    def random(self, n):
+        self.uniform.append(self.rng.random(n))
+        return self.uniform[-1]
+
+    def normal(self, loc, scale):
+        self.gaussian.append(self.rng.normal(loc, scale))
+        return self.gaussian[-1]
+
+
+@pytest.mark.parametrize("target_los", [None, 17])
+def test_drop_records_hold_the_drawn_arrays(target_los):
+    t, rng = NtnTables.default(), _Recorder(5)
+    terms = drop_terminals(20, 60_000.0, "ue_omni", t, rng, CENTER, target_los)
+    radii, angles, *_, los_draw = rng.uniform  # redraws keep only the last LOS draw
+    radius, theta = 60_000.0 * np.sqrt(radii), angles * 2.0 * np.pi
+    xs, ys = radius * np.cos(theta), radius * np.sin(theta)
+    elevation, _ = link_geometry(np.column_stack([xs, ys, np.zeros(20)]), CENTER)
+    los = los_draw < t.los_probability[t.bin_indices(elevation)]
+    (shadow,) = rng.gaussian
+
+    ids, x, y, kinds, los_col, shadow_col = map(list, zip(*terms))
+    assert ids == list(range(20))
+    assert x == xs.tolist() and y == ys.tolist()
+    assert kinds == ["ue_omni"] * 20
+    assert los_col == los.tolist()
+    assert shadow_col == shadow.tolist()
+    assert {type(v) for v in x + y + shadow_col} == {float}
+    assert {type(v) for v in los_col} == {bool}
+    with pytest.raises(AttributeError):
+        terms[0].x = 0.0
 
 
 def test_drop_validation():
