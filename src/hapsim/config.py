@@ -200,7 +200,7 @@ class ScenarioConfig:
             elif lo <= value <= hi:
                 reason = "must be an integer"
             raise ValidationError(field, f"{reason}; got {value}")
-        path = self.ntn_table_path  # a value is parsed stripped and from one line: keep it so
+        path = self.ntn_table_path  # parsing strips a value and reads one line: only so it round-trips
         if path != path.strip() or len(path.splitlines()) > 1:
             raise ValidationError("ntn_table_path", f"must be one line without outer whitespace; got {path!r}")
         if not math.isclose(self.flight_position_count * self.flight_angular_step_deg, 360.0):

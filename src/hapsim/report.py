@@ -39,9 +39,11 @@ def _column_text(c: np.ndarray) -> list[str]:
     """Bools as 1/0, the rest by ``str``; a float column of one bit pattern takes one ``str``."""
     if c.dtype == bool:
         return np.where(c, "1", "0").tolist()
-    if c.dtype == float and c.size and (c.view(np.uint64) == c[:1].view(np.uint64)).all():
-        return [str(c[0].item())] * c.size
-    return list(map(str, c.tolist()))
+    values = c.tolist()  # equal ends first: most columns skip the bitwise test
+    if (c.dtype == float and values and values[0] == values[-1]
+            and (c.view(np.uint64) == c[:1].view(np.uint64)).all()):
+        return [str(values[0])] * len(values)
+    return list(map(str, values))
 
 
 def _write_csv(path, columns: dict) -> None:
