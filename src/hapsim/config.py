@@ -193,7 +193,7 @@ class ScenarioConfig:
                     continue
                 value = repr(value)
             elif ((value is None and field in _AUTO)
-                  or lo <= value <= hi and (not integral or isinstance(value, int))):
+                  or lo <= value <= hi and (not integral or hasattr(value, "__index__"))):
                 continue
             elif not -math.inf < value < math.inf:
                 reason = "must be finite"

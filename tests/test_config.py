@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +130,12 @@ def test_int_keys_reject_non_integers(key, value, reason):
     with pytest.raises(ValidationError, match=f"^{key}: {reason}; got {value}$") as err:
         ScenarioConfig(**{key: value}).validate()
     assert err.value.field == key
+
+
+@pytest.mark.parametrize("key", INTS)
+def test_int_keys_take_numpy_integers(key):
+    value = getattr(ScenarioConfig(), key) or {"terminal_count": 20, "target_los_count": 17}[key]
+    assert ScenarioConfig(**{key: np.int64(value)}).validate() == ScenarioConfig(**{key: value})
 
 
 def test_a_non_integer_seed_fails_validation_before_the_campaign():
