@@ -245,7 +245,7 @@ def _csv_columns(draw) -> dict:
 
 @settings(max_examples=200, deadline=None)
 @given(columns=_csv_columns())
-def test_csv_writer_matches_the_per_value_reference(tmp_path_factory, columns):
+def test_any_columns_match_the_per_value_reference(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "columns.csv"
     report._write_csv(path, columns)
     rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
