@@ -184,7 +184,7 @@ class ScenarioConfig:
         return self.ntn_table_path or None
 
     def validate(self) -> "ScenarioConfig":
-        # one comparison per key: validate() runs once per scenario resolved
+        # one bounds and type test per key: validate() runs once per scenario resolved
         values = self.__dict__
         for field, choices, lo, hi, reason, integral in _DOMAINS:
             value = values[field]
@@ -192,13 +192,14 @@ class ScenarioConfig:
                 if value in choices:
                     continue
                 value = repr(value)
-            elif ((value is None and field in _AUTO)
-                  or lo <= value <= hi and (not integral or hasattr(value, "__index__"))):
+            elif ((value is None and field in _AUTO)  # a bool is an int, but prints as true/false
+                  or lo <= value <= hi and type(value) is not bool
+                  and (not integral or hasattr(value, "__index__"))):
                 continue
             elif not -math.inf < value < math.inf:
                 reason = "must be finite"
-            elif lo <= value <= hi:
-                reason = "must be an integer"
+            elif type(value) is bool or lo <= value <= hi:
+                reason = "must be an integer" if integral else "must be a number"
             raise ValidationError(field, f"{reason}; got {value}")
         path = self.ntn_table_path  # parsing strips a value and reads one line: only so it round-trips
         if path != path.strip() or len(path.splitlines()) > 1:

@@ -132,6 +132,17 @@ def test_int_keys_reject_non_integers(key, value, reason):
     assert err.value.field == key
 
 
+# a bool is an int, but dump_config prints it as true/false, which no numeric key parses
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{value}-{key}") for key in NUMERIC for value in (True, False)
+])
+def test_numeric_keys_reject_bools(key, value):
+    reason = "must be an integer" if key in INTS else "must be a number"
+    with pytest.raises(ValidationError, match=f"^{key}: {reason}; got {value}$") as err:
+        ScenarioConfig(**{key: value}).validate()
+    assert err.value.field == key
+
+
 @pytest.mark.parametrize("key", INTS)
 def test_int_keys_take_numpy_integers(key):
     value = getattr(ScenarioConfig(), key) or {"terminal_count": 20, "target_los_count": 17}[key]
