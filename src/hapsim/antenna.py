@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OutOfCoverageError
+from .errors import ConfigError, OutOfCoverageError, checked_record
 
 __all__ = [
     "ElementPattern",
@@ -34,23 +34,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ElementPattern:
+class ElementPattern(checked_record("ElementPattern", "peak_gain_dbi hpbw_deg front_to_back_db", (30.0,))):
     """Quadratic-rolloff radiating element (or standalone antenna).
 
     The pattern is rotationally symmetric: one half-power beamwidth
     applies in both principal planes.
     """
 
-    peak_gain_dbi: float
-    hpbw_deg: float
-    front_to_back_db: float = 30.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.hpbw_deg <= 0:
             raise ConfigError("half-power beamwidth must be positive")
         if self.front_to_back_db <= 0:
             raise ConfigError("front-to-back ratio must be positive")
+        return self
 
 
 def element_gain(pattern: ElementPattern, az_off_deg, el_off_deg):

@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, read_utf8
+from .errors import ConfigError, DomainError, checked_record, read_utf8
 from .geometry import link_geometry
 
 __all__ = [
@@ -50,33 +49,30 @@ def fspl(frequency_hz, distance_m):
     return loss
 
 
-@dataclass(frozen=True)
-class NtnTables:
-    """Elevation-binned large-scale channel statistics."""
+class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shadow_std_los_db "
+                                            "shadow_std_nlos_db clutter_loss_nlos_db")):
+    """Elevation-binned large-scale channel statistics, one float array per column."""
 
-    elevation_deg: np.ndarray
-    los_probability: np.ndarray
-    shadow_std_los_db: np.ndarray
-    shadow_std_nlos_db: np.ndarray
-    clutter_loss_nlos_db: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self = super().__new__(cls, *(np.asarray(column, dtype=float) for column in self))
         n = len(self.elevation_deg)
         if n == 0:
             raise ConfigError("channel table has no rows")
-        for f in fields(self):
-            column = np.asarray(getattr(self, f.name), dtype=float)
-            object.__setattr__(self, f.name, column)
+        for name, column in zip(self._fields, self):
             if len(column) != n:
-                raise ConfigError(f"channel table column {f.name} has wrong length")
+                raise ConfigError(f"channel table column {name} has wrong length")
             if not np.all(np.isfinite(column)):
-                raise ConfigError(f"channel table column {f.name} must be finite")
+                raise ConfigError(f"channel table column {name} must be finite")
         if np.any(np.diff(self.elevation_deg) <= 0):
             raise ConfigError("elevation bins must be strictly increasing")
         if np.any((self.los_probability < 0) | (self.los_probability > 1)):
             raise ConfigError("LOS probabilities must lie in [0, 1]")
         if np.any(self.shadow_std_los_db < 0) or np.any(self.shadow_std_nlos_db < 0):
             raise ConfigError("shadow-fading sigmas must be non-negative")
+        return self
 
     @classmethod
     def from_file(cls, path) -> "NtnTables":
@@ -89,7 +85,7 @@ class NtnTables:
         LOS probabilities in [0, 1] and the shadow sigmas non-negative; an
         error names the file, the line and the column.
         """
-        columns = [f.name for f in fields(cls)]
+        columns = cls._fields
         rows, header_seen = [], False
         for line_no, raw in enumerate(read_utf8(path).splitlines(), 1):
             line = raw.strip()
@@ -130,8 +126,8 @@ class NtnTables:
         ref = resources.files("hapsim.data") / DEFAULT_TABLE_RESOURCE
         with resources.as_file(ref) as path:
             tables = cls.from_file(path)
-        for f in fields(tables):
-            getattr(tables, f.name).flags.writeable = False
+        for column in tables:
+            column.flags.writeable = False
         return tables
 
     def bin_indices(self, elevation_deg) -> np.ndarray:

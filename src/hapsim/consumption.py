@@ -23,12 +23,11 @@ first term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, checked_record
 from .geometry import Point3, link_geometry
 
 __all__ = [
@@ -43,20 +42,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EfficiencyStage:
+class EfficiencyStage(checked_record("EfficiencyStage", "gain efficiency")):
     """One active stage: linear power gain and drain efficiency."""
 
-    gain: float
-    efficiency: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.gain <= 0:
             raise DomainError(f"stage gain must be positive, got {self.gain}")
         if not 0 < self.efficiency <= 1:
             raise DomainError(
                 f"stage efficiency must lie in (0, 1], got {self.efficiency}"
             )
+        return self
 
 
 def power_efficiency_factor(stages: Sequence[EfficiencyStage]) -> float:
@@ -88,23 +87,18 @@ def base_station_chain_efficiency(baseband_amp: EfficiencyStage,
     return power_efficiency_factor([baseband_amp, mixer, rf_amp])
 
 
-@dataclass(frozen=True)
-class RelayScenario:
+class RelayScenario(checked_record("RelayScenario", "d1_m d2_m d3_m relay_rx_gain sink_rx_gain "
+                                                    "relay_efficiency source_efficiency")):
     """Inputs of one relay-versus-direct comparison (gains linear).
 
     Any field may be an array; the fields broadcast against each other,
     and an array is rejected when any of its entries is out of range.
     """
 
-    d1_m: float
-    d2_m: float
-    d3_m: float
-    relay_rx_gain: float
-    sink_rx_gain: float
-    relay_efficiency: float
-    source_efficiency: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if np.any(self.d1_m < 0) or np.any(self.d2_m < 0):
             raise DomainError("relay path distances must be non-negative")
         if np.any(self.d3_m <= 0):
@@ -114,6 +108,7 @@ class RelayScenario:
         if not all(np.all((0 < eta) & (eta <= 1))
                    for eta in (self.relay_efficiency, self.source_efficiency)):
             raise DomainError("efficiency factors must lie in (0, 1]")
+        return self
 
 
 def relay_advantage(scenario: RelayScenario):
@@ -129,8 +124,7 @@ def relay_advantage(scenario: RelayScenario):
             + r2 * r2 / (s.relay_efficiency / s.source_efficiency))
 
 
-@dataclass(frozen=True)
-class RelayAssessment:
+class RelayAssessment(NamedTuple):
     """Relay verdicts of a deployment: one array entry per terminal.
 
     The fields are the columns of ``consumption.csv``, in its order.

@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator, and the input-file reader."""
+"""Exception types shared across the simulator, the checked-record base and the input-file reader."""
+
+from collections import namedtuple
 
 __all__ = [
     "HapsimError",
@@ -60,6 +62,17 @@ class OutOfCoverageError(HapsimError):
 
 class DomainError(HapsimError):
     """Numeric argument outside the mathematical domain of an operation."""
+
+
+def checked_record(name: str, fields: str, defaults=()):
+    """A named-tuple base whose subclass checks its values in ``__new__``.
+
+    ``_make``, and so ``_replace``, build through ``cls(...)``, so neither skips the check;
+    unpickling calls ``__new__`` as well.
+    """
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 def read_utf8(path) -> str:

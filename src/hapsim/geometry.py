@@ -16,11 +16,10 @@ campaign.  Two points give floats, arrays give arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import ConfigError, DegenerateGeometryError, checked_record
 
 __all__ = [
     "Point3",
@@ -30,35 +29,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point in the local frame.  z is height above ground, never negative."""
+class Point3(checked_record("Point3", "x y z")):
+    """A point ``(x, y, z)`` in the local frame.  z is height above ground, never negative."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.z < 0:
             raise ConfigError(f"point below ground: z={self.z}")
+        return self
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+        return np.array(self, dtype=float)
 
 
-@dataclass(frozen=True)
-class FlightPattern:
+class FlightPattern(checked_record("FlightPattern", "center diameter_m position_count angular_step_deg",
+                                   (Point3(0.0, 0.0, 20_000.0), 6_000.0, 12, 30.0))):
     """Circular station-keeping pattern sampled at fixed azimuth steps.
 
     Each position is a frozen snapshot, so the pattern has no speed.
     """
 
-    center: Point3 = field(default_factory=lambda: Point3(0.0, 0.0, 20_000.0))
-    diameter_m: float = 6_000.0
-    position_count: int = 12
-    angular_step_deg: float = 30.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.diameter_m <= 0:
             raise ConfigError("flight circle diameter must be positive")
         if self.position_count <= 0:
@@ -68,6 +64,7 @@ class FlightPattern:
                 "position_count * angular_step_deg must cover exactly one revolution, "
                 f"got {self.position_count} * {self.angular_step_deg}"
             )
+        return self
 
     @property
     def radius_m(self) -> float:
@@ -98,7 +95,7 @@ def link_geometry(a, b):
     Elevation is measured from a's local horizontal plane (positive when b
     is above it).  Every pair is one ray; any coincident pair is rejected.
     """
-    d = _coords(b) - _coords(a)
+    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     horizontal = np.hypot(dx, dy)
     slant = np.sqrt(horizontal * horizontal + dz * dz)
@@ -108,7 +105,3 @@ def link_geometry(a, b):
     if slant.ndim == 0:
         return float(elevation), float(slant)
     return elevation, slant
-
-
-def _coords(p) -> np.ndarray:
-    return p.as_array() if isinstance(p, Point3) else np.asarray(p, dtype=float)

@@ -10,7 +10,6 @@ leave an artifact incomplete or holding older bytes at its new length; rerun to 
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import numpy as np
@@ -98,9 +97,9 @@ def write_cdf(path, values) -> None:
     _overwrite(path, "\n".join(lines) + "\n")
 
 
-CONSUMPTION_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RelayAssessment))
+CONSUMPTION_CSV_COLUMNS = RelayAssessment._fields
 
 
 def write_consumption_csv(path, assessment: RelayAssessment) -> None:
     """Per-terminal relay-versus-direct verdicts."""
-    _write_csv(path, {c: getattr(assessment, c) for c in CONSUMPTION_CSV_COLUMNS})
+    _write_csv(path, assessment._asdict())

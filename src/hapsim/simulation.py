@@ -24,7 +24,6 @@ stay in linear units from the received powers to ``sinr_to_se``.  The
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -78,8 +77,7 @@ def sinr_to_se(sinr, attenuation: float, sinr_min_db: float, se_max: float):
 # ----------------------------------------------------------------------
 # Aggregation
 
-@dataclass(frozen=True)
-class AggregateStats:
+class AggregateStats(NamedTuple):
     """Campaign statistics over one link direction."""
 
     mean_se: float
@@ -354,8 +352,7 @@ USER_CSV_COLUMNS = (
 )
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """Everything a campaign produces, per terminal and aggregated."""
 
     config: ScenarioConfig
@@ -399,7 +396,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     n_pos = cfg.flight_position_count
     _, xs, ys, _, los, shadow = zip(*terminals)
     xy, los, shadow = np.column_stack([xs, ys]), np.array(los), np.array(shadow)
-    hpos = np.array([haps_position(pattern, k).as_array() for k in range(n_pos)])
+    hpos = np.array([haps_position(pattern, k) for k in range(n_pos)], dtype=float)
     ground = np.column_stack([xy, np.zeros(n)])
     dirs = ground - hpos[:, None, :]  # platform -> terminal, for the antennas
     elev, slant = link_geometry(ground, hpos[:, None, :])  # terminal -> platform

@@ -355,7 +355,7 @@ def test_the_printed_scenario_is_the_whole_input(tmp_path, monkeypatch, capsys):
     # the bundled table with 10 dB more NLOS clutter, named in the environment,
     # which must play no part in a result
     tables = NtnTables.default()
-    columns = [getattr(tables, f.name).tolist() for f in dataclasses.fields(tables)]
+    columns = [column.tolist() for column in tables]
     columns[-1] = [loss + 10.0 for loss in columns[-1]]
     edited = tmp_path / "edited.csv"
     edited.write_text("".join(",".join(map(repr, row)) + "\n" for row in zip(*columns)))

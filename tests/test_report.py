@@ -1,6 +1,5 @@
 """Artifact writers: per-user CSV, report text, CDF data."""
 
-import dataclasses
 import os
 import stat
 
@@ -270,4 +269,4 @@ def test_each_csv_has_one_schema(tmp_path, preset):
         assert ",".join(text) == line
     header = (tmp_path / "consumption.csv").read_text().splitlines()[0]
     assert header == ",".join(CONSUMPTION_CSV_COLUMNS)
-    assert CONSUMPTION_CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(RelayAssessment))
+    assert CONSUMPTION_CSV_COLUMNS == RelayAssessment._fields
