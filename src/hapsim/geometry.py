@@ -40,9 +40,6 @@ class Point3(checked_record("Point3", "x y z")):
             raise ConfigError(f"point below ground: z={self.z}")
         return self
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
 
 class FlightPattern(checked_record("FlightPattern", "center diameter_m position_count angular_step_deg",
                                    (Point3(0.0, 0.0, 20_000.0), 6_000.0, 12, 30.0))):

@@ -17,8 +17,8 @@ def test_point_below_ground_rejected():
 
 
 def test_point_as_array():
-    p = Point3(1.0, -2.0, 3.0)
-    assert_allclose(p.as_array(), [1.0, -2.0, 3.0])
+    p = Point3(1.0, -2.0, 3.0)  # a tuple, so numpy reads it as one row
+    assert_array_equal(np.asarray(p, dtype=float), [1.0, -2.0, 3.0])
 
 
 def test_default_pattern_closes_the_circle():
@@ -38,9 +38,9 @@ def test_positions_on_the_circle():
     p0 = haps_position(pat, 0)
     p3 = haps_position(pat, 3)
     p6 = haps_position(pat, 6)
-    assert_allclose(p0.as_array(), [3000.0, 0.0, 20000.0], atol=1e-9)
-    assert_allclose(p3.as_array(), [0.0, 3000.0, 20000.0], atol=1e-9)
-    assert_allclose(p6.as_array(), [-3000.0, 0.0, 20000.0], atol=1e-9)
+    assert_allclose(p0, [3000.0, 0.0, 20000.0], atol=1e-9)
+    assert_allclose(p3, [0.0, 3000.0, 20000.0], atol=1e-9)
+    assert_allclose(p6, [-3000.0, 0.0, 20000.0], atol=1e-9)
 
 
 def test_position_index_bounds():
