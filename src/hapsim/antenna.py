@@ -15,8 +15,6 @@ closed form; the explicit ``steering_weights`` serve as its reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, OutOfCoverageError, checked_record
@@ -67,35 +65,29 @@ def element_gain(pattern: ElementPattern, az_off_deg, el_off_deg):
     return gain
 
 
-@dataclass(eq=False)
 class Panel:
     """One planar antenna panel with a fixed mounting frame.
 
     ``col_axis``/``row_axis``/``boresight`` form the panel frame in global
-    coordinates; the panel is one co-polarized subarray, a ``rows`` x
-    ``cols`` grid centred on the panel, ``spacing_wl`` wavelengths apart.
-    Its gains are those of that subarray alone.
+    coordinates, each scaled to a unit vector; the panel is one
+    co-polarized subarray, a ``rows`` x ``cols`` grid centred on the panel,
+    ``spacing_wl`` wavelengths apart.  Its gains are those of that subarray
+    alone.  Panels compare by identity.
     """
 
-    element: ElementPattern
-    rows: int
-    cols: int
-    boresight: np.ndarray
-    col_axis: np.ndarray
-    row_axis: np.ndarray
-    spacing_wl: float = 0.5
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, element: ElementPattern, rows: int, cols: int,
+                 boresight, col_axis, row_axis, spacing_wl: float = 0.5):
+        if rows <= 0 or cols <= 0:
             raise ConfigError("panel dimensions must be positive")
-        if self.spacing_wl <= 0:
+        if spacing_wl <= 0:
             raise ConfigError("element spacing must be positive")
-        for name in ("boresight", "col_axis", "row_axis"):
-            vec = np.asarray(getattr(self, name), dtype=float)
+        self.element, self.rows, self.cols, self.spacing_wl = element, rows, cols, spacing_wl
+        for name, vec in (("boresight", boresight), ("col_axis", col_axis), ("row_axis", row_axis)):
+            vec = np.asarray(vec, dtype=float)
             norm = np.linalg.norm(vec)
             if norm == 0:
                 raise ConfigError(f"panel {name} must be a nonzero vector")
-            object.__setattr__(self, name, vec / norm)
+            setattr(self, name, vec / norm)
 
     @property
     def n_elements(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -55,7 +56,7 @@ _non_negative = _within(0, math.inf, "must be non-negative")
 _noise_figure = _within(0, math.inf, "must be non-negative: a noise figure below 0 dB is unphysical")
 
 
-@dataclass
+@dataclass(init=False, repr=False, eq=False)
 class ScenarioConfig:
     # Scenario selection
     architecture: str = _one_of("bp", "rg")
@@ -159,6 +160,22 @@ class ScenarioConfig:
     # in one thread whatever its value.
     workers: int = _positive(1)
 
+    # Written out, not generated: @dataclass would compile and run the source of these three
+    # methods for some 80 keys on every import of hapsim, most of its own import time.
+    def __init__(self, **values):
+        if values.keys() != _DEFAULTS.keys():  # dataclasses.replace passes every key
+            unknown = [key for key in values if key not in _DEFAULTS]
+            if unknown:
+                raise TypeError(f"ScenarioConfig.__init__() got an unexpected keyword argument {unknown[0]!r}")
+            values = {**_DEFAULTS, **values}
+        self.__dict__ = values
+
+    def __eq__(self, other):
+        return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, _FIELDS, _values(self)))})"
+
     # ------------------------------------------------------------------
     # Layout-dependent resolution
 
@@ -184,22 +201,25 @@ class ScenarioConfig:
         return self.ntn_table_path or None
 
     def validate(self) -> "ScenarioConfig":
-        # one bounds and type test per key: validate() runs once per scenario resolved
+        # one type and bounds test per key: validate() runs once per scenario resolved
         values = self.__dict__
-        for field, choices, lo, hi, reason, integral in _DOMAINS:
+        for field, choices, lo, hi, reason, kind in _DOMAINS:
             value = values[field]
             if choices is not None:
                 if value in choices:
                     continue
                 value = repr(value)
-            elif ((value is None and field in _AUTO)  # a bool is an int, but prints as true/false
-                  or lo <= value <= hi and type(value) is not bool
-                  and (not integral or hasattr(value, "__index__"))):
+            elif type(value) is kind and lo <= value <= hi or value is None and field in _AUTO:
                 continue
-            elif not -math.inf < value < math.inf:
+            elif isinstance(value, float) and not -math.inf < value < math.inf:
                 reason = "must be finite"
-            elif type(value) is bool or lo <= value <= hi:
-                reason = "must be an integer" if integral else "must be a number"
+            # only ints, and floats on a float key, print back: a bool prints as true/false, and
+            # numpy's bool and float32 neither print as nor parse back to the value that ran
+            elif type(value) is bool or not (hasattr(value, "__index__")
+                                             or kind is float and isinstance(value, float)):
+                reason, value = f"must be {'an integer' if kind is int else 'a number'}", repr(value)
+            elif lo <= value <= hi:
+                continue
             raise ValidationError(field, f"{reason}; got {value}")
         path = self.ntn_table_path  # parsing strips a value and reads one line: only so it round-trips
         if path != path.strip() or len(path.splitlines()) > 1:
@@ -225,11 +245,13 @@ class ScenarioConfig:
 # The key table, parsing and canonical dumping
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+_DEFAULTS = {name: f.default for name, f in _FIELDS.items()}
+_values = operator.attrgetter(*_FIELDS)  # every key's value, in declaration order
 _AUTO = _LAYOUT_DEFAULTS["single"].keys()
 
 
 def _domain_of(f: dataclasses.Field) -> tuple | None:
-    """``(field, choices, lo, hi, reason, integral)`` for a key with a domain, else ``None``."""
+    """``(field, choices, lo, hi, reason, kind)`` for a key with a domain, else ``None``."""
     if "choices" in f.metadata:
         choices = f.metadata["choices"]
         return f.name, choices, None, None, f"must be one of {', '.join(choices)}", False
@@ -239,7 +261,7 @@ def _domain_of(f: dataclasses.Field) -> tuple | None:
     if f.type.startswith("float"):
         # clipped to the finite floats: nan fails every comparison, +-inf these bounds
         lo, hi = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
-    return f.name, None, lo, hi, reason, f.type.startswith("int")
+    return f.name, None, lo, hi, reason, int if f.type.startswith("int") else float
 
 
 # every key with a domain, in declaration order
@@ -277,8 +299,8 @@ def _format_value(key: str, value) -> str:
         return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # float's own repr, so numpy's float64 prints as a float
+        return float.__repr__(value)
     return str(value)
 
 
@@ -322,10 +344,7 @@ def load_config(path) -> ScenarioConfig:
 
 def dump_config(config: ScenarioConfig) -> str:
     """Canonical text form: every key, declaration order, stable formatting."""
-    lines = [
-        f"{f.name} = {_format_value(f.name, getattr(config, f.name))}"
-        for f in dataclasses.fields(ScenarioConfig)
-    ]
+    lines = [f"{key} = {_format_value(key, value)}" for key, value in zip(_FIELDS, _values(config))]
     return "\n".join(lines) + "\n"
 
 

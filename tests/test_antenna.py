@@ -52,6 +52,38 @@ def test_element_rejects_bad_parameters():
         ElementPattern(peak_gain_dbi=5.0, hpbw_deg=-1.0)
 
 
+PANEL_ARGS = dict(element=PLATFORM_ELEMENT, rows=2, cols=2, boresight=[0.0, 0.0, -2.0],
+                  col_axis=[0.0, 3.0, 0.0], row_axis=[1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rows": 0}, "panel dimensions must be positive"),
+    ({"cols": -1}, "panel dimensions must be positive"),
+    ({"spacing_wl": 0.0}, "element spacing must be positive"),
+    ({"boresight": [0, 0, 0]}, "panel boresight must be a nonzero vector"),
+    ({"col_axis": [0, 0, 0]}, "panel col_axis must be a nonzero vector"),
+    ({"row_axis": np.zeros(3)}, "panel row_axis must be a nonzero vector"),
+])
+def test_panel_rejects_bad_arguments(change, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        Panel(**{**PANEL_ARGS, **change})
+
+
+def test_panel_axes_are_unit_vectors():
+    panel = Panel(*PANEL_ARGS.values())  # positional, in the keyword order
+    for name in ("boresight", "col_axis", "row_axis"):
+        given_axis = np.asarray(PANEL_ARGS[name], dtype=float)
+        np.testing.assert_array_equal(getattr(panel, name), given_axis / np.linalg.norm(given_axis))
+        assert_allclose(np.linalg.norm(getattr(panel, name)), 1.0)
+    assert (panel.rows, panel.cols, panel.spacing_wl, panel.n_elements) == (2, 2, 0.5, 4)
+
+
+def test_panels_compare_by_identity():
+    a, b = Panel(**PANEL_ARGS), Panel(**PANEL_ARGS)
+    assert a == a and a != b and not a == b
+    assert len({a, b}) == 2
+
+
 def test_single_element_panel_matches_element():
     panel = single_element_panel(PLATFORM_ELEMENT)
     down = np.array([[0.0, 0.0, -1.0]])

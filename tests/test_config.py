@@ -1,7 +1,11 @@
 """Scenario file parsing, validation, presets and canonical dumping."""
 
+import copy
 import dataclasses
 import math
+import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +151,31 @@ def test_numeric_keys_reject_bools(key, value):
 def test_int_keys_take_numpy_integers(key):
     value = getattr(ScenarioConfig(), key) or {"terminal_count": 20, "target_los_count": 17}[key]
     assert ScenarioConfig(**{key: np.int64(value)}).validate() == ScenarioConfig(**{key: value})
+
+
+# a numpy bool or float32 neither prints as nor parses back to the value that ran, and a
+# string, a complex or None (outside the auto keys) is no number; none may warn on its way out
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{value!r}-{key}") for key in NUMERIC
+    for value in (np.True_, "1", 1j, np.float32(1)) + ((None,) if key not in AUTO else ())
+])
+def test_numeric_keys_reject_values_that_do_not_print_back(key, value):
+    reason = "must be an integer" if key in INTS else "must be a number"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{key}: {reason}; got {re.escape(repr(value))}$") as err:
+            ScenarioConfig(**{key: value}).validate()
+    assert err.value.field == key
+
+
+@pytest.mark.parametrize("key", FLOATS)
+def test_float_keys_take_numpy_floats_and_print_them_as_floats(key):
+    default = getattr(ScenarioConfig(), key)
+    value = np.float64(1.0 if default is None else default)
+    cfg = ScenarioConfig(**{key: value}).validate()
+    text = dump_config(cfg)
+    assert f"\n{key} = {float(value)!r}\n" in text and "np." not in text
+    assert parse_config(text) == cfg
 
 
 def test_a_non_integer_seed_fails_validation_before_the_campaign():
@@ -321,6 +350,48 @@ def test_dump_lists_every_field_once():
     assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
     assert "terminal_count = auto" in text
     assert "repeater_output_limit = false" in text
+
+
+def test_the_constructor_takes_keys_only_and_names_an_unknown_one():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'colour'$"):
+        ScenarioConfig(seed=2, colour="red")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'colour'$"):
+        ScenarioConfig(**dataclasses.asdict(ScenarioConfig()), colour="red")
+    with pytest.raises(TypeError, match="positional argument"):
+        ScenarioConfig("rg")
+
+
+def test_a_config_owns_its_values():
+    cfg = ScenarioConfig()
+    cfg.seed = 9  # configs are not frozen
+    every_key = dataclasses.asdict(cfg)
+    copied = ScenarioConfig(**every_key)
+    copied.seed = 10
+    assert (ScenarioConfig().seed, cfg.seed, every_key["seed"]) == (1, 9, 9)
+
+
+def test_configs_compare_by_value_and_are_unhashable():
+    a, b = ScenarioConfig(seed=3), ScenarioConfig(seed=3)
+    assert a == b and not a != b
+    assert a != ScenarioConfig(seed=4) and not a == ScenarioConfig(seed=4)
+    assert a != dataclasses.astuple(a) and a != dump_config(a) and a != object()
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_repr_lists_every_key_in_declaration_order():
+    cfg = ScenarioConfig(layout="seven_cell", ntn_table_path="t.csv")
+    fields = ", ".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in FIELDS)
+    assert repr(cfg) == f"ScenarioConfig({fields})"
+
+
+def test_dataclass_helpers_pickle_and_copy_keep_the_config():
+    cfg = preset_config("multi-selection-cpe-rg")
+    assert dataclasses.replace(cfg, seed=5) == ScenarioConfig(**{**dataclasses.asdict(cfg), "seed": 5})
+    assert dataclasses.replace(cfg, seed=5) != cfg and cfg.seed == 1
+    assert list(dataclasses.asdict(cfg)) == [f.name for f in dataclasses.fields(cfg)]
+    for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+        assert twin == cfg and twin is not cfg
 
 
 def test_dump_parse_round_trip_is_identity():
