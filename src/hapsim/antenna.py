@@ -121,11 +121,10 @@ def planar_panel(element: ElementPattern, rows: int, cols: int,
     """
     az = np.radians(boresight_azimuth_deg)
     el = np.radians(boresight_elevation_deg)
-    boresight = np.array(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)]
-    )
-    col_axis = np.array([-np.sin(az), np.cos(az), 0.0])
-    row_axis = np.cross(col_axis, boresight)
+    b0, b1, b2 = boresight = (np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el))
+    c0, c1, c2 = col_axis = (-np.sin(az), np.cos(az), 0.0)
+    # col_axis x boresight, term for term as np.cross forms it, which costs more than the rest
+    row_axis = (c1 * b2 - c2 * b1, c2 * b0 - c0 * b2, c0 * b1 - c1 * b0)
     return Panel(
         element=element,
         rows=rows,
@@ -210,12 +209,16 @@ def array_gain(panel: Panel, directions, target=None) -> np.ndarray | float:
     az, el, u, v = panel.local_angles(directions)
     t = np.asarray(panel.boresight if target is None else target, dtype=float)
     ut, vt = _target_cosines(panel, t if t.ndim == 1 else t[..., None, :])
-    af = 1.0 / np.sqrt(panel.n_elements)
-    for count, x in ((panel.cols, u - ut), (panel.rows, v - vt)):
+    # shaped like the targets, so a stack of them broadcasts even with both axes skipped
+    af = np.full(np.shape(ut), 1.0 / np.sqrt(panel.n_elements))
+    for count, cosine, target_cosine in ((panel.cols, u, ut), (panel.rows, v, vt)):
         # The kernel has period one in d x.  Reduced to r in [-1/2, 1/2] it is
         # N |sinc(N r) / sinc(r)|, whose divisor is at least 2/pi, and grating
-        # lobes land exactly on r = 0, where it takes its limit N.
-        s = panel.spacing_wl * x
+        # lobes land exactly on r = 0, where it takes its limit N.  With N = 1
+        # that is exactly 1.0, so an axis of one element is skipped.
+        if count == 1:
+            continue
+        s = panel.spacing_wl * (cosine - target_cosine)
         r = s - np.round(s)
         af = af * count * np.abs(np.sinc(count * r) / np.sinc(r))
     gain = element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))

@@ -11,7 +11,7 @@ type, and its default either names a domain (``_one_of``, ``_positive``,
 leaves it finite only.  The keys of ``_LAYOUT_DEFAULTS`` also accept the
 literal ``auto`` and resolve from the layout: ``terminal_count``
 (20 single / 210 seven-cell), ``cell_radius_m`` (60 km / 100 km) and
-``target_los_count`` (17 / 175).
+``target_los_count`` (17 / 175).  A ``bool`` key takes only a bool.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ class ScenarioConfig:
                 value = repr(value)
             elif type(value) is kind and lo <= value <= hi or value is None and field in _AUTO:
                 continue
+            elif kind is bool:  # only a bool prints back: "no" would run as on and print as no
+                value = repr(value)
             elif isinstance(value, float) and not -math.inf < value < math.inf:
                 reason = "must be finite"
             # only ints, and floats on a float key, print back: a bool prints as true/false, and
@@ -222,6 +224,8 @@ class ScenarioConfig:
                 continue
             raise ValidationError(field, f"{reason}; got {value}")
         path = self.ntn_table_path  # parsing strips a value and reads one line: only so it round-trips
+        if type(path) is not str:
+            raise ValidationError("ntn_table_path", f"must be a string; got {path!r}")
         if path != path.strip() or len(path.splitlines()) > 1:
             raise ValidationError("ntn_table_path", f"must be one line without outer whitespace; got {path!r}")
         if not math.isclose(self.flight_position_count * self.flight_angular_step_deg, 360.0):
@@ -255,6 +259,8 @@ def _domain_of(f: dataclasses.Field) -> tuple | None:
     if "choices" in f.metadata:
         choices = f.metadata["choices"]
         return f.name, choices, None, None, f"must be one of {', '.join(choices)}", False
+    if f.type == "bool":
+        return f.name, None, False, True, "must be true or false", bool
     if not f.type.startswith(("int", "float")):
         return None
     lo, hi, reason = f.metadata.get("range", (-math.inf, math.inf, "must be finite"))

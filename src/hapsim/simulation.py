@@ -446,16 +446,15 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         serving = np.argmax(rsrp, axis=1)
     member = serving[:, None, :] == np.arange(len(panels))[:, None]  # (P, beams, n)
     counts = member.sum(axis=2)
-
-    def at_serving(per_beam):
-        """The serving beam's entry of a (P, beams, n) array."""
-        return np.take_along_axis(per_beam, serving[:, None, :], axis=1)[:, 0]
+    # per_beam[pos, serving, term] is the serving beam's entry of a (P, beams, n) array
+    pos, term = np.arange(n_pos)[:, None], np.arange(n)
 
     # Downlink SINR: all active beams radiate from the same platform, so
     # every beam reaches a terminal through the same access loss.
     rx_lin = 10.0 ** ((rsrp + term_gain[:, None, :]) / 10.0)
+    own_dl_lin = rx_lin[pos, serving, term]
     total_lin = np.where(counts[:, :, None] > 0, rx_lin, 0.0).sum(axis=1)
-    interference_lin = np.maximum(total_lin - at_serving(rx_lin), 0.0)
+    interference_lin = np.maximum(total_lin - own_dl_lin, 0.0)
 
     noise_dl_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.dl_bandwidth_hz, cfg.ue_noise_figure_db) / 10.0)
     if cfg.architecture == "bp" and cfg.bp_repeater_noise_at_ue:
@@ -463,7 +462,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
             cfg.repeater_gain_db, cfg.repeater_noise_figure_db, cfg.dl_bandwidth_hz, loss_dl)
         noise_dl_lin = noise_dl_lin + 10.0 ** (rep_noise / 10.0)
 
-    sinr_dl = at_serving(rx_lin) / (noise_dl_lin + interference_lin)
+    sinr_dl = own_dl_lin / (noise_dl_lin + interference_lin)
     se_dl = sinr_to_se(sinr_dl, cfg.dl_se_attenuation, cfg.dl_sinr_min_db, cfg.dl_se_max)
 
     # Uplink SINR: received at the serving panel through the same beam.
@@ -476,7 +475,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
     ul_lin = 10.0 ** ((ul_rx_dbm[:, None, :] + gains) / 10.0)  # (P, beams, n)
-    own_ul_lin = at_serving(ul_lin)
+    own_ul_lin = ul_lin[pos, serving, term]
     ul_abs = (cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
 
     # With one active cell every slot has a single holder: noise alone.
@@ -495,7 +494,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     # position lasts one second; the downlink shares the cell bandwidth,
     # the uplink allocation is fixed.  The mean of capped values can round
     # one ulp past the cap, so the cap is applied again.
-    share = cfg.dl_bandwidth_hz / np.take_along_axis(counts, serving, axis=1)
+    share = cfg.dl_bandwidth_hz / counts[pos, serving]
     dl_se = np.minimum((se_dl * share).sum(axis=0) / share.sum(axis=0), cfg.dl_se_max)
     ul_se = np.minimum((se_ul * cfg.ul_allocation_hz).sum(axis=0)
                        / (n_pos * cfg.ul_allocation_hz), cfg.ul_se_max)

@@ -95,6 +95,21 @@ def test_single_element_panel_matches_element():
                                   element_gain(PLATFORM_ELEMENT, az, el))
 
 
+def test_written_out_row_axis_matches_np_cross_bit_for_bit():
+    """The panel frame equals the one built from ``np.cross``, signs of zero included."""
+    for az_deg in np.arange(-360.0, 361.0, 15.0):
+        for el_deg in np.arange(-90.0, 91.0, 7.5):
+            panel = planar_panel(PLATFORM_ELEMENT, 2, 2, az_deg, el_deg)
+            az, el = np.radians(az_deg), np.radians(el_deg)
+            boresight = np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+            col_axis = np.array([-np.sin(az), np.cos(az), 0.0])
+            ref = Panel(PLATFORM_ELEMENT, 2, 2, boresight, col_axis, np.cross(col_axis, boresight))
+            for name in ("boresight", "col_axis", "row_axis"):
+                got, want = getattr(panel, name), getattr(ref, name)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_planar_panel_element_count():
     bottom = planar_panel(PLATFORM_ELEMENT, rows=2, cols=2,
                           boresight_azimuth_deg=0.0, boresight_elevation_deg=-90.0)
@@ -187,6 +202,40 @@ def test_stacked_targets_match_one_call_per_target_bit_for_bit():
     for target in (targets[2], None):
         np.testing.assert_array_equal(array_gain(panel, dirs, target)[3],
                                       array_gain(panel, dirs[3], target))
+
+
+def _every_axis_gain(panel, directions, target=None):
+    """``array_gain`` with the array factor of every axis formed, one element or more."""
+    az, el, u, v = panel.local_angles(directions)
+    t = np.asarray(panel.boresight if target is None else target, dtype=float)
+    t = t / np.linalg.norm(t, axis=-1, keepdims=True)
+    if t.ndim > 1:
+        t = t[..., None, :]
+    ut, vt = (t * panel.col_axis).sum(axis=-1), (t * panel.row_axis).sum(axis=-1)
+    af = 1.0 / np.sqrt(panel.n_elements)
+    for count, x in ((panel.cols, u - ut), (panel.rows, v - vt)):
+        s = panel.spacing_wl * x
+        r = s - np.round(s)
+        af = af * count * np.abs(np.sinc(count * r) / np.sinc(r))
+    return element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (1, 5), (2, 1), (4, 1)])
+@pytest.mark.parametrize("azimuth, elevation, spacing", [(0.0, -90.0, 0.5), (60.0, -23.0, 0.7)])
+def test_one_element_axes_match_the_every_axis_formula_bit_for_bit(rows, cols, azimuth,
+                                                                   elevation, spacing):
+    panel = planar_panel(PLATFORM_ELEMENT, rows, cols, azimuth, elevation, spacing_wl=spacing)
+    rng = np.random.default_rng(rows * 10 + cols)
+    dirs = rng.normal(size=(4, 25, 3))  # a quarter or so lies behind the panel
+    dirs += 0.6 * panel.boresight
+    targets = panel.boresight + rng.normal(scale=0.2, size=(4, 3))
+    # broadside, one target, one per leading axis, and a stack of targets for one set of directions
+    for d, target in ((dirs, None), (dirs, targets[1]), (dirs, targets), (dirs[0], targets)):
+        want = _every_axis_gain(panel, d, target)
+        got = array_gain(panel, d, target)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    assert array_gain(panel, dirs[0, 0], targets[0]) == _every_axis_gain(panel, dirs[0, 0], targets[0])
 
 
 def test_weights_are_unit_norm():

@@ -26,6 +26,8 @@ FIELDS = dataclasses.fields(ScenarioConfig)
 NUMERIC = [f.name for f in FIELDS if f.type.startswith(("int", "float"))]
 FLOATS = [f.name for f in FIELDS if f.type.startswith("float")]
 INTS = [f.name for f in FIELDS if f.type.startswith("int")]
+BOOLS = [f.name for f in FIELDS if f.type == "bool"]
+TEXTS = [f.name for f in FIELDS if f.type == "str" and "choices" not in f.metadata]
 AUTO = ("terminal_count", "cell_radius_m", "target_los_count")
 
 
@@ -168,6 +170,21 @@ def test_numeric_keys_reject_values_that_do_not_print_back(key, value):
     assert err.value.field == key
 
 
+# only a bool prints back: "no" would run as on, print as no and parse back as off; and only a
+# str is a table path (None and 3 have no strip, and b"x" would print as b'x')
+@pytest.mark.parametrize("key, value, reason", [
+    pytest.param(key, value, reason, id=f"{value!r}-{key}")
+    for keys, values, reason in (
+        (BOOLS, ("no", "yes", 0, 1, 2, None, np.True_), "must be true or false"),
+        (TEXTS, (None, 3, b"x"), "must be a string"),
+    ) for key in keys for value in values
+])
+def test_bool_and_text_keys_reject_other_types(key, value, reason):
+    with pytest.raises(ValidationError, match=f"^{key}: {reason}; got {re.escape(repr(value))}$") as err:
+        ScenarioConfig(**{key: value}).validate()
+    assert err.value.field == key
+
+
 @pytest.mark.parametrize("key", FLOATS)
 def test_float_keys_take_numpy_floats_and_print_them_as_floats(key):
     default = getattr(ScenarioConfig(), key)
@@ -189,8 +206,9 @@ def test_a_table_path_that_would_not_round_trip_is_rejected(path):
         ScenarioConfig(ntn_table_path=path).validate()
 
 
-def test_every_key_but_the_bools_and_the_table_path_has_a_domain():
-    assert [f.name for f in FIELDS if not _out_of_domain(f)] == [
+# their domain is their type, which the parser gives every value it reads from a file
+def test_every_key_but_the_bools_and_the_table_path_has_out_of_domain_text():
+    assert [f.name for f in FIELDS if not _out_of_domain(f)] == BOOLS + TEXTS == [
         "repeater_output_limit", "bp_repeater_noise_at_ue", "ntn_table_path"]
 
 
