@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import sys
 from pathlib import Path
 
@@ -67,10 +68,10 @@ def _cmd_run(args) -> int:
     # created only now, so that a failed campaign leaves no empty directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report_mod.write_users_csv(out / "users.csv", result)
+    dl_text, ul_text = report_mod.write_users_csv(out / "users.csv", result)
     text = report_mod.write_report(out / "report.txt", result, _scenario_name(args))
-    report_mod.write_cdf(out / "cdf_dl.txt", result.dl_se)
-    report_mod.write_cdf(out / "cdf_ul.txt", result.ul_se)
+    report_mod.write_cdf(out / "cdf_dl.txt", result.dl_se, dl_text)
+    report_mod.write_cdf(out / "cdf_ul.txt", result.ul_se, ul_text)
     print(text, end="")
     print(f"artifacts written to {out}")
     return 0
@@ -141,6 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper) and sys.stdout.errors == "strict":
+        sys.stdout.reconfigure(errors="surrogateescape")  # echo a file name's bytes as they came
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

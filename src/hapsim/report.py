@@ -1,15 +1,16 @@
 """Campaign artifacts: per-user CSV, aggregate report, CDF data.
 
-All writers emit deterministic bytes for identical inputs: fixed column
-and row order (terminal id), shortest-round-trip floats, text formatted
-one column at a time and written with one call.
-Artifacts are overwritten in place and cut to length: truncating a written file on open
-cost 66-245 us on ext4, against 7-36 us.  A failed write (the CLI exits 1) or a crash can
-leave an artifact incomplete or holding older bytes at its new length; rerun to regenerate.
+All writers emit deterministic bytes for identical inputs: fixed column and row order
+(terminal id), shortest-round-trip floats (an SE value formatted once, for ``users.csv`` and
+its CDF), UTF-8 with "\\n" line ends whatever the locale or platform.  Each artifact is
+overwritten in place with one raw write and cut to length: 6-12 us for 1.8-18 kB on ext4,
+against 14-25 us through a text layer and 103-162 us truncating on open.  A failed write (the
+CLI exits 1) or a crash can leave an artifact incomplete or holding older bytes; rerun.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -27,11 +28,16 @@ __all__ = [
 
 
 def _overwrite(path, text: str) -> None:
-    """Overwrite in place, cut the stale tail: ``write_text`` minus ``O_TRUNC`` (66-245 us)."""
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # only fh translates newlines
-    with open(os.open(path, flags, 0o666), "w") as fh:
-        fh.write(text)
-        fh.truncate()
+    """UTF-8 with "\\n" ends (``O_BINARY`` on Windows): ``write_bytes`` minus ``O_TRUNC``."""
+    data = text.encode("utf-8", "surrogateescape")  # a file name's undecodable bytes as they came
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):  # os.write may write less than it was given
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def _column_text(c: np.ndarray) -> list[str]:
@@ -54,9 +60,15 @@ def _write_csv(path, columns: dict) -> None:
     _overwrite(path, "\n".join(lines) + "\n")
 
 
-def write_users_csv(path, result: CampaignResult) -> None:
-    """Per-user results, one line per terminal in id order."""
-    _write_csv(path, result.user_columns())
+def write_users_csv(path, result: CampaignResult) -> tuple[list[str], list[str]]:
+    """Per-user results, one line per terminal in id order; returns the DL and UL SE text."""
+    ids, xs, ys, kinds, los, _ = zip(*result.terminals)
+    dl_text, ul_text = _column_text(result.dl_se), _column_text(result.ul_se)
+    rows = zip(map(str, ids), map(repr, xs), map(repr, ys), kinds, map("01".__getitem__, los),
+               map(str, result.serving_cell.tolist()), dl_text, ul_text,
+               _column_text((result.dl_se == 0.0) | (result.ul_se == 0.0)))
+    _overwrite(path, "\n".join([",".join(USER_CSV_COLUMNS), *map(",".join, rows)]) + "\n")
+    return dl_text, ul_text
 
 
 def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
@@ -88,13 +100,18 @@ def write_report(path, result: CampaignResult, scenario_name: str = "custom") ->
     return text
 
 
-def write_cdf(path, values) -> None:
-    """Empirical CDF as two-column text: value, cumulative fraction."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    fraction = np.arange(1, ordered.size + 1) / ordered.size
-    lines = ["# se_bit_per_s_per_hz cumulative_fraction"]
-    lines += [f"{v!r} {f!r}" for v, f in zip(ordered.tolist(), fraction.tolist())]
-    _overwrite(path, "\n".join(lines) + "\n")
+@functools.lru_cache(maxsize=1)  # the DL and UL CDFs of a campaign share it
+def _fraction_text(n: int) -> tuple[str, ...]:
+    return tuple(map(repr, (np.arange(1, n + 1) / n).tolist()))
+
+
+def write_cdf(path, values, text: list[str] | None = None) -> None:
+    """Empirical CDF as two-column text: value, cumulative fraction; ``text`` formats ``values``."""
+    values = np.asarray(values, dtype=float)
+    text = list(map(repr, values.tolist())) if text is None else text
+    ordered = map(text.__getitem__, np.argsort(values, kind="stable").tolist())
+    lines = map(" ".join, zip(ordered, _fraction_text(values.size)))
+    _overwrite(path, "\n".join(["# se_bit_per_s_per_hz cumulative_fraction", *lines]) + "\n")
 
 
 CONSUMPTION_CSV_COLUMNS = RelayAssessment._fields

@@ -260,12 +260,16 @@ def test_workers_flag_matches_serial_run(tmp_path):
 ARTIFACTS = ("users.csv", "report.txt", "cdf_dl.txt", "cdf_ul.txt")
 
 
-def _hapsim_process(*args, cwd=None):
-    """``python -m hapsim.cli`` in a child process importing the hapsim under test."""
+def _hapsim_process(*args, cwd=None, **environ):
+    """``python -m hapsim.cli`` in a child process importing the hapsim under test.
+
+    ``environ`` adds to the child's environment; output bytes that are not
+    UTF-8 come back as surrogates.
+    """
     path = [str(Path(hapsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, "-m", "hapsim.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "hapsim.cli", *args], capture_output=True,
+                          text=True, errors="surrogateescape", env=env, timeout=120, cwd=cwd)
 
 
 def test_module_run_writes_what_main_writes(tmp_path, capsys):
@@ -307,6 +311,41 @@ def test_channel_table_that_is_not_utf8_fails_without_a_traceback(tmp_path):
     assert proc.stderr == f"error: {table}, line 3: not valid UTF-8 (byte 0xe9)\n"
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# Artifacts are UTF-8 whatever the locale: a scenario name the locale's
+# codec cannot encode, or a file name that is not UTF-8, still runs
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs the C locale")
+def test_an_ascii_locale_writes_the_artifacts_of_a_utf8_one(tmp_path):
+    scenario = tmp_path / "sz\u00e9nario.cfg"
+    scenario.write_text("seed = 2\n")
+    outputs = {}
+    for label, environ in (("ascii", ASCII_LOCALE), ("utf8", {"LC_ALL": "C.UTF-8"})):
+        out = tmp_path / label
+        proc = _hapsim_process("run", "--config", str(scenario), "--out", str(out), **environ)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        outputs[label] = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    assert outputs["ascii"] == outputs["utf8"]
+    assert outputs["ascii"]["report.txt"].startswith("scenario = sz\u00e9nario\n".encode())
+
+
+# a UTF-8 locale other than C.UTF-8 gives standard output the strict error handler
+@pytest.mark.skipif(sys.platform != "linux", reason="needs file names of any bytes")
+@pytest.mark.parametrize("environ", [{}, {"PYTHONIOENCODING": "utf-8:strict"}], ids=str)
+def test_a_file_name_that_is_not_utf8_names_the_scenario_byte_for_byte(tmp_path, environ):
+    scenario = os.path.join(os.fsencode(tmp_path), b"sz\xe9nario.cfg")
+    with open(scenario, "wb") as fh:
+        fh.write(b"seed = 2\n")
+    out = tmp_path / "out"
+    proc = _hapsim_process("run", "--config", os.fsdecode(scenario), "--out", str(out), **environ)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "report.txt").read_bytes().startswith(b"scenario = sz\xe9nario\n")
+    assert proc.stdout.startswith("scenario = sz\udce9nario\n")
 
 
 @pytest.mark.parametrize("case", ["missing-table", "non-utf8-table", "unreachable-los-target",

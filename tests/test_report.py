@@ -130,6 +130,26 @@ def test_artifacts_open_in_binary_mode_where_the_os_has_one(tmp_path, monkeypatc
         b"1.0 0.5\n2.0 1.0\n"
 
 
+def test_short_writes_give_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # os.write may write less than it was given; each artifact must still be whole
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    for command in ("run", "consumption"):
+        assert main([command, "--out", str(whole)]) == 0
+    real_write, calls = os.write, []
+
+    def write_7(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", write_7)
+    for command in ("run", "consumption"):
+        assert main([command, "--out", str(short)]) == 0
+    assert len(calls) > 5 * 100  # five artifacts of hundreds of bytes each
+    artifacts = {out: {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                 for out in (whole, short)}
+    assert artifacts[short] == artifacts[whole]
+
+
 def test_cdf_is_sorted_and_normalised(tmp_path):
     p = tmp_path / "cdf.txt"
     write_cdf(p, [2.0, 0.5, 1.0, 1.5])
@@ -177,6 +197,15 @@ def _reference_csv(header, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _reference_cdf(values) -> bytes:
+    """CDF text formatted one value at a time: what ``write_cdf`` must match."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    fraction = np.arange(1, ordered.size + 1) / ordered.size
+    lines = ["# se_bit_per_s_per_hz cumulative_fraction"]
+    lines += [f"{v!r} {f!r}" for v, f in zip(ordered.tolist(), fraction.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
 _DENSE_CPE = ("layout = seven_cell\nattachment_mode = beam_selection\n"
               "terminal_kind = cpe_directional\nterminal_count = 336\ntarget_los_count = 280\n")
 
@@ -195,7 +224,7 @@ def test_csv_writers_match_the_per_value_reference(tmp_path, monkeypatch, case):
 
         def wrapper(path, payload):
             written[name] = payload
-            writer(path, payload)
+            return writer(path, payload)
         monkeypatch.setattr(report, name, wrapper)
 
     keep("write_users_csv")
@@ -207,6 +236,8 @@ def test_csv_writers_match_the_per_value_reference(tmp_path, monkeypatch, case):
     result = written["write_users_csv"]
     users = ([row[c] for c in USER_CSV_COLUMNS] for row in result.user_rows())
     assert (out / "users.csv").read_bytes() == _reference_csv(USER_CSV_COLUMNS, users)
+    for name, values in (("cdf_dl.txt", result.dl_se), ("cdf_ul.txt", result.ul_se)):
+        assert (out / name).read_bytes() == _reference_cdf(values), name
     assessment = written["write_consumption_csv"]
     verdicts = zip(*(getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS))
     want = _reference_csv(CONSUMPTION_CSV_COLUMNS, verdicts)
