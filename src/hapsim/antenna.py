@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, OutOfCoverageError, checked_record
+from .errors import ConfigError, OutOfCoverageError, checked_record, scalar_or_array
 
 __all__ = [
     "ElementPattern",
@@ -60,9 +60,7 @@ def element_gain(pattern: ElementPattern, az_off_deg, el_off_deg):
     el = np.asarray(el_off_deg, dtype=float)
     att = 12.0 * (az / pattern.hpbw_deg) ** 2 + 12.0 * (el / pattern.hpbw_deg) ** 2
     gain = pattern.peak_gain_dbi - np.minimum(att, pattern.front_to_back_db)
-    if gain.ndim == 0:
-        return float(gain)
-    return gain
+    return scalar_or_array(gain)
 
 
 class Panel:
@@ -222,6 +220,4 @@ def array_gain(panel: Panel, directions, target=None) -> np.ndarray | float:
         r = s - np.round(s)
         af = af * count * np.abs(np.sinc(count * r) / np.sinc(r))
     gain = element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))
-    if np.ndim(gain) == 0:
-        return float(gain)
-    return gain
+    return scalar_or_array(gain)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, scalar_or_array
 
 __all__ = [
     "THERMAL_NOISE_DENSITY_DBM_HZ",
@@ -92,9 +92,7 @@ def repeater_noise_at_ue(repeater_gain_db: float, repeater_noise_figure_db: floa
     """
     floor = thermal_noise_dbm(bandwidth_hz)
     out = floor + repeater_gain_db + repeater_noise_figure_db - np.asarray(access_loss_db, dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(out)
 
 
 def bp_uplink_noise_figure(repeater_gain_db: float, repeater_noise_figure_db: float,

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, checked_record, read_utf8
+from .errors import ConfigError, DomainError, checked_record, read_utf8, scalar_or_array
 from .geometry import link_geometry
 
 __all__ = [
@@ -44,9 +44,7 @@ def fspl(frequency_hz, distance_m):
     if np.any(f <= 0) or np.any(d <= 0):
         raise DomainError("fspl requires positive frequency and distance")
     loss = 20.0 * np.log10(4.0 * np.pi * d * f / C_LIGHT)
-    if loss.ndim == 0:
-        return float(loss)
-    return loss
+    return scalar_or_array(loss)
 
 
 class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shadow_std_los_db "

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if isinstance(sys.stdout, io.TextIOWrapper) and sys.stdout.errors == "strict":
-        sys.stdout.reconfigure(errors="surrogateescape")  # echo a file name's bytes as they came
+    if isinstance(sys.stdout, io.TextIOWrapper):  # UTF-8 in every locale, as the artifacts are,
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")  # a name's bytes as they came
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

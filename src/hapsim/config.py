@@ -7,7 +7,7 @@ bent-pipe baseline).  Unknown or duplicated keys are rejected.
 
 Each key's declaration below is its whole rule: the annotation gives its
 type, and its default either names a domain (``_one_of``, ``_positive``,
-``_fraction``, ``_non_negative``, ``_noise_figure``) or, for a number,
+``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``) or, for a number,
 leaves it finite only.  The keys of ``_LAYOUT_DEFAULTS`` also accept the
 literal ``auto`` and resolve from the layout: ``terminal_count``
 (20 single / 210 seven-cell), ``cell_radius_m`` (60 km / 100 km) and
@@ -53,7 +53,9 @@ def _within(lo: float, hi: float, reason: str):
 _positive = _within(math.ulp(0.0), math.inf, "must be positive")
 _fraction = _within(math.ulp(0.0), 1.0, "must lie in (0, 1]")
 _non_negative = _within(0, math.inf, "must be non-negative")
-_noise_figure = _within(0, math.inf, "must be non-negative: a noise figure below 0 dB is unphysical")
+# finite ends far beyond any real chain, so 10 ** (value / 10) and what is built from it stay finite
+_noise_figure = _within(0, 100, "must lie in [0, 100]: a noise figure below 0 dB is unphysical")
+_gain_db = _within(-300, 300, "must lie in [-300, 300] dB")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -143,18 +145,18 @@ class ScenarioConfig:
     ntn_table_path: str = ""
 
     # Consumption-factor chains (gains in dB, efficiencies linear)
-    repeater_mixer_gain_db: float = 10.0
+    repeater_mixer_gain_db: float = _gain_db(10.0)
     repeater_mixer_efficiency: float = _fraction(0.8)
-    repeater_amp_gain_db: float = 30.0  # inert: a chain's last gain never enters H
+    repeater_amp_gain_db: float = _gain_db(30.0)  # inert: a chain's last gain never enters H
     repeater_amp_efficiency: float = _fraction(0.35)
-    bs_baseband_gain_db: float = 10.0
+    bs_baseband_gain_db: float = _gain_db(10.0)
     bs_baseband_efficiency: float = _fraction(0.15)
-    bs_mixer_gain_db: float = 10.0
+    bs_mixer_gain_db: float = _gain_db(10.0)
     bs_mixer_efficiency: float = _fraction(0.8)
-    bs_amp_gain_db: float = 30.0  # inert: a chain's last gain never enters H
+    bs_amp_gain_db: float = _gain_db(30.0)  # inert: a chain's last gain never enters H
     bs_amp_efficiency: float = _fraction(0.35)
-    relay_rx_gain_db: float = 105.0
-    sink_rx_gain_db: float = 0.0
+    relay_rx_gain_db: float = _gain_db(105.0)
+    sink_rx_gain_db: float = _gain_db(0.0)
 
     # Execution: accepted and validated for compatibility; campaigns run
     # in one thread whatever its value.
@@ -179,22 +181,21 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
     # Layout-dependent resolution
 
+    def _resolved(self, key: str):
+        """A ``_LAYOUT_DEFAULTS`` key's value, or its layout's default when it is ``auto``."""
+        value = self.__dict__[key]
+        return _LAYOUT_DEFAULTS[self.layout][key] if value is None else value
+
     def resolved_terminal_count(self) -> int:
-        if self.terminal_count is not None:
-            return self.terminal_count
-        return _LAYOUT_DEFAULTS[self.layout]["terminal_count"]
+        return self._resolved("terminal_count")
 
     def resolved_cell_radius_m(self) -> float:
-        if self.cell_radius_m is not None:
-            return self.cell_radius_m
-        return _LAYOUT_DEFAULTS[self.layout]["cell_radius_m"]
+        return self._resolved("cell_radius_m")
 
     def resolved_target_los_count(self) -> int | None:
         if self.los_assignment == "probabilistic":
             return None
-        if self.target_los_count is not None:
-            return self.target_los_count
-        return _LAYOUT_DEFAULTS[self.layout]["target_los_count"]
+        return self._resolved("target_los_count")
 
     def resolved_table_path(self) -> str | None:
         """The ``ntn_table_path`` key, or ``None`` for the bundled table."""

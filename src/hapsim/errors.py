@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator, the checked-record base and the input-file reader."""
+"""Shared across the simulator: exception types, the checked-record base, the file reader, scalar results."""
 
 from collections import namedtuple
 
@@ -73,6 +73,11 @@ def checked_record(name: str, fields: str, defaults=()):
     base = namedtuple(name, fields, defaults=defaults)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
+
+
+def scalar_or_array(result):
+    """A 0-d numpy result as a float, so scalars in give a scalar out; an array as it is."""
+    return float(result) if result.ndim == 0 else result
 
 
 def read_utf8(path) -> str:

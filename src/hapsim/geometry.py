@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError, checked_record
+from .errors import ConfigError, DegenerateGeometryError, checked_record, scalar_or_array
 
 __all__ = [
     "Point3",
@@ -68,22 +68,21 @@ class FlightPattern(checked_record("FlightPattern", "center diameter_m position_
         return self.diameter_m / 2.0
 
 
-def haps_position(pattern: FlightPattern, run_index: int) -> Point3:
-    """Platform position for one simulation run.
+def haps_position(pattern: FlightPattern, run_index) -> Point3 | np.ndarray:
+    """Platform position of one simulation run, or the ``(P, 3)`` rows of an index array.
 
     Run ``k`` sits at azimuth ``k * angular_step_deg`` measured from the
     +x axis, on the circle of ``pattern``.
     """
-    if not 0 <= run_index < pattern.position_count:
-        raise ConfigError(
-            f"run_index {run_index} outside [0, {pattern.position_count})"
-        )
-    angle = math.radians(run_index * pattern.angular_step_deg)
-    return Point3(
-        pattern.center.x + pattern.radius_m * math.cos(angle),
-        pattern.center.y + pattern.radius_m * math.sin(angle),
-        pattern.center.z,
-    )
+    runs = np.asarray(run_index)
+    outside = runs[(runs < 0) | (runs >= pattern.position_count)]
+    if outside.size:
+        raise ConfigError(f"run_index {outside.flat[0]} outside [0, {pattern.position_count})")
+    c, r = pattern.center, pattern.radius_m
+    # math's cos and sin, which numpy's may miss by an ulp: each row is its run's Point3
+    rows = [Point3(c.x + r * math.cos(a), c.y + r * math.sin(a), c.z)
+            for a in map(math.radians, (runs * pattern.angular_step_deg).ravel().tolist())]
+    return rows[0] if runs.ndim == 0 else np.array(rows, dtype=float)
 
 
 def link_geometry(a, b):
@@ -99,6 +98,4 @@ def link_geometry(a, b):
     if np.any(slant == 0.0):
         raise DegenerateGeometryError("link endpoints coincide")
     elevation = np.degrees(np.arctan2(dz, horizontal))
-    if slant.ndim == 0:
-        return float(elevation), float(slant)
-    return elevation, slant
+    return scalar_or_array(elevation), scalar_or_array(slant)

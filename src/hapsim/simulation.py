@@ -24,6 +24,7 @@ stay in linear units from the received powers to ``sinr_to_se``.  The
 from __future__ import annotations
 
 import math
+from collections import UserString
 from itertools import repeat
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
-from .errors import ConfigError, DomainError, OutOfCoverageError, ValidationError
+from .errors import ConfigError, DomainError, OutOfCoverageError, ValidationError, scalar_or_array
 from .geometry import FlightPattern, Point3, haps_position, link_geometry
 
 __all__ = [
@@ -69,9 +70,7 @@ def sinr_to_se(sinr, attenuation: float, sinr_min_db: float, se_max: float):
         floor = np.power(10.0, sinr_min_db / 10.0)
     se = np.minimum(attenuation * np.log2(1.0 + sinr), se_max)
     se = np.where(sinr < floor, 0.0, se)
-    if se.ndim == 0:
-        return float(se)
-    return se
+    return scalar_or_array(se)
 
 
 # ----------------------------------------------------------------------
@@ -206,11 +205,18 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
                     los.tolist(), shadow.tolist()))
 
 
+class _ScenarioPath(UserString):
+    """A file name from scenario text: prints as written, opens by its UTF-8 bytes in any locale."""
+
+    def __fspath__(self):  # on Windows, too, a bytes name is UTF-8
+        return self.data.encode("utf-8", "surrogateescape")
+
+
 def _load_tables(config: ScenarioConfig) -> channel.NtnTables:
     path = config.resolved_table_path()
     if path is None:
         return channel.NtnTables.default()
-    return channel.NtnTables.from_file(path)
+    return channel.NtnTables.from_file(_ScenarioPath(path))
 
 
 def build_drop(config: ScenarioConfig) -> tuple[list[Terminal], channel.NtnTables]:
@@ -227,6 +233,12 @@ def build_drop(config: ScenarioConfig) -> tuple[list[Terminal], channel.NtnTable
 # ----------------------------------------------------------------------
 # Beams and attachment
 
+def _pattern(config: ScenarioConfig, prefix: str) -> ElementPattern:
+    """The pattern of the ``<prefix>_gain_dbi``, ``_hpbw_deg`` and ``_front_to_back_db`` keys."""
+    return ElementPattern(*(getattr(config, f"{prefix}_{key}")
+                            for key in ("gain_dbi", "hpbw_deg", "front_to_back_db")))
+
+
 def build_beams(config: ScenarioConfig) -> tuple[list[Panel], np.ndarray]:
     """Platform antenna set and the ground cell each panel serves.
 
@@ -240,20 +252,10 @@ def build_beams(config: ScenarioConfig) -> tuple[list[Panel], np.ndarray]:
         config.side_panel_azimuth_offset_deg,
     )
     if config.layout == "single":
-        pattern = ElementPattern(
-            peak_gain_dbi=config.single_antenna_gain_dbi,
-            hpbw_deg=config.single_antenna_hpbw_deg,
-            front_to_back_db=config.single_antenna_front_to_back_db,
-        )
-        panels = [antenna.single_element_panel(pattern)]
+        panels = [antenna.single_element_panel(_pattern(config, "single_antenna"))]
     else:
-        element = ElementPattern(
-            peak_gain_dbi=config.array_element_gain_dbi,
-            hpbw_deg=config.array_element_hpbw_deg,
-            front_to_back_db=config.array_element_front_to_back_db,
-        )
         panels = antenna.hex_array(
-            element,
+            _pattern(config, "array_element"),
             bottom_rows=config.bottom_panel_rows,
             bottom_cols=config.bottom_panel_cols,
             side_rows=config.side_panel_rows,
@@ -363,19 +365,11 @@ class CampaignResult(NamedTuple):
     dl: AggregateStats
     ul: AggregateStats
 
-    def user_columns(self) -> dict[str, list]:
-        """The ``users.csv`` columns as lists of Python values, in terminal-id order."""
-        ids, xs, ys, kinds, los, _ = map(list, zip(*self.terminals))
-        dl, ul = self.dl_se, self.ul_se
-        return dict(zip(USER_CSV_COLUMNS, (
-            ids, xs, ys, kinds, los, self.serving_cell.tolist(),
-            dl.tolist(), ul.tolist(), ((dl == 0.0) | (ul == 0.0)).tolist(),
-        )))
-
     def user_rows(self) -> list[dict]:
-        """Per-user records as dicts, in terminal-id order."""
-        columns = self.user_columns()
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+        """Per-user records as dicts keyed by ``USER_CSV_COLUMNS``, in terminal-id order."""
+        rows = zip(self.terminals, self.serving_cell.tolist(), self.dl_se.tolist(), self.ul_se.tolist())
+        return [dict(zip(USER_CSV_COLUMNS, (i, x, y, kind, los, cell, dl, ul, dl == 0.0 or ul == 0.0)))
+                for (i, x, y, kind, los, _), cell, dl, ul in rows]
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
@@ -396,7 +390,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     n_pos = cfg.flight_position_count
     _, xs, ys, _, los, shadow = zip(*terminals)
     xy, los, shadow = np.column_stack([xs, ys]), np.array(los), np.array(shadow)
-    hpos = np.array([haps_position(pattern, k) for k in range(n_pos)], dtype=float)
+    hpos = haps_position(pattern, np.arange(n_pos))
     ground = np.column_stack([xy, np.zeros(n)])
     dirs = ground - hpos[:, None, :]  # platform -> terminal, for the antennas
     elev, slant = link_geometry(ground, hpos[:, None, :])  # terminal -> platform
@@ -408,12 +402,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     # Terminal antenna gain towards the platform (identical both directions:
     # omnis are flat, rooftop antennas are azimuth-aligned with the link).
     if cfg.terminal_kind == "cpe_directional":
-        cpe = ElementPattern(
-            peak_gain_dbi=cfg.cpe_gain_dbi,
-            hpbw_deg=cfg.cpe_hpbw_deg,
-            front_to_back_db=cfg.cpe_front_to_back_db,
-        )
-        term_gain = antenna.element_gain(cpe, 0.0, elev)
+        term_gain = antenna.element_gain(_pattern(cfg, "cpe"), 0.0, elev)
     else:
         term_gain = np.zeros((n_pos, n))
 

@@ -3,9 +3,11 @@
 import argparse
 import dataclasses
 import errno
+import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -137,8 +139,51 @@ def test_negative_noise_figure_fails_validation_with_its_line(tmp_path, capsys, 
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([*command, "--config", str(scenario)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {scenario}, line 2: {field}: must be non-negative: "
+            f"error: {scenario}, line 2: {field}: must lie in [0, 100]: "
             "a noise figure below 0 dB is unphysical; got -1.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+# every noise figure and every consumption-chain gain has two finite ends
+DB_ENDS = {**dict.fromkeys(["ue_noise_figure_db", "bs_noise_figure_db", "gateway_noise_figure_db",
+                            "repeater_noise_figure_db"], (0.0, 100.0)),
+           **dict.fromkeys(["repeater_mixer_gain_db", "repeater_amp_gain_db", "bs_baseband_gain_db",
+                            "bs_mixer_gain_db", "bs_amp_gain_db", "relay_rx_gain_db",
+                            "sink_rx_gain_db"], (-300.0, 300.0))}
+# the default bent pipe reads the UE and BS noise figures; these switches the other two
+DB_SWITCHES = ("", "bp_ul_noise = cascade\nbp_repeater_noise_at_ue = true\n")
+
+
+@pytest.mark.parametrize("key, end", [(key, end) for key, ends in DB_ENDS.items() for end in ends])
+def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, key, end):
+    scenario = tmp_path / "end.cfg"
+    for switches in DB_SWITCHES:
+        scenario.write_text(f"{switches}{key} = {end!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the run
+            for command in ("run", "consumption"):
+                out = tmp_path / command
+                assert main([command, "--config", str(scenario), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "consumption" / "consumption.csv").read_text()
+        assert "nan" not in text and "inf" not in text
+        cfg = ScenarioConfig()
+        for row in (tmp_path / "run" / "users.csv").read_text().splitlines()[1:]:
+            dl, ul = map(float, row.split(",")[6:8])
+            assert 0.0 <= dl <= cfg.dl_se_max and 0.0 <= ul <= cfg.ul_se_max, row
+
+
+@pytest.mark.parametrize("key, end", [(key, end) for key, ends in DB_ENDS.items() for end in ends])
+def test_a_value_just_outside_a_db_domain_names_its_key_and_line(tmp_path, capsys, key, end):
+    lo, hi = DB_ENDS[key]
+    outside = math.nextafter(end, math.copysign(math.inf, end - (lo + hi) / 2))
+    scenario = tmp_path / "outside.cfg"
+    scenario.write_text(f"seed = 1\n{key} = {outside!r}\n")
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")], ["consumption"]):
+        assert main([*command, "--config", str(scenario)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scenario}, line 2: {key}: must lie in [{lo:g}, {hi:g}]")
+        assert err.endswith(f"; got {outside!r}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -331,6 +376,28 @@ def test_an_ascii_locale_writes_the_artifacts_of_a_utf8_one(tmp_path):
         outputs[label] = {name: (out / name).read_bytes() for name in ARTIFACTS}
     assert outputs["ascii"] == outputs["utf8"]
     assert outputs["ascii"]["report.txt"].startswith("scenario = sz\u00e9nario\n".encode())
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs the C locale")
+def test_a_table_path_an_ascii_locale_cannot_encode_opens_as_in_a_utf8_one(tmp_path):
+    # the name is UTF-8 in the scenario text, so it opens by those bytes in every locale
+    bundled = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_bytes()
+    (tmp_path / "tabl\u00e9.csv").write_bytes(bundled)
+    (tmp_path / "s.cfg").write_text("ntn_table_path = tabl\u00e9.csv\n", encoding="utf-8")
+    outputs = {}
+    for label, environ in (("ascii", ASCII_LOCALE), ("utf8", {"LC_ALL": "C.UTF-8"})):
+        for command in ("run", "consumption", "validate"):
+            out = ["--out", label] if command != "validate" else []
+            proc = _hapsim_process(command, "--config", "s.cfg", *out, cwd=tmp_path, **environ)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            outputs[label, command] = proc.stdout.replace(label, "OUT")
+        outputs[label] = {name: (tmp_path / label / name).read_bytes()
+                          for name in (*ARTIFACTS, "consumption.csv")}
+    for key in ("run", "consumption", "validate"):
+        assert outputs["ascii", key] == outputs["utf8", key], key
+    assert outputs["ascii"] == outputs["utf8"]
+    assert "ntn_table_path = tabl\u00e9.csv\n" in outputs["ascii", "validate"]
 
 
 # a UTF-8 locale other than C.UTF-8 gives standard output the strict error handler

@@ -44,14 +44,17 @@ def _out_of_domain(f: dataclasses.Field) -> list[str]:
     if f.name not in NUMERIC:
         return []
     lo, hi = _domain(f)
-    values = ["inf", "-inf"] if lo == -math.inf else ["-1" if lo == 0 else "0"]
-    return values + ["2"] * (hi == 1)
+    values = ["inf", "-inf"] if lo < 0 else ["-1" if lo == 0 else "0"]
+    if -math.inf < lo < 0:
+        values.append(f"{lo - 1:g}")
+    if hi < math.inf:
+        values.append(f"{hi + 1:g}")
+    return values
 
 
 def _closed_bounds(f: dataclasses.Field) -> list[str]:
-    """Scenario-text bounds a key admits: 0 when non-negative, 1 for a fraction."""
-    lo, hi = _domain(f)
-    return ["0"] * (lo == 0) + ["1"] * (hi == 1)
+    """Scenario-text bounds a key admits: its finite whole-number ends (a positive key's is not)."""
+    return [f"{end:g}" for end in _domain(f) if math.isfinite(end) and end == round(end)]
 
 
 def test_empty_text_is_the_baseline():

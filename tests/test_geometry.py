@@ -51,6 +51,22 @@ def test_position_index_bounds():
         haps_position(pat, -1)
 
 
+@pytest.mark.parametrize("count", [1, 5, 12, 24, 360])
+def test_an_index_array_gives_the_stacked_points_bit_for_bit(count):
+    pat = FlightPattern(Point3(1234.5, -678.25, 19_500.0), 7_300.0, count, 360.0 / count)
+    rows = haps_position(pat, np.arange(count))
+    assert rows.shape == (count, 3) and rows.dtype == float
+    stacked = np.array([haps_position(pat, k) for k in range(count)])
+    assert_array_equal(rows.view(np.uint64), stacked.view(np.uint64))
+    assert all(type(haps_position(pat, k)) is Point3 for k in (0, np.int64(count - 1)))
+
+
+@pytest.mark.parametrize("runs", [[0, 12], [-1, 3], [5, 13, 2]])
+def test_an_index_array_with_an_index_out_of_range_is_rejected(runs):
+    with pytest.raises(ConfigError, match=r"^run_index -?\d+ outside \[0, 12\)$"):
+        haps_position(FlightPattern(), np.array(runs))
+
+
 def test_all_positions_at_constant_radius():
     pat = FlightPattern()
     for k in range(pat.position_count):

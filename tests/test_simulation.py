@@ -305,11 +305,18 @@ def test_build_beams_single_and_seven():
     assert centers.shape == (7, 2)
     assert panels[0].n_elements == 4
     assert all(p.n_elements == 8 for p in panels[1:])
-    # panels and cell centres are index-aligned on azimuth
-    for p, (x, y) in zip(panels[1:], centers[1:]):
-        az_panel = math.degrees(math.atan2(p.boresight[1], p.boresight[0])) % 360.0
-        az_cell = math.degrees(math.atan2(y, x)) % 360.0
-        assert_allclose(az_panel, az_cell, atol=1e-9)
+
+
+# hex_array and cell_centers each add the offset to 60 k degrees
+@pytest.mark.parametrize("offset", [0.0, 17.5, -45.0, 330.0])
+def test_panels_and_cell_centres_are_index_aligned_on_azimuth(offset):
+    panels, centers = build_beams(ScenarioConfig(layout="seven_cell",
+                                                 side_panel_azimuth_offset_deg=offset))
+    for k, (p, (x, y)) in enumerate(zip(panels[1:], centers[1:])):
+        az_panel = math.degrees(math.atan2(p.boresight[1], p.boresight[0]))
+        az_cell = math.degrees(math.atan2(y, x))
+        for az in (az_panel, az_cell):  # the same azimuth, up to a whole turn
+            assert_allclose((az - offset - 60.0 * k + 180.0) % 360.0 - 180.0, 0.0, atol=1e-9)
 
 
 def _xy(terminals):
