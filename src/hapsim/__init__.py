@@ -30,6 +30,7 @@ from .geometry import FlightPattern, Point3, haps_position, link_geometry
 from .simulation import (
     AggregateStats,
     CampaignResult,
+    Drop,
     Terminal,
     aggregate_se,
     run_campaign,

@@ -85,7 +85,9 @@ class Panel:
             norm = np.linalg.norm(vec)
             if norm == 0:
                 raise ConfigError(f"panel {name} must be a nonzero vector")
-            setattr(self, name, vec / norm)
+            vec = vec / norm
+            vec.flags.writeable = False  # panels are shared: build_beams hands one set to many campaigns
+            setattr(self, name, vec)
 
     @property
     def n_elements(self) -> int:

@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_consumption(args) -> int:
     cfg = _scenario_from_args(args)
-    terminals, _ = build_drop(cfg)
+    drop, _ = build_drop(cfg)
 
     def stage(name):  # the ``<name>_gain_db`` and ``<name>_efficiency`` keys
         gain_db, efficiency = getattr(cfg, f"{name}_gain_db"), getattr(cfg, f"{name}_efficiency")
@@ -90,9 +90,8 @@ def _cmd_consumption(args) -> int:
         stage("bs_baseband"), stage("bs_mixer"), stage("bs_amp"))
     platform = Point3(0.0, 0.0, cfg.altitude_m)
     gateway = Point3(cfg.gateway_distance_m, 0.0, 0.0)
-    _, xs, ys, *_ = zip(*terminals)
     assessment = consumption_mod.haps_relay_assessment(
-        xs, ys, platform, gateway, cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source)
+        drop.x, drop.y, platform, gateway, cfg.relay_rx_gain_db, cfg.sink_rx_gain_db, h_relay, h_source)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_mod.write_consumption_csv(out / "consumption.csv", assessment)
@@ -101,7 +100,7 @@ def _cmd_consumption(args) -> int:
     worst_ratio = float(assessment.feeder_access_ratio_sq.max())
     print(f"h_relay = {h_relay:.6f}")
     print(f"h_source = {h_source:.6f}")
-    print(f"relay_preferred = {preferred}/{len(terminals)} terminals")
+    print(f"relay_preferred = {preferred}/{len(drop)} terminals")
     print(f"max_feeder_access_ratio_sq = {worst_ratio:.4f} (bound 6.25)")
     print(f"artifacts written to {out}")
     return 0
@@ -142,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if isinstance(sys.stdout, io.TextIOWrapper):  # UTF-8 in every locale, as the artifacts are,
-        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")  # a name's bytes as they came
+    for stream in (sys.stdout, sys.stderr):  # UTF-8 in every locale, as the artifacts are,
+        if isinstance(stream, io.TextIOWrapper):  # a name's bytes as they came
+            stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -7,11 +7,12 @@ bent-pipe baseline).  Unknown or duplicated keys are rejected.
 
 Each key's declaration below is its whole rule: the annotation gives its
 type, and its default either names a domain (``_one_of``, ``_positive``,
-``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``) or, for a number,
-leaves it finite only.  The keys of ``_LAYOUT_DEFAULTS`` also accept the
-literal ``auto`` and resolve from the layout: ``terminal_count``
-(20 single / 210 seven-cell), ``cell_radius_m`` (60 km / 100 km) and
-``target_los_count`` (17 / 175).  A ``bool`` key takes only a bool.
+``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``,
+``_power_dbm``) or, for a number, leaves it finite only.  The keys of
+``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and resolve from the
+layout: ``terminal_count`` (20 single / 210 seven-cell), ``cell_radius_m``
+(60 km / 100 km) and ``target_los_count`` (17 / 175).  A ``bool`` key
+takes only a bool.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ _non_negative = _within(0, math.inf, "must be non-negative")
 # finite ends far beyond any real chain, so 10 ** (value / 10) and what is built from it stay finite
 _noise_figure = _within(0, 100, "must lie in [0, 100]: a noise figure below 0 dB is unphysical")
 _gain_db = _within(-300, 300, "must lie in [-300, 300] dB")
+_power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -92,10 +94,10 @@ class ScenarioConfig:
     ul_allocation_hz: float = _positive(1e6)
 
     # Transmit powers and receiver noise figures
-    panel_tx_power_dbm: float = 43.0
-    ue_tx_power_dbm: float = 23.0
-    gateway_tx_power_dbm: float = 43.0
-    gateway_antenna_gain_dbi: float = 32.3
+    panel_tx_power_dbm: float = _power_dbm(43.0)
+    ue_tx_power_dbm: float = _power_dbm(23.0)
+    gateway_tx_power_dbm: float = _power_dbm(43.0)
+    gateway_antenna_gain_dbi: float = _gain_db(32.3)
     ue_noise_figure_db: float = _noise_figure(7.0)
     bs_noise_figure_db: float = _noise_figure(5.0)
     gateway_noise_figure_db: float = _noise_figure(3.0)
@@ -103,17 +105,17 @@ class ScenarioConfig:
     # Repeater and bent-pipe modelling switches
     repeater_gain_db: float = 105.0
     repeater_noise_figure_db: float = _noise_figure(7.0)
-    repeater_max_output_dbm: float = 30.0
+    repeater_max_output_dbm: float = _power_dbm(30.0)
     repeater_output_limit: bool = False
     bp_feeder_chain: str = _one_of("compensated", "explicit")
     bp_repeater_noise_at_ue: bool = False
     bp_ul_noise: str = _one_of("matched", "cascade")
 
     # Platform antennas
-    single_antenna_gain_dbi: float = 8.0
+    single_antenna_gain_dbi: float = _gain_db(8.0)
     single_antenna_hpbw_deg: float = _positive(65.0)
     single_antenna_front_to_back_db: float = _positive(30.0)
-    array_element_gain_dbi: float = 5.0
+    array_element_gain_dbi: float = _gain_db(5.0)
     array_element_hpbw_deg: float = _positive(90.0)
     array_element_front_to_back_db: float = _positive(30.0)
     bottom_panel_rows: int = _positive(2)
@@ -126,7 +128,7 @@ class ScenarioConfig:
     side_panel_azimuth_offset_deg: float = 0.0
 
     # Terminal antennas
-    cpe_gain_dbi: float = 12.0
+    cpe_gain_dbi: float = _gain_db(12.0)
     cpe_hpbw_deg: float = _positive(60.0)
     cpe_front_to_back_db: float = _positive(30.0)
 

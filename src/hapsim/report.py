@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -62,9 +63,10 @@ def _write_csv(path, columns: dict) -> None:
 
 def write_users_csv(path, result: CampaignResult) -> tuple[list[str], list[str]]:
     """Per-user results, one line per terminal in id order; returns the DL and UL SE text."""
-    ids, xs, ys, kinds, los, _ = zip(*result.terminals)
+    drop = result.terminals
     dl_text, ul_text = _column_text(result.dl_se), _column_text(result.ul_se)
-    rows = zip(map(str, ids), map(repr, xs), map(repr, ys), kinds, map("01".__getitem__, los),
+    rows = zip(map(str, range(len(drop))), map(repr, drop.x.tolist()), map(repr, drop.y.tolist()),
+               repeat(drop.kind), map("01".__getitem__, drop.los.tolist()),
                map(str, result.serving_cell.tolist()), dl_text, ul_text,
                _column_text((result.dl_se == 0.0) | (result.ul_se == 0.0)))
     _overwrite(path, "\n".join([",".join(USER_CSV_COLUMNS), *map(",".join, rows)]) + "\n")
@@ -82,7 +84,7 @@ def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
         f"terminal_kind = {cfg.terminal_kind}",
         f"seed = {cfg.seed}",
         f"terminals = {len(result.terminals)}",
-        f"los_terminals = {sum(t.los for t in result.terminals)}",
+        f"los_terminals = {np.count_nonzero(result.terminals.los)}",
         f"dl_mean_se = {result.dl.mean_se:.6f}",
         f"dl_cell_edge_se = {result.dl.cell_edge_se:.6f}",
         f"dl_outage_count = {result.dl.outage_count}",

@@ -23,7 +23,9 @@ stay in linear units from the received powers to ``sinr_to_se``.  The
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import UserString
 from itertools import repeat
 from typing import NamedTuple
@@ -39,6 +41,7 @@ from .geometry import FlightPattern, Point3, haps_position, link_geometry
 __all__ = [
     "AggregateStats",
     "Terminal",
+    "Drop",
     "USER_CSV_COLUMNS",
     "CampaignResult",
     "sinr_to_se",
@@ -118,6 +121,38 @@ class Terminal(NamedTuple):
     shadow_db: float
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class Drop:
+    """A terminal drop as read-only arrays in terminal-id order, and the one kind of its terminals.
+
+    It reads as the list of its ``Terminal`` records: ``len``, iteration, an
+    integer index and ``==`` give what they give on that list.
+    """
+
+    __slots__ = ("x", "y", "los", "shadow_db", "kind")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, los: np.ndarray, shadow_db: np.ndarray, kind: str):
+        self.x, self.y, self.los, self.shadow_db, self.kind = *map(_read_only, (x, y, los, shadow_db)), kind
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def __iter__(self):
+        return map(Terminal, range(self.x.size), self.x.tolist(), self.y.tolist(), repeat(self.kind),
+                   self.los.tolist(), self.shadow_db.tolist())
+
+    def __getitem__(self, index: int) -> Terminal:
+        i = range(self.x.size)[operator.index(index)]  # from the end when negative
+        return Terminal(i, float(self.x[i]), float(self.y[i]), self.kind, bool(self.los[i]), float(self.shadow_db[i]))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if other.__class__ is Drop else NotImplemented
+
+
 def cell_centers(layout: str, service_radius_m: float,
                  outer_fraction: float = 0.44,
                  azimuth_offset_deg: float = 0.0) -> np.ndarray:
@@ -158,7 +193,7 @@ def _los_target_reachable(p_los: np.ndarray, target: int) -> bool:
 def drop_terminals(n: int, service_radius_m: float, kind: str,
                    tables: channel.NtnTables, rng: np.random.Generator,
                    platform_center: Point3,
-                   target_los: int | None = None) -> list[Terminal]:
+                   target_los: int | None = None) -> Drop:
     """Drop ``n`` terminals uniformly over the service disc.
 
     LOS states are Bernoulli draws from the elevation-binned probability,
@@ -189,7 +224,7 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
         attempts = _MAX_LOS_ATTEMPTS if _los_target_reachable(p_los, target_los) else 0
         for _ in range(attempts):
             los = rng.random(n) < p_los
-            if int(los.sum()) == target_los:
+            if np.count_nonzero(los) == target_los:
                 break
         else:
             raise ValidationError(
@@ -201,8 +236,7 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     sigma = np.where(los, tables.shadow_std_los_db[bins], tables.shadow_std_nlos_db[bins])
     shadow = rng.normal(0.0, sigma)
 
-    return list(map(Terminal, range(n), xs.tolist(), ys.tolist(), repeat(kind),
-                    los.tolist(), shadow.tolist()))
+    return Drop(xs, ys, los, shadow, kind)
 
 
 class _ScenarioPath(UserString):
@@ -219,15 +253,15 @@ def _load_tables(config: ScenarioConfig) -> channel.NtnTables:
     return channel.NtnTables.from_file(_ScenarioPath(path))
 
 
-def build_drop(config: ScenarioConfig) -> tuple[list[Terminal], channel.NtnTables]:
+def build_drop(config: ScenarioConfig) -> tuple[Drop, channel.NtnTables]:
     """The campaign drop implied by a configuration (seed included)."""
     config.validate()
     tables = _load_tables(config)
-    terminals = drop_terminals(
+    drop = drop_terminals(
         config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,
         tables, np.random.default_rng(config.seed), Point3(0.0, 0.0, config.altitude_m),
         config.resolved_target_los_count())
-    return terminals, tables
+    return drop, tables
 
 
 # ----------------------------------------------------------------------
@@ -235,36 +269,40 @@ def build_drop(config: ScenarioConfig) -> tuple[list[Terminal], channel.NtnTable
 
 def _pattern(config: ScenarioConfig, prefix: str) -> ElementPattern:
     """The pattern of the ``<prefix>_gain_dbi``, ``_hpbw_deg`` and ``_front_to_back_db`` keys."""
-    return ElementPattern(*(getattr(config, f"{prefix}_{key}")
+    # + 0.0 makes -0.0 a 0.0, here and for the side tilt: equal keys build equal bits and share a beam set
+    return ElementPattern(*(getattr(config, f"{prefix}_{key}") + 0.0
                             for key in ("gain_dbi", "hpbw_deg", "front_to_back_db")))
 
 
-def build_beams(config: ScenarioConfig) -> tuple[list[Panel], np.ndarray]:
+def build_beams(config: ScenarioConfig) -> tuple[tuple[Panel, ...], np.ndarray]:
     """Platform antenna set and the ground cell each panel serves.
 
     Returns the panels (one fixed antenna, or the hexagonal array) and
-    their cell centres as an index-aligned ``(n, 2)`` array.
+    their cell centres as an index-aligned ``(n, 2)`` array.  Both are
+    read-only, and shared by every call with the same beam keys.
     """
-    centers = cell_centers(
-        config.layout,
-        config.resolved_cell_radius_m(),
-        config.outer_cell_center_fraction,
-        config.side_panel_azimuth_offset_deg,
-    )
-    if config.layout == "single":
-        panels = [antenna.single_element_panel(_pattern(config, "single_antenna"))]
-    else:
-        panels = antenna.hex_array(
-            _pattern(config, "array_element"),
-            bottom_rows=config.bottom_panel_rows,
-            bottom_cols=config.bottom_panel_cols,
-            side_rows=config.side_panel_rows,
-            side_cols=config.side_panel_cols,
-            spacing_wl=config.element_spacing_wl,
-            side_tilt_deg=config.side_panel_tilt_deg,
-            azimuth_offset_deg=config.side_panel_azimuth_offset_deg,
-        )
-    return panels, centers
+    return _beams(config.layout, config.resolved_cell_radius_m(), config.outer_cell_center_fraction,
+                  config.side_panel_azimuth_offset_deg,
+                  _pattern(config, "single_antenna" if config.layout == "single" else "array_element"),
+                  config.bottom_panel_rows, config.bottom_panel_cols, config.side_panel_rows,
+                  config.side_panel_cols, config.element_spacing_wl, config.side_panel_tilt_deg + 0.0)
+
+
+# A sweep over seeds or presets reuses one or two beam sets and flight circles; these keep eight.
+@functools.lru_cache(maxsize=8)
+def _beams(layout, radius_m, outer_fraction, azimuth_offset_deg, element, bottom_rows, bottom_cols,
+           side_rows, side_cols, spacing_wl, tilt_deg) -> tuple[tuple[Panel, ...], np.ndarray]:
+    panels = (antenna.single_element_panel(element),) if layout == "single" else tuple(antenna.hex_array(
+        element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows,
+        side_cols=side_cols, spacing_wl=spacing_wl, side_tilt_deg=tilt_deg,
+        azimuth_offset_deg=azimuth_offset_deg))
+    return panels, _read_only(cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(pattern: FlightPattern) -> np.ndarray:
+    """The ``(P, 3)`` platform positions of a flight pattern, read-only."""
+    return _read_only(haps_position(pattern, np.arange(pattern.position_count)))
 
 
 def nominal_cells(xy: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -358,7 +396,7 @@ class CampaignResult(NamedTuple):
     """Everything a campaign produces, per terminal and aggregated."""
 
     config: ScenarioConfig
-    terminals: list[Terminal]
+    terminals: Drop
     dl_se: np.ndarray
     ul_se: np.ndarray
     serving_cell: np.ndarray  # modal serving beam over the flight circle
@@ -375,29 +413,23 @@ class CampaignResult(NamedTuple):
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Run one full campaign over the flight circle."""
     cfg = config  # build_drop validates it before any work
-    terminals, tables = build_drop(cfg)
+    drop, tables = build_drop(cfg)
     panels, centers = build_beams(cfg)
-    pattern = FlightPattern(
-        center=Point3(0.0, 0.0, cfg.altitude_m),
-        diameter_m=cfg.flight_circle_diameter_m,
-        position_count=cfg.flight_position_count,
-        angular_step_deg=cfg.flight_angular_step_deg,
-    )
+    hpos = _positions(FlightPattern(Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
+                                    cfg.flight_position_count, cfg.flight_angular_step_deg))
 
     # Every array below has the platform positions on axis 0:
     # (P, n) per terminal, (P, beams, n) per beam and terminal.
-    n = len(terminals)
+    n = len(drop)
     n_pos = cfg.flight_position_count
-    _, xs, ys, _, los, shadow = zip(*terminals)
-    xy, los, shadow = np.column_stack([xs, ys]), np.array(los), np.array(shadow)
-    hpos = haps_position(pattern, np.arange(n_pos))
+    xy = np.column_stack([drop.x, drop.y])
     ground = np.column_stack([xy, np.zeros(n)])
     dirs = ground - hpos[:, None, :]  # platform -> terminal, for the antennas
     elev, slant = link_geometry(ground, hpos[:, None, :])  # terminal -> platform
 
-    clutter = np.where(los, 0.0, tables.clutter_loss_nlos_db[tables.bin_indices(elev)])
-    loss_dl = channel.fspl(cfg.dl_carrier_hz, slant) + shadow + clutter
-    loss_ul = channel.fspl(cfg.ul_carrier_hz, slant) + shadow + clutter
+    clutter = np.where(drop.los, 0.0, tables.clutter_loss_nlos_db[tables.bin_indices(elev)])
+    loss_dl = channel.fspl(cfg.dl_carrier_hz, slant) + drop.shadow_db + clutter
+    loss_ul = channel.fspl(cfg.ul_carrier_hz, slant) + drop.shadow_db + clutter
 
     # Terminal antenna gain towards the platform (identical both directions:
     # omnis are flat, rooftop antennas are azimuth-aligned with the link).
@@ -490,5 +522,5 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     # the most frequent serving beam; ties go to the lowest index
     modal = member.sum(axis=0).argmax(axis=0)
-    return CampaignResult(config=cfg, terminals=terminals, dl_se=dl_se, ul_se=ul_se,
+    return CampaignResult(config=cfg, terminals=drop, dl_se=dl_se, ul_se=ul_se,
                           serving_cell=modal, dl=aggregate_se(dl_se), ul=aggregate_se(ul_se))

@@ -152,13 +152,22 @@ DB_ENDS = {**dict.fromkeys(["ue_noise_figure_db", "bs_noise_figure_db", "gateway
                             "sink_rx_gain_db"], (-300.0, 300.0))}
 # the default bent pipe reads the UE and BS noise figures; these switches the other two
 DB_SWITCHES = ("", "bp_ul_noise = cascade\nbp_repeater_noise_at_ue = true\n")
+# and so does every transmit power and antenna gain
+LEVEL_ENDS = dict.fromkeys(["panel_tx_power_dbm", "ue_tx_power_dbm", "gateway_tx_power_dbm",
+                            "repeater_max_output_dbm", "gateway_antenna_gain_dbi",
+                            "single_antenna_gain_dbi", "array_element_gain_dbi", "cpe_gain_dbi"],
+                           (-300.0, 300.0))
+# the single cell reads its antenna; seven rooftop cells the array element and the CPE; the
+# explicit feeder chain the gateway and, with its limit on, the repeater's output
+LEVEL_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\n",
+                  "bp_feeder_chain = explicit\nrepeater_output_limit = true\n")
+ENDS = {**DB_ENDS, **LEVEL_ENDS}
 
 
-@pytest.mark.parametrize("key, end", [(key, end) for key, ends in DB_ENDS.items() for end in ends])
-def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, key, end):
+def _both_commands_run_cleanly(tmp_path, capsys, switches, assignments: str) -> None:
     scenario = tmp_path / "end.cfg"
-    for switches in DB_SWITCHES:
-        scenario.write_text(f"{switches}{key} = {end!r}\n")
+    for switch in switches:
+        scenario.write_text(f"{switch}{assignments}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warning fails the run
             for command in ("run", "consumption"):
@@ -173,9 +182,21 @@ def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, ke
             assert 0.0 <= dl <= cfg.dl_se_max and 0.0 <= ul <= cfg.ul_se_max, row
 
 
-@pytest.mark.parametrize("key, end", [(key, end) for key, ends in DB_ENDS.items() for end in ends])
+@pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
+def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, key, end):
+    switches = DB_SWITCHES if key in DB_ENDS else LEVEL_SWITCHES
+    _both_commands_run_cleanly(tmp_path, capsys, switches, f"{key} = {end!r}\n")
+
+
+@pytest.mark.parametrize("end", [-300.0, 300.0])
+def test_every_power_and_antenna_gain_at_one_end_together_runs_cleanly(tmp_path, capsys, end):
+    _both_commands_run_cleanly(tmp_path, capsys, LEVEL_SWITCHES,
+                               "".join(f"{key} = {end!r}\n" for key in LEVEL_ENDS))
+
+
+@pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
 def test_a_value_just_outside_a_db_domain_names_its_key_and_line(tmp_path, capsys, key, end):
-    lo, hi = DB_ENDS[key]
+    lo, hi = ENDS[key]
     outside = math.nextafter(end, math.copysign(math.inf, end - (lo + hi) / 2))
     scenario = tmp_path / "outside.cfg"
     scenario.write_text(f"seed = 1\n{key} = {outside!r}\n")
@@ -398,6 +419,20 @@ def test_a_table_path_an_ascii_locale_cannot_encode_opens_as_in_a_utf8_one(tmp_p
         assert outputs["ascii", key] == outputs["utf8", key], key
     assert outputs["ascii"] == outputs["utf8"]
     assert "ntn_table_path = tabl\u00e9.csv\n" in outputs["ascii", "validate"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs the C locale")
+def test_an_error_line_is_utf8_in_every_locale(tmp_path):
+    # the message quotes the table's name: its UTF-8 bytes, as on standard output
+    (tmp_path / "s.cfg").write_text("ntn_table_path = miss\u00e9.csv\n", encoding="utf-8")
+    errors = {}
+    for label, environ in (("ascii", ASCII_LOCALE), ("utf8", {"LC_ALL": "C.UTF-8"})):
+        proc = _hapsim_process("run", "--config", "s.cfg", "--out", "out", cwd=tmp_path, **environ)
+        assert proc.returncode == 1
+        errors[label] = proc.stderr
+    assert errors["ascii"] == errors["utf8"] == (
+        "error: [Errno 2] No such file or directory: 'miss\u00e9.csv'\n")
+    assert not (tmp_path / "out").exists()
 
 
 # a UTF-8 locale other than C.UTF-8 gives standard output the strict error handler

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import struct
 import sys
 import warnings
 from collections import Counter
@@ -20,10 +21,12 @@ from hapsim.channel import NtnTables
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.errors import ConfigError, DomainError, HapsimError, ValidationError
-from hapsim.geometry import Point3, link_geometry
+from hapsim.geometry import FlightPattern, Point3, link_geometry
 from hapsim.report import format_report
 from hapsim.simulation import (
     AggregateStats,
+    Drop,
+    Terminal,
     _coblock_interference,
     aggregate_se,
     build_beams,
@@ -249,6 +252,34 @@ def test_drop_records_hold_the_drawn_arrays(target_los):
     assert {type(v) for v in los_col} == {bool}
     with pytest.raises(AttributeError):
         terms[0].x = 0.0
+    # the records a list of them held, bit for bit, by iteration and by index alike
+    records = list(map(Terminal, range(20), xs.tolist(), ys.tolist(), ["ue_omni"] * 20,
+                       los.tolist(), shadow.tolist()))
+    for got in (list(terms), [terms[i] for i in range(20)], [terms[i - 20] for i in range(20)]):
+        assert list(map(_record_bits, got)) == list(map(_record_bits, records))
+        assert {type(t) for t in got} == {Terminal}
+
+
+def _record_bits(t: Terminal) -> tuple:
+    return t.terminal_id, t.x.hex(), t.y.hex(), t.kind, t.los, t.shadow_db.hex()
+
+
+def test_drop_is_read_only_arrays_and_compares_as_its_records():
+    a, _ = build_drop(ScenarioConfig(seed=4))
+    b, _ = build_drop(ScenarioConfig(seed=4))
+    assert isinstance(a, Drop) and a is not b and a == b and not a != b
+    assert a != build_drop(ScenarioConfig(seed=5))[0]
+    assert a != Drop(a.x, a.y, a.los, a.shadow_db, "cpe_directional")
+    assert a != list(a)  # a drop equals a drop, as a list equals a list
+    for array in (a.x, a.y, a.los, a.shadow_db):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    assert a.x.dtype == a.y.dtype == a.shadow_db.dtype == float and a.los.dtype == bool
+    for bad in (len(a), -len(a) - 1):
+        with pytest.raises(IndexError):
+            a[bad]
+    with pytest.raises(TypeError):
+        a[1.0]
 
 
 def test_drop_validation():
@@ -305,6 +336,87 @@ def test_build_beams_single_and_seven():
     assert centers.shape == (7, 2)
     assert panels[0].n_elements == 4
     assert all(p.n_elements == 8 for p in panels[1:])
+
+
+def _beam_bits(cfg: ScenarioConfig) -> list[bytes]:
+    """Every bit of a config's panels, cell centres and flight positions."""
+    panels, centers = build_beams(cfg)
+    positions = simulation._positions(FlightPattern(
+        Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
+        cfg.flight_position_count, cfg.flight_angular_step_deg))
+    scalars = [v for p in panels for v in (p.rows, p.cols, p.spacing_wl, *p.element)]
+    vectors = [v for p in panels for v in (p.boresight, p.col_axis, p.row_axis)]
+    return [struct.pack("<d", v) for v in scalars] + [a.tobytes() for a in (centers, positions, *vectors)]
+
+
+def _key_changes(cfg: ScenarioConfig, f: dataclasses.Field) -> list[tuple]:
+    """``(cached, asked)`` values of one key: another value, and values equal to it but not the same."""
+    value = getattr(cfg, f.name)
+    if "choices" in f.metadata:
+        return [(value, next(c for c in f.metadata["choices"] if c != value))]
+    if f.type == "bool":
+        return [(value, not value)]
+    if f.type == "str":
+        return [(value, "elsewhere.csv")]
+    if value is None:  # an auto key: its resolved value, then another
+        return [(None, cfg._resolved(f.name)), (None, cfg._resolved(f.name) + 1)]
+    if f.type.startswith("int"):
+        return [(value, value + 1), (value, np.int64(value))]
+    pairs = [(value, value * 1.25 or 1.0), (value, np.float64(value))]
+    if value == round(value):
+        pairs += [(float(value), int(value)), (int(value), float(value))]
+    if f.metadata.get("range", (-math.inf,))[0] <= 0:
+        pairs += [(0.0, -0.0), (-0.0, 0.0), (0, -0.0)]
+    return pairs
+
+
+@pytest.mark.parametrize("layout", ["single", "seven_cell"])
+def test_a_cached_beam_set_is_what_an_empty_cache_builds_for_every_key(layout):
+    caches = (simulation._beams, simulation._positions)
+    base = ScenarioConfig(layout=layout)
+    changed = set()
+    for f in dataclasses.fields(ScenarioConfig):
+        for cached, asked in _key_changes(base, f):
+            first = dataclasses.replace(base, **{f.name: cached})
+            then = dataclasses.replace(base, **{f.name: asked})
+            try:
+                then.validate()
+            except ValidationError:  # a check across keys: the count and step of the circle
+                assert f.name.startswith("flight_")
+                continue
+            for cache in caches:
+                cache.cache_clear()
+            _beam_bits(first)
+            from_cache = _beam_bits(then)
+            for cache in caches:
+                cache.cache_clear()
+            assert from_cache == _beam_bits(then), (f.name, cached, asked)
+            if from_cache != _beam_bits(first):
+                changed.add(f.name)
+    # and a cache miss on each key the beam set or the flight circle reads
+    assert changed == BEAM_KEYS[layout]
+
+
+# what a layout's beam set and flight circle read; the circle's count and step cannot change alone
+_FLIGHT_KEYS = {"layout", "altitude_m", "flight_circle_diameter_m"}
+_PATTERN_KEYS = ("gain_dbi", "hpbw_deg", "front_to_back_db")
+BEAM_KEYS = {
+    "single": _FLIGHT_KEYS | {f"single_antenna_{k}" for k in _PATTERN_KEYS},
+    "seven_cell": _FLIGHT_KEYS | {f"array_element_{k}" for k in _PATTERN_KEYS} | {
+        "cell_radius_m", "outer_cell_center_fraction", "bottom_panel_rows", "bottom_panel_cols",
+        "side_panel_rows", "side_panel_cols", "element_spacing_wl", "side_panel_tilt_deg",
+        "side_panel_azimuth_offset_deg"},
+}
+
+
+def test_cached_beams_and_positions_are_read_only():
+    cfg = ScenarioConfig(layout="seven_cell")
+    panels, centers = build_beams(cfg)
+    assert build_beams(cfg)[0] is panels and isinstance(panels, tuple)
+    hpos = simulation._positions(FlightPattern())
+    for array in (centers, hpos, *(v for p in panels for v in (p.boresight, p.col_axis, p.row_axis))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 # hex_array and cell_centers each add the offset to 60 k degrees
