@@ -16,9 +16,7 @@ from .architecture import (
 from .channel import NtnTables, feeder_loss, fspl
 from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names
 from .consumption import (
-    EfficiencyStage,
     RelayAssessment,
-    RelayScenario,
     base_station_chain_efficiency,
     haps_relay_assessment,
     power_efficiency_factor,

@@ -24,7 +24,6 @@ from pathlib import Path
 from . import consumption as consumption_mod
 from . import report as report_mod
 from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names
-from .consumption import EfficiencyStage
 from .errors import HapsimError
 from .geometry import Point3
 from .simulation import build_drop, run_campaign
@@ -83,7 +82,7 @@ def _cmd_consumption(args) -> int:
 
     def stage(name):  # the ``<name>_gain_db`` and ``<name>_efficiency`` keys
         gain_db, efficiency = getattr(cfg, f"{name}_gain_db"), getattr(cfg, f"{name}_efficiency")
-        return EfficiencyStage(10.0 ** (gain_db / 10.0), efficiency)
+        return 10.0 ** (gain_db / 10.0), efficiency
 
     h_relay = consumption_mod.repeater_chain_efficiency(stage("repeater_mixer"), stage("repeater_amp"))
     h_source = consumption_mod.base_station_chain_efficiency(

@@ -8,11 +8,11 @@ bent-pipe baseline).  Unknown or duplicated keys are rejected.
 Each key's declaration below is its whole rule: the annotation gives its
 type, and its default either names a domain (``_one_of``, ``_positive``,
 ``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``,
-``_power_dbm``) or, for a number, leaves it finite only.  The keys of
-``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and resolve from the
-layout: ``terminal_count`` (20 single / 210 seven-cell), ``cell_radius_m``
-(60 km / 100 km) and ``target_los_count`` (17 / 175).  A ``bool`` key
-takes only a bool.
+``_power_dbm``, ``_beamwidth``) or, for a number, leaves it finite only.
+The keys of ``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and
+resolve from the layout: ``terminal_count`` (20 single / 210 seven-cell),
+``cell_radius_m`` (60 km / 100 km) and ``target_los_count`` (17 / 175).
+A ``bool`` key takes only a bool.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ _non_negative = _within(0, math.inf, "must be non-negative")
 _noise_figure = _within(0, 100, "must lie in [0, 100]: a noise figure below 0 dB is unphysical")
 _gain_db = _within(-300, 300, "must lie in [-300, 300] dB")
 _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
+# the element pattern squares offset / beamwidth, which overflows as the beamwidth nears 0
+_beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -103,7 +105,7 @@ class ScenarioConfig:
     gateway_noise_figure_db: float = _noise_figure(3.0)
 
     # Repeater and bent-pipe modelling switches
-    repeater_gain_db: float = 105.0
+    repeater_gain_db: float = _gain_db(105.0)
     repeater_noise_figure_db: float = _noise_figure(7.0)
     repeater_max_output_dbm: float = _power_dbm(30.0)
     repeater_output_limit: bool = False
@@ -113,10 +115,10 @@ class ScenarioConfig:
 
     # Platform antennas
     single_antenna_gain_dbi: float = _gain_db(8.0)
-    single_antenna_hpbw_deg: float = _positive(65.0)
+    single_antenna_hpbw_deg: float = _beamwidth(65.0)
     single_antenna_front_to_back_db: float = _positive(30.0)
     array_element_gain_dbi: float = _gain_db(5.0)
-    array_element_hpbw_deg: float = _positive(90.0)
+    array_element_hpbw_deg: float = _beamwidth(90.0)
     array_element_front_to_back_db: float = _positive(30.0)
     bottom_panel_rows: int = _positive(2)
     bottom_panel_cols: int = _positive(2)
@@ -129,7 +131,7 @@ class ScenarioConfig:
 
     # Terminal antennas
     cpe_gain_dbi: float = _gain_db(12.0)
-    cpe_hpbw_deg: float = _positive(60.0)
+    cpe_hpbw_deg: float = _beamwidth(60.0)
     cpe_front_to_back_db: float = _positive(30.0)
 
     # Link abstraction (truncated attenuated Shannon).  Attenuation and

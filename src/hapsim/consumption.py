@@ -27,12 +27,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, checked_record
+from .errors import DomainError
 from .geometry import Point3, link_geometry
 
 __all__ = [
-    "EfficiencyStage",
-    "RelayScenario",
     "RelayAssessment",
     "power_efficiency_factor",
     "repeater_chain_efficiency",
@@ -42,86 +40,57 @@ __all__ = [
 ]
 
 
-class EfficiencyStage(checked_record("EfficiencyStage", "gain efficiency")):
-    """One active stage: linear power gain and drain efficiency."""
+def power_efficiency_factor(stages: Sequence[tuple[float, float]]) -> float:
+    """Power-efficiency factor H of a chain of ``(gain, efficiency)`` stages, source to antenna.
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.gain <= 0:
-            raise DomainError(f"stage gain must be positive, got {self.gain}")
-        if not 0 < self.efficiency <= 1:
-            raise DomainError(
-                f"stage efficiency must lie in (0, 1], got {self.efficiency}"
-            )
-        return self
-
-
-def power_efficiency_factor(stages: Sequence[EfficiencyStage]) -> float:
-    """Power-efficiency factor H of a chain ordered source to antenna.
-
-    Lossless passive elements (efficiency 1) drop out; an empty chain is
-    a bare antenna with H = 1.
+    Gains are linear.  Lossless passive elements (efficiency 1) drop out;
+    an empty chain is a bare antenna with H = 1.
     """
     waste = 0.0
     gain_before = 1.0
-    for stage in stages:
-        waste += (1.0 / stage.efficiency - 1.0) / gain_before
-        gain_before *= stage.gain
+    for gain, efficiency in stages:
+        if gain <= 0:
+            raise DomainError(f"stage gain must be positive, got {gain}")
+        if not 0 < efficiency <= 1:
+            raise DomainError(f"stage efficiency must lie in (0, 1], got {efficiency}")
+        waste += (1.0 / efficiency - 1.0) / gain_before
+        gain_before *= gain
     return 1.0 / (1.0 + waste)
 
 
-def repeater_chain_efficiency(mixer: EfficiencyStage, rf_amp: EfficiencyStage) -> float:
-    """H of a repeater transmit chain (mixer then RF amplifier).
+def repeater_chain_efficiency(mixer, rf_amp) -> float:
+    """H of a repeater transmit chain (mixer then RF amplifier), each a ``(gain, efficiency)`` pair.
 
     The antennas on both ends are passive and contribute nothing.
     """
     return power_efficiency_factor([mixer, rf_amp])
 
 
-def base_station_chain_efficiency(baseband_amp: EfficiencyStage,
-                                  mixer: EfficiencyStage,
-                                  rf_amp: EfficiencyStage) -> float:
+def base_station_chain_efficiency(baseband_amp, mixer, rf_amp) -> float:
     """H of a base-station transmit chain (baseband amp, mixer, RF amp)."""
     return power_efficiency_factor([baseband_amp, mixer, rf_amp])
 
 
-class RelayScenario(checked_record("RelayScenario", "d1_m d2_m d3_m relay_rx_gain sink_rx_gain "
-                                                    "relay_efficiency source_efficiency")):
-    """Inputs of one relay-versus-direct comparison (gains linear).
+def relay_advantage(d1_m, d2_m, d3_m, relay_rx_gain, sink_rx_gain,
+                    relay_efficiency, source_efficiency):
+    """Right-hand side of the relay-advantage inequality (gains linear); the relay wins below 1.
 
-    Any field may be an array; the fields broadcast against each other,
-    and an array is rejected when any of its entries is out of range.
+    Any argument may be an array; they broadcast against each other, and an
+    array is rejected when any of its entries is out of range.  Each square
+    is a product, so scalar and array calls round alike.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if np.any(self.d1_m < 0) or np.any(self.d2_m < 0):
-            raise DomainError("relay path distances must be non-negative")
-        if np.any(self.d3_m <= 0):
-            raise DomainError("direct-path distance must be positive")
-        if np.any(self.relay_rx_gain <= 0) or np.any(self.sink_rx_gain <= 0):
-            raise DomainError("receive gains must be positive")
-        if not all(np.all((0 < eta) & (eta <= 1))
-                   for eta in (self.relay_efficiency, self.source_efficiency)):
-            raise DomainError("efficiency factors must lie in (0, 1]")
-        return self
-
-
-def relay_advantage(scenario: RelayScenario):
-    """Right-hand side of the relay-advantage inequality, elementwise for arrays.
-
-    The relay wins below 1.  Each square is a product, so scalar and
-    array calls round alike.
-    """
-    s = scenario
-    r1 = s.d1_m / s.d3_m
-    r2 = s.d2_m / s.d3_m
-    return (r1 * r1 / (s.relay_rx_gain / s.sink_rx_gain)
-            + r2 * r2 / (s.relay_efficiency / s.source_efficiency))
+    if np.any(d1_m < 0) or np.any(d2_m < 0):
+        raise DomainError("relay path distances must be non-negative")
+    if np.any(d3_m <= 0):
+        raise DomainError("direct-path distance must be positive")
+    if np.any(relay_rx_gain <= 0) or np.any(sink_rx_gain <= 0):
+        raise DomainError("receive gains must be positive")
+    if not all(np.all((0 < eta) & (eta <= 1)) for eta in (relay_efficiency, source_efficiency)):
+        raise DomainError("efficiency factors must lie in (0, 1]")
+    r1 = d1_m / d3_m
+    r2 = d2_m / d3_m
+    return (r1 * r1 / (relay_rx_gain / sink_rx_gain)
+            + r2 * r2 / (relay_efficiency / source_efficiency))
 
 
 class RelayAssessment(NamedTuple):
@@ -153,15 +122,8 @@ def haps_relay_assessment(x, y, platform: Point3, gateway: Point3,
     _, d1 = link_geometry(gateway, platform)
     ground = np.column_stack([x, y, np.zeros(len(x))])
     _, d_access = link_geometry(platform, ground)
-    rhs = relay_advantage(RelayScenario(
-        d1_m=d1,
-        d2_m=d_access,
-        d3_m=d_access,
-        relay_rx_gain=10.0 ** (relay_rx_gain_db / 10.0),
-        sink_rx_gain=10.0 ** (sink_rx_gain_db / 10.0),
-        relay_efficiency=relay_efficiency,
-        source_efficiency=source_efficiency,
-    ))
+    rhs = relay_advantage(d1, d_access, d_access, 10.0 ** (relay_rx_gain_db / 10.0),
+                          10.0 ** (sink_rx_gain_db / 10.0), relay_efficiency, source_efficiency)
     ratio = d1 / d_access
     return RelayAssessment(
         terminal_id=np.arange(d_access.size),

@@ -47,8 +47,6 @@ from hapsim.channel import fspl
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config
 from hapsim.consumption import (
-    EfficiencyStage,
-    RelayScenario,
     base_station_chain_efficiency,
     power_efficiency_factor,
     relay_advantage,
@@ -195,13 +193,13 @@ def test_criterion_5_ordering_properties():
 
 
 def test_criterion_6_power_efficiency_suite():
-    assert power_efficiency_factor([EfficiencyStage(12.0, 0.4)]) == 0.4
+    assert power_efficiency_factor([(12.0, 0.4)]) == 0.4
 
     rng = np.random.default_rng(17)
     for _ in range(200):
         g = rng.uniform(0.1, 1e4, 3)
         e = rng.uniform(0.05, 1.0, 3)
-        stages = [EfficiencyStage(float(gi), float(ei)) for gi, ei in zip(g, e)]
+        stages = [(float(gi), float(ei)) for gi, ei in zip(g, e)]
         assert_allclose(
             repeater_chain_efficiency(stages[0], stages[1]),
             power_efficiency_factor(stages[:2]), rtol=1e-12,
@@ -213,25 +211,24 @@ def test_criterion_6_power_efficiency_suite():
 
     # half the direct distance on each hop, no gain or efficiency edge:
     # rhs = 0.25 + 0.25 = 0.5 and the relay wins
-    win = relay_advantage(RelayScenario(500.0, 500.0, 1000.0, 1.0, 1.0, 0.5, 0.5))
+    win = relay_advantage(500.0, 500.0, 1000.0, 1.0, 1.0, 0.5, 0.5)
     assert_allclose(win, 0.5, rtol=1e-12)
     assert win < 1.0
     # both hops as long as the direct path: rhs = 1 + 1 = 2, relay loses
-    lose = relay_advantage(RelayScenario(1000.0, 1000.0, 1000.0, 1.0, 1.0, 0.5, 0.5))
+    lose = relay_advantage(1000.0, 1000.0, 1000.0, 1.0, 1.0, 0.5, 0.5)
     assert_allclose(lose, 2.0, rtol=1e-12)
     assert lose >= 1.0
 
     for scale in (1e-3, 0.1, 10.0, 1e3):
-        scaled = relay_advantage(RelayScenario(
-            500.0 * scale, 500.0 * scale, 1000.0 * scale, 1.0, 1.0, 0.5, 0.5))
+        scaled = relay_advantage(500.0 * scale, 500.0 * scale, 1000.0 * scale, 1.0, 1.0, 0.5, 0.5)
         assert_allclose(scaled, win, rtol=1e-12)
 
     base_eta = [0.3, 0.5, 0.7]
-    h_base = power_efficiency_factor([EfficiencyStage(10.0, e) for e in base_eta])
+    h_base = power_efficiency_factor([(10.0, e) for e in base_eta])
     for i in range(3):
         bumped = list(base_eta)
         bumped[i] += 0.05
-        h_bumped = power_efficiency_factor([EfficiencyStage(10.0, e) for e in bumped])
+        h_bumped = power_efficiency_factor([(10.0, e) for e in bumped])
         assert h_bumped > h_base, f"improving stage {i} efficiency did not improve H"
 
 

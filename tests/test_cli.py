@@ -161,7 +161,22 @@ LEVEL_ENDS = dict.fromkeys(["panel_tx_power_dbm", "ue_tx_power_dbm", "gateway_tx
 # explicit feeder chain the gateway and, with its limit on, the repeater's output
 LEVEL_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\n",
                   "bp_feeder_chain = explicit\nrepeater_output_limit = true\n")
-ENDS = {**DB_ENDS, **LEVEL_ENDS}
+# the repeater gain has the ends of the chain gains: every switch that reads it is on, on one
+# cell and on seven rooftop cells, with the output limit off and on
+REPEATER_SWITCHES = tuple(
+    f"{layout}bp_ul_noise = cascade\nbp_repeater_noise_at_ue = true\n"
+    f"bp_feeder_chain = explicit\n{limit}"
+    for layout in ("", "layout = seven_cell\nterminal_kind = cpe_directional\n")
+    for limit in ("", "repeater_output_limit = true\n"))
+# a beamwidth lies in [0.001, 360] degrees: the single cell reads its antenna's; seven cells
+# the array element's and, steered or selected, the CPE's
+HPBW_SWITCHES = ("", *(f"layout = seven_cell\nterminal_kind = cpe_directional\n"
+                       f"attachment_mode = {mode}\n" for mode in ("beam_steering", "beam_selection")))
+HPBW_ENDS = dict.fromkeys(["single_antenna_hpbw_deg", "array_element_hpbw_deg", "cpe_hpbw_deg"],
+                          (0.001, 360.0))
+ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS}
+SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, LEVEL_SWITCHES),
+            "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES)}
 
 
 def _both_commands_run_cleanly(tmp_path, capsys, switches, assignments: str) -> None:
@@ -184,8 +199,7 @@ def _both_commands_run_cleanly(tmp_path, capsys, switches, assignments: str) -> 
 
 @pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
 def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, key, end):
-    switches = DB_SWITCHES if key in DB_ENDS else LEVEL_SWITCHES
-    _both_commands_run_cleanly(tmp_path, capsys, switches, f"{key} = {end!r}\n")
+    _both_commands_run_cleanly(tmp_path, capsys, SWITCHES[key], f"{key} = {end!r}\n")
 
 
 @pytest.mark.parametrize("end", [-300.0, 300.0])

@@ -9,8 +9,6 @@ from numpy.testing import assert_allclose
 
 from hapsim.config import preset_config
 from hapsim.consumption import (
-    EfficiencyStage,
-    RelayScenario,
     base_station_chain_efficiency,
     haps_relay_assessment,
     power_efficiency_factor,
@@ -26,7 +24,7 @@ gains = st.floats(min_value=0.1, max_value=1e6)
 
 
 def test_single_stage_chain_is_its_own_efficiency():
-    assert_allclose(power_efficiency_factor([EfficiencyStage(10.0, 0.4)]), 0.4, rtol=1e-15)
+    assert_allclose(power_efficiency_factor([(10.0, 0.4)]), 0.4, rtol=1e-15)
 
 
 def test_empty_chain_is_a_bare_antenna():
@@ -35,28 +33,26 @@ def test_empty_chain_is_a_bare_antenna():
 
 def test_two_stage_oracle():
     # eta1=0.5, G1=10, eta2=0.5: H = 1/(1 + 1 + 0.1) = 1/2.1
-    h = power_efficiency_factor([EfficiencyStage(10.0, 0.5), EfficiencyStage(5.0, 0.5)])
+    h = power_efficiency_factor([(10.0, 0.5), (5.0, 0.5)])
     assert_allclose(h, 1.0 / 2.1, rtol=1e-15)
 
 
 def test_repeater_closed_form_oracle():
     # unity mixer gain, both stages at 0.5: waste = 1 + 1, H = 1/3
-    h = repeater_chain_efficiency(EfficiencyStage(1.0, 0.5), EfficiencyStage(100.0, 0.5))
+    h = repeater_chain_efficiency((1.0, 0.5), (100.0, 0.5))
     assert_allclose(h, 1.0 / 3.0, rtol=1e-15)
 
 
 def test_base_station_closed_form_oracle():
     # 0.5 at gain 10, 0.5 at gain 10, 0.5 final: waste = 1 + 0.1 + 0.01
-    h = base_station_chain_efficiency(
-        EfficiencyStage(10.0, 0.5), EfficiencyStage(10.0, 0.5), EfficiencyStage(50.0, 0.5)
-    )
+    h = base_station_chain_efficiency((10.0, 0.5), (10.0, 0.5), (50.0, 0.5))
     assert_allclose(h, 1.0 / 2.11, rtol=1e-15)
 
 
 @given(g1=gains, g2=gains, e1=etas, e2=etas)
 def test_repeater_closed_form_matches_generic(g1, g2, e1, e2):
-    mixer = EfficiencyStage(g1, e1)
-    rf = EfficiencyStage(g2, e2)
+    mixer = (g1, e1)
+    rf = (g2, e2)
     assert_allclose(
         repeater_chain_efficiency(mixer, rf),
         power_efficiency_factor([mixer, rf]),
@@ -66,7 +62,7 @@ def test_repeater_closed_form_matches_generic(g1, g2, e1, e2):
 
 @given(g1=gains, g2=gains, g3=gains, e1=etas, e2=etas, e3=etas)
 def test_base_station_closed_form_matches_generic(g1, g2, g3, e1, e2, e3):
-    a, m, r = EfficiencyStage(g1, e1), EfficiencyStage(g2, e2), EfficiencyStage(g3, e3)
+    a, m, r = (g1, e1), (g2, e2), (g3, e3)
     assert_allclose(
         base_station_chain_efficiency(a, m, r),
         power_efficiency_factor([a, m, r]),
@@ -76,17 +72,15 @@ def test_base_station_closed_form_matches_generic(g1, g2, g3, e1, e2, e3):
 
 @given(g1=gains, g2=gains, e1=etas, e2=st.floats(min_value=0.01, max_value=0.99))
 def test_chain_efficiency_increases_with_any_stage_efficiency(g1, g2, e1, e2):
-    worse = power_efficiency_factor([EfficiencyStage(g1, e1), EfficiencyStage(g2, e2)])
-    better = power_efficiency_factor(
-        [EfficiencyStage(g1, e1), EfficiencyStage(g2, min(e2 + 0.01, 1.0))]
-    )
+    worse = power_efficiency_factor([(g1, e1), (g2, e2)])
+    better = power_efficiency_factor([(g1, e1), (g2, min(e2 + 0.01, 1.0))])
     assert better > worse
 
 
 @given(gs=st.lists(gains, min_size=1, max_size=4), es=st.lists(etas, min_size=4, max_size=4))
 def test_appending_lossless_stages_never_changes_h(gs, es):
-    chain = [EfficiencyStage(g, e) for g, e in zip(gs, es)]
-    padded = chain + [EfficiencyStage(7.5, 1.0), EfficiencyStage(0.3, 1.0)]
+    chain = [(g, e) for g, e in zip(gs, es)]
+    padded = chain + [(7.5, 1.0), (0.3, 1.0)]
     assert_allclose(
         power_efficiency_factor(padded), power_efficiency_factor(chain), rtol=1e-15
     )
@@ -94,68 +88,74 @@ def test_appending_lossless_stages_never_changes_h(gs, es):
 
 @given(es=st.lists(etas, min_size=1, max_size=5))
 def test_h_bounded_by_unity_and_positive(es):
-    chain = [EfficiencyStage(10.0, e) for e in es]
+    chain = [(10.0, e) for e in es]
     h = power_efficiency_factor(chain)
     assert 0.0 < h <= 1.0
 
 
 def test_stage_validation():
     with pytest.raises(DomainError):
-        EfficiencyStage(0.0, 0.5)
-    with pytest.raises(DomainError):
-        EfficiencyStage(10.0, 0.0)
-    with pytest.raises(DomainError):
-        EfficiencyStage(10.0, 1.5)
+        power_efficiency_factor([(10.0, 0.0)])
+    with pytest.raises(DomainError) as err:
+        power_efficiency_factor([(10.0, 1.5)])
+    assert str(err.value) == "stage efficiency must lie in (0, 1], got 1.5"
+    with pytest.raises(DomainError) as err:
+        power_efficiency_factor([(0.0, 0.5)])
+    assert str(err.value) == "stage gain must be positive, got 0.0"
 
 
 def test_relay_advantage_oracles():
     # symmetric geometry, relay antenna 4x the sink's, equal efficiencies,
     # half the direct distance each hop: rhs = 0.25/4 + 0.25/1... scaled:
-    won = relay_advantage(RelayScenario(
+    won = relay_advantage(
         d1_m=500.0, d2_m=500.0, d3_m=1000.0,
         relay_rx_gain=4.0, sink_rx_gain=1.0,
         relay_efficiency=0.5, source_efficiency=0.5,
-    ))
+    )
     assert_allclose(won, 0.25 / 4.0 + 0.25, rtol=1e-15)
     assert won < 1.0  # the relay wins
 
     # both hops as long as the direct path and no gain or efficiency edge
-    lost = relay_advantage(RelayScenario(
+    lost = relay_advantage(
         d1_m=1000.0, d2_m=1000.0, d3_m=1000.0,
         relay_rx_gain=1.0, sink_rx_gain=1.0,
         relay_efficiency=0.5, source_efficiency=0.5,
-    ))
+    )
     assert_allclose(lost, 2.0, rtol=1e-15)
 
 
 def test_relay_scenario_validation():
     with pytest.raises(DomainError):
-        RelayScenario(-1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5)
+        relay_advantage(-1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5)
     with pytest.raises(DomainError):
-        RelayScenario(1.0, 1.0, 0.0, 1.0, 1.0, 0.5, 0.5)
+        relay_advantage(1.0, 1.0, 0.0, 1.0, 1.0, 0.5, 0.5)
     with pytest.raises(DomainError):
-        RelayScenario(1.0, 1.0, 1.0, 0.0, 1.0, 0.5, 0.5)
+        relay_advantage(1.0, 1.0, 1.0, 0.0, 1.0, 0.5, 0.5)
     with pytest.raises(DomainError):
-        RelayScenario(1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 0.5)
+        relay_advantage(1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 0.5)
+    with pytest.raises(DomainError) as err:
+        relay_advantage(4.0, 2.0, 0.0, 10.0, 1.0, 0.5, 0.2)
+    assert str(err.value) == "direct-path distance must be positive"
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3))
 def test_relay_advantage_is_scale_invariant(scale):
-    base = RelayScenario(700.0, 400.0, 900.0, 2.0, 1.0, 0.4, 0.5)
-    scaled = RelayScenario(700.0 * scale, 400.0 * scale, 900.0 * scale,
-                           2.0, 1.0, 0.4, 0.5)
-    assert_allclose(relay_advantage(scaled), relay_advantage(base), rtol=1e-12)
+    base = relay_advantage(700.0, 400.0, 900.0, 2.0, 1.0, 0.4, 0.5)
+    scaled = relay_advantage(700.0 * scale, 400.0 * scale, 900.0 * scale, 2.0, 1.0, 0.4, 0.5)
+    assert_allclose(scaled, base, rtol=1e-12)
 
 
 def test_relay_scenario_rejects_an_array_with_one_bad_entry():
     good = np.array([1.0, 2.0, 3.0])
-    for bad, field in ((-1.0, "d1_m"), (-1.0, "d2_m"), (0.0, "d3_m")):
-        values = dict(d1_m=good, d2_m=good, d3_m=good)
-        values[field] = np.array([1.0, bad, 3.0])
-        with pytest.raises(DomainError, match="non-negative" if bad < 0 else "positive"):
-            RelayScenario(**values, relay_rx_gain=1.0, sink_rx_gain=1.0,
-                          relay_efficiency=0.5, source_efficiency=0.5)
-    RelayScenario(good, good, good, 1.0, 1.0, 0.5, 0.5)
+    valid = dict(d1_m=good, d2_m=good, d3_m=good, relay_rx_gain=1.0, sink_rx_gain=1.0,
+                 relay_efficiency=0.5, source_efficiency=0.5)
+    for field, bad, message in (("d1_m", -1.0, "non-negative"), ("d2_m", -1.0, "non-negative"),
+                                ("d3_m", 0.0, "positive"), ("relay_rx_gain", 0.0, "positive"),
+                                ("sink_rx_gain", 0.0, "positive"), ("relay_efficiency", 1.5, "lie in"),
+                                ("source_efficiency", 0.0, "lie in")):
+        with pytest.raises(DomainError, match=message):
+            relay_advantage(**{**valid, field: np.array([0.5, bad, 0.5])})
+    assert_allclose(relay_advantage(**valid), [2.0, 2.0, 2.0], rtol=1e-15)
 
 
 def test_haps_assessment_geometry():
@@ -220,10 +220,10 @@ def test_haps_assessment_rows_equal_scalar_verdicts(preset):
     _, d1 = link_geometry(gateway, platform)
     for i, t in enumerate(terminals):
         _, access = link_geometry(platform, Point3(t.x, t.y, 0.0))
-        want = relay_advantage(RelayScenario(
+        want = relay_advantage(
             d1, access, access, 10.0 ** (cfg.relay_rx_gain_db / 10.0),
             10.0 ** (cfg.sink_rx_gain_db / 10.0), 0.4, 0.3,
-        ))
+        )
         assert (rows.d1_m[i], rows.d2_m[i], rows.d3_m[i]) == (d1, access, access)
         assert (rows.rhs[i], rows.relay_preferred[i], rows.margin[i]) == (
             want, want < 1.0, 1.0 - want)

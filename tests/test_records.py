@@ -12,8 +12,8 @@ import hapsim
 from hapsim.antenna import ElementPattern
 from hapsim.channel import NtnTables
 from hapsim.config import ScenarioConfig
-from hapsim.consumption import EfficiencyStage, RelayAssessment, RelayScenario
-from hapsim.errors import ConfigError, DomainError
+from hapsim.consumption import RelayAssessment
+from hapsim.errors import ConfigError
 from hapsim.geometry import FlightPattern, Point3
 from hapsim.simulation import AggregateStats, CampaignResult, Terminal
 
@@ -23,10 +23,6 @@ CHECKED = [
     (FlightPattern(), "position_count", 0, ConfigError, "position_count must be positive"),
     (ElementPattern(8.0, 65.0), "hpbw_deg", 0.0, ConfigError,
      "half-power beamwidth must be positive"),
-    (EfficiencyStage(10.0, 0.8), "efficiency", 1.5, DomainError,
-     "stage efficiency must lie in (0, 1], got 1.5"),
-    (RelayScenario(4.0, 2.0, 2.0, 10.0, 1.0, 0.5, 0.2), "d3_m", 0.0, DomainError,
-     "direct-path distance must be positive"),
     (NtnTables.default(), "los_probability", NtnTables.default().los_probability + 1.0,
      ConfigError, "LOS probabilities must lie in [0, 1]"),
 ]
