@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, OutOfCoverageError, checked_record, scalar_or_array
+from .errors import POSITIVE, ConfigError, OutOfCoverageError, check_range, checked_record, scalar_or_array
 
 __all__ = [
     "ElementPattern",
@@ -43,10 +43,8 @@ class ElementPattern(checked_record("ElementPattern", "peak_gain_dbi hpbw_deg fr
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.hpbw_deg <= 0:
-            raise ConfigError("half-power beamwidth must be positive")
-        if self.front_to_back_db <= 0:
-            raise ConfigError("front-to-back ratio must be positive")
+        check_range(self.hpbw_deg, *POSITIVE, ConfigError, "half-power beamwidth must be positive")
+        check_range(self.front_to_back_db, *POSITIVE, ConfigError, "front-to-back ratio must be positive")
         return self
 
 
@@ -75,10 +73,9 @@ class Panel:
 
     def __init__(self, element: ElementPattern, rows: int, cols: int,
                  boresight, col_axis, row_axis, spacing_wl: float = 0.5):
-        if rows <= 0 or cols <= 0:
-            raise ConfigError("panel dimensions must be positive")
-        if spacing_wl <= 0:
-            raise ConfigError("element spacing must be positive")
+        check_range(rows, *POSITIVE, ConfigError, "panel dimensions must be positive")
+        check_range(cols, *POSITIVE, ConfigError, "panel dimensions must be positive")
+        check_range(spacing_wl, *POSITIVE, ConfigError, "element spacing must be positive")
         self.element, self.rows, self.cols, self.spacing_wl = element, rows, cols, spacing_wl
         for name, vec in (("boresight", boresight), ("col_axis", col_axis), ("row_axis", row_axis)):
             vec = np.asarray(vec, dtype=float)
@@ -170,8 +167,8 @@ def _target_cosines(panel: Panel, target) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfCoverageError("steering target direction is the zero vector")
     t = t / norm
     # elementwise: unlike matmul, rounding then cannot depend on the stack's shape
-    if np.any((t * panel.boresight).sum(axis=-1) <= 0):
-        raise OutOfCoverageError("steering target lies behind the panel")
+    check_range((t * panel.boresight).sum(axis=-1), *POSITIVE, OutOfCoverageError,
+                "steering target lies behind the panel")
     return (t * panel.col_axis).sum(axis=-1), (t * panel.row_axis).sum(axis=-1)
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, scalar_or_array
+from .errors import POSITIVE, DomainError, check_range, scalar_or_array
 
 __all__ = [
     "THERMAL_NOISE_DENSITY_DBM_HZ",
@@ -42,8 +42,7 @@ THERMAL_NOISE_DENSITY_DBM_HZ = -174.0
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Receiver noise floor over a bandwidth: kT density + 10log10(B) + NF."""
-    if bandwidth_hz <= 0:
-        raise DomainError("bandwidth must be positive")
+    check_range(bandwidth_hz, *POSITIVE, DomainError, "bandwidth must be positive")
     return THERMAL_NOISE_DENSITY_DBM_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
@@ -59,8 +58,7 @@ def cascade_noise_figure(stages: Sequence[tuple[float, float]]) -> float:
     gain_before = 1.0
     for gain_db, noise_figure_db in stages:
         factor = 10.0 ** (noise_figure_db / 10.0)
-        if factor < 1.0:
-            raise DomainError("noise figure below 0 dB is unphysical")
+        check_range(factor, 1.0, math.inf, DomainError, "noise figure below 0 dB is unphysical")
         total += (factor - 1.0) / gain_before
         gain_before *= 10.0 ** (gain_db / 10.0)
     return 10.0 * math.log10(1.0 + total)

@@ -16,7 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, checked_record, read_utf8, scalar_or_array
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DomainError, check_range, checked_record,
+                     read_utf8, scalar_or_array)
 from .geometry import link_geometry
 
 __all__ = [
@@ -41,8 +42,8 @@ def fspl(frequency_hz, distance_m):
     """
     f = np.asarray(frequency_hz, dtype=float)
     d = np.asarray(distance_m, dtype=float)
-    if np.any(f <= 0) or np.any(d <= 0):
-        raise DomainError("fspl requires positive frequency and distance")
+    for value in (f, d):
+        check_range(value, *POSITIVE, DomainError, "fspl requires positive frequency and distance")
     loss = 20.0 * np.log10(4.0 * np.pi * d * f / C_LIGHT)
     return scalar_or_array(loss)
 
@@ -64,12 +65,10 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
                 raise ConfigError(f"channel table column {name} has wrong length")
             if not np.all(np.isfinite(column)):
                 raise ConfigError(f"channel table column {name} must be finite")
-        if np.any(np.diff(self.elevation_deg) <= 0):
-            raise ConfigError("elevation bins must be strictly increasing")
-        if np.any((self.los_probability < 0) | (self.los_probability > 1)):
-            raise ConfigError("LOS probabilities must lie in [0, 1]")
-        if np.any(self.shadow_std_los_db < 0) or np.any(self.shadow_std_nlos_db < 0):
-            raise ConfigError("shadow-fading sigmas must be non-negative")
+        check_range(np.diff(self.elevation_deg), *POSITIVE, ConfigError, "elevation bins must be strictly increasing")
+        check_range(self.los_probability, 0.0, 1.0, ConfigError, "LOS probabilities must lie in [0, 1]")
+        for sigma in (self.shadow_std_los_db, self.shadow_std_nlos_db):
+            check_range(sigma, *NON_NEGATIVE, ConfigError, "shadow-fading sigmas must be non-negative")
         return self
 
     @classmethod

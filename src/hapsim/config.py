@@ -8,7 +8,7 @@ bent-pipe baseline).  Unknown or duplicated keys are rejected.
 Each key's declaration below is its whole rule: the annotation gives its
 type, and its default either names a domain (``_one_of``, ``_positive``,
 ``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``,
-``_power_dbm``, ``_beamwidth``) or, for a number, leaves it finite only.
+``_frequency``, ``_power_dbm``, ``_beamwidth``) or, for a number, leaves it finite only.
 The keys of ``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and
 resolve from the layout: ``terminal_count`` (20 single / 210 seven-cell),
 ``cell_radius_m`` (60 km / 100 km) and ``target_los_count`` (17 / 175).
@@ -23,7 +23,7 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigSyntaxError, ValidationError, read_utf8
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, ConfigSyntaxError, ValidationError, read_utf8
 
 __all__ = [
     "ScenarioConfig",
@@ -50,13 +50,14 @@ def _within(lo: float, hi: float, reason: str):
     return lambda default: dataclasses.field(default=default, metadata={"range": (lo, hi, reason)})
 
 
-# ulp(0.0) is the least positive float, so ``ulp(0.0) <= value`` means ``value > 0``
-_positive = _within(math.ulp(0.0), math.inf, "must be positive")
-_fraction = _within(math.ulp(0.0), 1.0, "must lie in (0, 1]")
-_non_negative = _within(0, math.inf, "must be non-negative")
+_positive = _within(*POSITIVE, "must be positive")
+_fraction = _within(*FRACTION, "must lie in (0, 1]")
+_non_negative = _within(*NON_NEGATIVE, "must be non-negative")
 # finite ends far beyond any real chain, so 10 ** (value / 10) and what is built from it stay finite
 _noise_figure = _within(0, 100, "must lie in [0, 100]: a noise figure below 0 dB is unphysical")
 _gain_db = _within(-300, 300, "must lie in [-300, 300] dB")
+# carriers and allocations: 1 Hz keeps the free-space loss and noise floor off log10(0); 1e15 Hz is beyond radio
+_frequency = _within(1, 1e15, "must lie in [1, 1e+15] Hz")
 _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 # the element pattern squares offset / beamwidth, which overflows as the beamwidth nears 0
 _beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
@@ -89,11 +90,11 @@ class ScenarioConfig:
     gateway_distance_m: float = _positive(45_000.0)
 
     # Carriers and bandwidth
-    dl_carrier_hz: float = _positive(2.1e9)
-    ul_carrier_hz: float = _positive(1.8e9)
-    feeder_carrier_hz: float = _positive(3.65e9)
+    dl_carrier_hz: float = _frequency(2.1e9)
+    ul_carrier_hz: float = _frequency(1.8e9)
+    feeder_carrier_hz: float = _frequency(3.65e9)
     dl_bandwidth_hz: float = _positive(20e6)
-    ul_allocation_hz: float = _positive(1e6)
+    ul_allocation_hz: float = _frequency(1e6)
 
     # Transmit powers and receiver noise figures
     panel_tx_power_dbm: float = _power_dbm(43.0)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, DomainError, check_range
 from .geometry import Point3, link_geometry
 
 __all__ = [
@@ -49,10 +49,8 @@ def power_efficiency_factor(stages: Sequence[tuple[float, float]]) -> float:
     waste = 0.0
     gain_before = 1.0
     for gain, efficiency in stages:
-        if gain <= 0:
-            raise DomainError(f"stage gain must be positive, got {gain}")
-        if not 0 < efficiency <= 1:
-            raise DomainError(f"stage efficiency must lie in (0, 1], got {efficiency}")
+        check_range(gain, *POSITIVE, DomainError, "stage gain must be positive, got {}")
+        check_range(efficiency, *FRACTION, DomainError, "stage efficiency must lie in (0, 1], got {}")
         waste += (1.0 / efficiency - 1.0) / gain_before
         gain_before *= gain
     return 1.0 / (1.0 + waste)
@@ -79,14 +77,13 @@ def relay_advantage(d1_m, d2_m, d3_m, relay_rx_gain, sink_rx_gain,
     array is rejected when any of its entries is out of range.  Each square
     is a product, so scalar and array calls round alike.
     """
-    if np.any(d1_m < 0) or np.any(d2_m < 0):
-        raise DomainError("relay path distances must be non-negative")
-    if np.any(d3_m <= 0):
-        raise DomainError("direct-path distance must be positive")
-    if np.any(relay_rx_gain <= 0) or np.any(sink_rx_gain <= 0):
-        raise DomainError("receive gains must be positive")
-    if not all(np.all((0 < eta) & (eta <= 1)) for eta in (relay_efficiency, source_efficiency)):
-        raise DomainError("efficiency factors must lie in (0, 1]")
+    check_range(d1_m, *NON_NEGATIVE, DomainError, "relay path distances must be non-negative")
+    check_range(d2_m, *NON_NEGATIVE, DomainError, "relay path distances must be non-negative")
+    check_range(d3_m, *POSITIVE, DomainError, "direct-path distance must be positive")
+    check_range(relay_rx_gain, *POSITIVE, DomainError, "receive gains must be positive")
+    check_range(sink_rx_gain, *POSITIVE, DomainError, "receive gains must be positive")
+    check_range(relay_efficiency, *FRACTION, DomainError, "efficiency factors must lie in (0, 1]")
+    check_range(source_efficiency, *FRACTION, DomainError, "efficiency factors must lie in (0, 1]")
     r1 = d1_m / d3_m
     r2 = d2_m / d3_m
     return (r1 * r1 / (relay_rx_gain / sink_rx_gain)

@@ -1,6 +1,9 @@
-"""Shared across the simulator: exception types, the checked-record base, the file reader, scalar results."""
+"""Shared across the simulator: exception types, one range check, checked records, the file reader, scalar results."""
 
+import math
 from collections import namedtuple
+
+import numpy as np
 
 __all__ = [
     "HapsimError",
@@ -62,6 +65,29 @@ class OutOfCoverageError(HapsimError):
 
 class DomainError(HapsimError):
     """Numeric argument outside the mathematical domain of an operation."""
+
+
+# ulp(0.0) is the least positive float, so ``ulp(0.0) <= value`` means ``value > 0``
+POSITIVE = (math.ulp(0.0), math.inf)
+FRACTION = (math.ulp(0.0), 1.0)
+NON_NEGATIVE = (0.0, math.inf)
+
+
+def check_range(value, lo, hi, error, message: str) -> None:
+    """Raise ``error(message)`` unless ``lo <= value <= hi`` for the value or each entry: NaN fails.
+
+    A ``{}`` in ``message`` is filled with the first entry that fails.  A Python scalar takes the
+    chained comparison alone, an array its minimum and maximum, which NaN propagates to.
+    """
+    if isinstance(value, (int, float)):
+        if lo <= value <= hi:
+            return
+    else:
+        value = np.asarray(value)
+        if not value.size or lo <= value.min() and value.max() <= hi:
+            return
+        value = value[~((lo <= value) & (value <= hi))].flat[0]
+    raise error(message.format(value))
 
 
 def checked_record(name: str, fields: str, defaults=()):

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError, checked_record, scalar_or_array
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DegenerateGeometryError, check_range, checked_record,
+                     scalar_or_array)
 
 __all__ = [
     "Point3",
@@ -36,8 +37,7 @@ class Point3(checked_record("Point3", "x y z")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.z < 0:
-            raise ConfigError(f"point below ground: z={self.z}")
+        check_range(self.z, *NON_NEGATIVE, ConfigError, "point below ground: z={}")
         return self
 
 
@@ -52,10 +52,8 @@ class FlightPattern(checked_record("FlightPattern", "center diameter_m position_
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.diameter_m <= 0:
-            raise ConfigError("flight circle diameter must be positive")
-        if self.position_count <= 0:
-            raise ConfigError("position_count must be positive")
+        check_range(self.diameter_m, *POSITIVE, ConfigError, "flight circle diameter must be positive")
+        check_range(self.position_count, *POSITIVE, ConfigError, "position_count must be positive")
         if not math.isclose(self.position_count * self.angular_step_deg, 360.0):
             raise ConfigError(
                 "position_count * angular_step_deg must cover exactly one revolution, "
@@ -74,10 +72,10 @@ def haps_position(pattern: FlightPattern, run_index) -> Point3 | np.ndarray:
     Run ``k`` sits at azimuth ``k * angular_step_deg`` measured from the
     +x axis, on the circle of ``pattern``.
     """
+    # the float just below the count closes the open end [0, count)
+    check_range(run_index, 0, math.nextafter(pattern.position_count, -math.inf), ConfigError,
+                f"run_index {{}} outside [0, {pattern.position_count})")
     runs = np.asarray(run_index)
-    outside = runs[(runs < 0) | (runs >= pattern.position_count)]
-    if outside.size:
-        raise ConfigError(f"run_index {outside.flat[0]} outside [0, {pattern.position_count})")
     c, r = pattern.center, pattern.radius_m
     # math's cos and sin, which numpy's may miss by an ulp: each row is its run's Point3
     rows = [Point3(c.x + r * math.cos(a), c.y + r * math.sin(a), c.z)

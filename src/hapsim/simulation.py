@@ -35,7 +35,8 @@ import numpy as np
 from . import antenna, architecture, channel
 from .antenna import ElementPattern, Panel
 from .config import ScenarioConfig
-from .errors import ConfigError, DomainError, OutOfCoverageError, ValidationError, scalar_or_array
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DomainError, OutOfCoverageError, ValidationError,
+                     check_range, scalar_or_array)
 from .geometry import FlightPattern, Point3, haps_position, link_geometry
 
 __all__ = [
@@ -67,8 +68,7 @@ def sinr_to_se(sinr, attenuation: float, sinr_min_db: float, se_max: float):
     finite SINR falls below it.  Vectorized; scalars in, scalar out.
     """
     sinr = np.asarray(sinr, dtype=float)
-    if not (sinr >= 0.0).all():  # NaN fails the comparison too
-        raise DomainError(f"SINR must be a power ratio >= 0; got {sinr[~(sinr >= 0)].flat[0]}")
+    check_range(sinr, *NON_NEGATIVE, DomainError, "SINR must be a power ratio >= 0; got {}")
     with np.errstate(over="ignore"):
         floor = np.power(10.0, sinr_min_db / 10.0)
     se = np.minimum(attenuation * np.log2(1.0 + sinr), se_max)
@@ -203,10 +203,9 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     Shadow fading is drawn once per terminal and reused at every platform
     position, matching a terminal that never moves.
     """
-    if n <= 0:
-        raise ConfigError("terminal count must be positive")
-    if target_los is not None and not 0 <= target_los <= n:
-        raise ConfigError(f"target LOS count {target_los} outside [0, {n}]")
+    check_range(n, *POSITIVE, ConfigError, "terminal count must be positive")
+    if target_los is not None:
+        check_range(target_los, 0, n, ConfigError, f"target LOS count {{}} outside [0, {n}]")
     radius = service_radius_m * np.sqrt(rng.random(n))
     theta = rng.random(n) * 2.0 * np.pi
     xs = radius * np.cos(theta)

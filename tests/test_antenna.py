@@ -50,6 +50,8 @@ def test_element_rejects_bad_parameters():
         ElementPattern(peak_gain_dbi=5.0, hpbw_deg=0.0)
     with pytest.raises(ConfigError):
         ElementPattern(peak_gain_dbi=5.0, hpbw_deg=-1.0)
+    with pytest.raises(ConfigError, match="^front-to-back ratio must be positive$"):
+        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=65.0, front_to_back_db=math.nan)
 
 
 PANEL_ARGS = dict(element=PLATFORM_ELEMENT, rows=2, cols=2, boresight=[0.0, 0.0, -2.0],
@@ -63,6 +65,7 @@ PANEL_ARGS = dict(element=PLATFORM_ELEMENT, rows=2, cols=2, boresight=[0.0, 0.0,
     ({"boresight": [0, 0, 0]}, "panel boresight must be a nonzero vector"),
     ({"col_axis": [0, 0, 0]}, "panel col_axis must be a nonzero vector"),
     ({"row_axis": np.zeros(3)}, "panel row_axis must be a nonzero vector"),
+    ({"spacing_wl": math.nan}, "element spacing must be positive"),
 ])
 def test_panel_rejects_bad_arguments(change, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -143,7 +146,7 @@ def test_steering_rejects_behind_panel_targets():
     dirs = np.array([[1.0, 0.0, -0.5], [0.5, 0.5, -1.0]])
     # one bad target in a stack is enough
     stack = np.array([panel.boresight, -panel.boresight])
-    for bad in (-panel.boresight, np.zeros(3)):
+    for bad in (-panel.boresight, np.zeros(3), np.array([np.nan, 0.0, -1.0])):
         with pytest.raises(OutOfCoverageError):
             steering_weights(panel, bad)
         with pytest.raises(OutOfCoverageError):

@@ -25,6 +25,8 @@ def test_thermal_noise_reference_floors():
 def test_thermal_noise_rejects_nonpositive_bandwidth():
     with pytest.raises(DomainError):
         thermal_noise_dbm(0.0)
+    with pytest.raises(DomainError):
+        thermal_noise_dbm(math.nan)
 
 
 def test_cascade_single_stage_is_its_own_figure():
@@ -51,6 +53,8 @@ def test_cascade_rejects_bad_input():
         cascade_noise_figure([])
     with pytest.raises(DomainError):
         cascade_noise_figure([(10.0, -0.5)])
+    with pytest.raises(DomainError):
+        cascade_noise_figure([(10.0, math.nan)])
 
 
 def test_bp_dl_eirp_explicit_chain():

@@ -51,6 +51,10 @@ def test_fspl_rejects_nonpositive():
         fspl(2.1e9, -5.0)
     with pytest.raises(DomainError):
         fspl(2.1e9, np.array([100.0, 0.0]))
+    with pytest.raises(DomainError):
+        fspl(math.nan, 1000.0)
+    with pytest.raises(DomainError):
+        fspl(2.1e9, np.array([100.0, np.nan]))
 
 
 def test_default_table_shape_and_values():

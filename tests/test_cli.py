@@ -174,9 +174,17 @@ HPBW_SWITCHES = ("", *(f"layout = seven_cell\nterminal_kind = cpe_directional\n"
                        f"attachment_mode = {mode}\n" for mode in ("beam_steering", "beam_selection")))
 HPBW_ENDS = dict.fromkeys(["single_antenna_hpbw_deg", "array_element_hpbw_deg", "cpe_hpbw_deg"],
                           (0.001, 360.0))
-ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS}
+# the carriers and the UL allocation lie in [1, 1e15] Hz: on one cell, on seven rooftop cells and
+# on the explicit feeder chain, the one reader of the feeder carrier; the allocation's upper end
+# runs with a system bandwidth as wide
+HZ_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\n", "bp_feeder_chain = explicit\n")
+CARRIER_ENDS = dict.fromkeys(["dl_carrier_hz", "ul_carrier_hz", "feeder_carrier_hz"], (1.0, 1e15))
+ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS, **CARRIER_ENDS,
+        "ul_allocation_hz": (1.0, 1e15)}
 SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, LEVEL_SWITCHES),
-            "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES)}
+            "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES),
+            **dict.fromkeys(CARRIER_ENDS, HZ_SWITCHES),
+            "ul_allocation_hz": tuple(f"{switch}dl_bandwidth_hz = 1e15\n" for switch in HZ_SWITCHES)}
 
 
 def _both_commands_run_cleanly(tmp_path, capsys, switches, assignments: str) -> None:

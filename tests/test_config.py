@@ -47,8 +47,8 @@ def _out_of_domain(f: dataclasses.Field) -> list[str]:
     values = ["inf", "-inf"] if lo < 0 else ["-1" if lo == 0 else "0"]
     if -math.inf < lo < 0:
         values.append(f"{lo - 1:g}")
-    if hi < math.inf:
-        values.append(f"{hi + 1:g}")
+    if hi < math.inf:  # every digit: 1e15 + 1 must not print as 1e+15
+        values.append(f"{hi + 1:.17g}")
     return values
 
 
@@ -225,7 +225,8 @@ def test_out_of_domain_value_names_its_key_and_line(key, raw):
 
 @pytest.mark.parametrize("key, raw", [(f.name, raw) for f in FIELDS for raw in _closed_bounds(f)])
 def test_closed_domain_bounds_are_accepted(key, raw):
-    cfg = parse_config(f"{key} = {raw}\n")
+    wide = "dl_bandwidth_hz = 1e15\n" if key == "ul_allocation_hz" else ""  # no allocation exceeds it
+    cfg = parse_config(f"{wide}{key} = {raw}\n")
     assert getattr(cfg, key) == float(raw)
 
 
@@ -273,7 +274,7 @@ def _configs(draw) -> ScenarioConfig:
     cfg = ScenarioConfig(**{f.name: draw(_admitted(f)) for f in FIELDS})
     # the three checks across keys
     cfg.flight_angular_step_deg = 360.0 / cfg.flight_position_count
-    cfg.ul_allocation_hz, cfg.dl_bandwidth_hz = sorted((cfg.ul_allocation_hz, cfg.dl_bandwidth_hz))
+    cfg.dl_bandwidth_hz = max(cfg.dl_bandwidth_hz, cfg.ul_allocation_hz)  # each stays in its domain
     target = cfg.resolved_target_los_count()
     if target is not None and target > cfg.resolved_terminal_count():
         cfg.terminal_count = target

@@ -102,6 +102,9 @@ def test_stage_validation():
     with pytest.raises(DomainError) as err:
         power_efficiency_factor([(0.0, 0.5)])
     assert str(err.value) == "stage gain must be positive, got 0.0"
+    with pytest.raises(DomainError) as err:
+        power_efficiency_factor([(math.nan, 0.5), (1.0, 0.5)])
+    assert str(err.value) == "stage gain must be positive, got nan"
 
 
 def test_relay_advantage_oracles():
@@ -152,7 +155,9 @@ def test_relay_scenario_rejects_an_array_with_one_bad_entry():
     for field, bad, message in (("d1_m", -1.0, "non-negative"), ("d2_m", -1.0, "non-negative"),
                                 ("d3_m", 0.0, "positive"), ("relay_rx_gain", 0.0, "positive"),
                                 ("sink_rx_gain", 0.0, "positive"), ("relay_efficiency", 1.5, "lie in"),
-                                ("source_efficiency", 0.0, "lie in")):
+                                ("source_efficiency", 0.0, "lie in"), ("d1_m", math.nan, "non-negative"),
+                                ("d2_m", math.nan, "non-negative"), ("d3_m", math.nan, "positive"),
+                                ("relay_rx_gain", math.nan, "positive"), ("sink_rx_gain", math.nan, "positive")):
         with pytest.raises(DomainError, match=message):
             relay_advantage(**{**valid, field: np.array([0.5, bad, 0.5])})
     assert_allclose(relay_advantage(**valid), [2.0, 2.0, 2.0], rtol=1e-15)

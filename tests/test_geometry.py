@@ -49,6 +49,8 @@ def test_position_index_bounds():
         haps_position(pat, 12)
     with pytest.raises(ConfigError):
         haps_position(pat, -1)
+    with pytest.raises(ConfigError, match=r"^run_index nan outside \[0, 12\)$"):
+        haps_position(pat, math.nan)
 
 
 @pytest.mark.parametrize("count", [1, 5, 12, 24, 360])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import pickle
 import pkgutil
 
@@ -25,8 +26,14 @@ CHECKED = [
      "half-power beamwidth must be positive"),
     (NtnTables.default(), "los_probability", NtnTables.default().los_probability + 1.0,
      ConfigError, "LOS probabilities must lie in [0, 1]"),
+    # NaN fails every range
+    (Point3(1.0, -2.0, 3.0), "z", math.nan, ConfigError, "point below ground: z=nan"),
+    (FlightPattern(), "diameter_m", math.nan, ConfigError, "flight circle diameter must be positive"),
+    (ElementPattern(8.0, 65.0), "hpbw_deg", math.nan, ConfigError,
+     "half-power beamwidth must be positive"),
 ]
-IDS = [type(record).__name__ for record, *_ in CHECKED]
+IDS = [type(record).__name__ + (f"-{field}-nan" if isinstance(bad, float) and math.isnan(bad) else "")
+       for record, field, bad, *_ in CHECKED]
 
 PATHS = {
     "constructor": lambda record, field, bad: type(record)(**{**record._asdict(), field: bad}),
