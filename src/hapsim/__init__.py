@@ -6,7 +6,7 @@ spectral efficiency, and evaluates the power-efficiency case for relaying
 through the platform.
 """
 
-from .antenna import ElementPattern, Panel, array_gain, element_gain, hex_array
+from .antenna import BeamSet, ElementPattern, Panel, array_gain, element_gain, hex_array
 from .architecture import (
     bp_effective_dl_eirp,
     cascade_noise_figure,

@@ -1,4 +1,4 @@
-"""Antenna patterns, panel arrays and beam steering.
+"""Antenna patterns, panel arrays and the gains of a stacked beam set.
 
 Element patterns follow the quadratic-in-angle (parabolic in dB) shape
 used in system simulations: attenuation 12*(offset/hpbw)^2 per principal
@@ -9,27 +9,23 @@ wavelengths of the operating carrier (half a wavelength by default); a
 link sees one subarray, so no second-polarization grid is modelled.
 Beams use conjugate-phase weights with uniform amplitude and unit total
 power, so a steered beam combines coherently to exactly 10*log10(n) of
-array factor at the target.  ``array_gain`` evaluates the array factor in
-closed form; the explicit ``steering_weights`` serve as its reference.
+array factor at the target.  One ``array_gain`` call evaluates every beam of
+a :class:`BeamSet`, the array factor in closed form: ``|U_{N-1}(cos pi x)|`` per
+panel axis of ``N`` elements, by the Chebyshev recurrence, checked against the
+explicit ``steering_weights``.  Frame products are summed in a fixed order,
+never by BLAS, so their bits do not depend on the host.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from .errors import POSITIVE, ConfigError, OutOfCoverageError, check_range, checked_record, scalar_or_array
+from .errors import POSITIVE, ConfigError, OutOfCoverageError, check_range, checked_record, read_only, scalar_or_array
 
-__all__ = [
-    "ElementPattern",
-    "Panel",
-    "element_gain",
-    "planar_panel",
-    "single_element_panel",
-    "hex_array",
-    "steering_weights",
-    "broadside_weights",
-    "array_gain",
-]
+__all__ = ["ElementPattern", "Panel", "BeamSet", "element_gain", "planar_panel", "single_element_panel",
+           "hex_array", "steering_weights", "broadside_weights", "array_gain"]
 
 
 class ElementPattern(checked_record("ElementPattern", "peak_gain_dbi hpbw_deg front_to_back_db", (30.0,))):
@@ -61,6 +57,17 @@ def element_gain(pattern: ElementPattern, az_off_deg, el_off_deg):
     return scalar_or_array(gain)
 
 
+def _dot(a, b):
+    """``a . b`` over a last axis of length 3, summed in a fixed order: no BLAS kernel picks the rounding."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _angles(d, col_axis, row_axis, boresight):
+    """Frame (az, el) offsets in degrees and (col, row) cosines of the unit directions ``d``."""
+    u, v, w = _dot(d, col_axis), _dot(d, row_axis), _dot(d, boresight)
+    return np.degrees(np.arctan2(u, w)), np.degrees(np.arctan2(v, np.hypot(u, w))), u, v
+
+
 class Panel:
     """One planar antenna panel with a fixed mounting frame.
 
@@ -79,12 +86,12 @@ class Panel:
         self.element, self.rows, self.cols, self.spacing_wl = element, rows, cols, spacing_wl
         for name, vec in (("boresight", boresight), ("col_axis", col_axis), ("row_axis", row_axis)):
             vec = np.asarray(vec, dtype=float)
-            norm = np.linalg.norm(vec)
+            if not np.isfinite(vec).all():
+                raise ConfigError(f"panel {name} must be a finite vector")
+            norm = np.sqrt(_dot(vec, vec))
             if norm == 0:
                 raise ConfigError(f"panel {name} must be a nonzero vector")
-            vec = vec / norm
-            vec.flags.writeable = False  # panels are shared: build_beams hands one set to many campaigns
-            setattr(self, name, vec)
+            setattr(self, name, read_only(vec / norm))  # panels are shared, as build_beams shares them
 
     @property
     def n_elements(self) -> int:
@@ -92,24 +99,13 @@ class Panel:
         return self.rows * self.cols
 
     def local_angles(self, directions):
-        """Panel-frame (az, el) offsets in degrees for global directions.
-
-        ``directions`` is an (..., 3) array pointing from the panel towards
-        the field point; it need not be normalized.
-        """
+        """Panel-frame (az, el) offsets in degrees and (col, row) cosines of ``(..., 3)`` global directions."""
         d = np.asarray(directions, dtype=float)
-        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        u = d @ self.col_axis
-        v = d @ self.row_axis
-        w = d @ self.boresight
-        az = np.degrees(np.arctan2(u, w))
-        el = np.degrees(np.arctan2(v, np.hypot(u, w)))
-        return az, el, u, v
+        return _angles(d / np.sqrt(_dot(d, d))[..., None], self.col_axis, self.row_axis, self.boresight)
 
 
-def planar_panel(element: ElementPattern, rows: int, cols: int,
-                 boresight_azimuth_deg: float, boresight_elevation_deg: float,
-                 spacing_wl: float = 0.5) -> Panel:
+def planar_panel(element: ElementPattern, rows: int, cols: int, boresight_azimuth_deg: float,
+                 boresight_elevation_deg: float, spacing_wl: float = 0.5) -> Panel:
     """Build a panel whose boresight points at the given compass direction.
 
     Columns run horizontally (constant height), rows stack along the
@@ -122,19 +118,10 @@ def planar_panel(element: ElementPattern, rows: int, cols: int,
     c0, c1, c2 = col_axis = (-np.sin(az), np.cos(az), 0.0)
     # col_axis x boresight, term for term as np.cross forms it, which costs more than the rest
     row_axis = (c1 * b2 - c2 * b1, c2 * b0 - c0 * b2, c0 * b1 - c1 * b0)
-    return Panel(
-        element=element,
-        rows=rows,
-        cols=cols,
-        boresight=boresight,
-        col_axis=col_axis,
-        row_axis=row_axis,
-        spacing_wl=spacing_wl,
-    )
+    return Panel(element, rows, cols, boresight, col_axis, row_axis, spacing_wl)
 
 
-def single_element_panel(element: ElementPattern,
-                         boresight_azimuth_deg: float = 0.0,
+def single_element_panel(element: ElementPattern, boresight_azimuth_deg: float = 0.0,
                          boresight_elevation_deg: float = -90.0) -> Panel:
     """A lone antenna modelled as a 1x1 panel (array factor unity)."""
     return planar_panel(element, 1, 1, boresight_azimuth_deg, boresight_elevation_deg)
@@ -150,35 +137,48 @@ def hex_array(element: ElementPattern, *, bottom_rows: int = 2, bottom_cols: int
     horizon.  The compass orientation is fixed: it does not rotate as the
     platform moves around its flight circle.
     """
-    panels = [planar_panel(element, bottom_rows, bottom_cols, 0.0, -90.0, spacing_wl)]
-    for k in range(6):
-        az = azimuth_offset_deg + 60.0 * k
-        panels.append(
-            planar_panel(element, side_rows, side_cols, az, -side_tilt_deg, spacing_wl)
-        )
-    return panels
+    return [planar_panel(element, bottom_rows, bottom_cols, 0.0, -90.0, spacing_wl)] + [
+        planar_panel(element, side_rows, side_cols, azimuth_offset_deg + 60.0 * k, -side_tilt_deg, spacing_wl)
+        for k in range(6)]
 
 
-def _target_cosines(panel: Panel, target) -> tuple[np.ndarray, np.ndarray]:
-    """Panel-frame (col, row) cosines of ``(..., 3)`` steering targets, checked."""
-    t = np.asarray(target, dtype=float)
-    norm = np.linalg.norm(t, axis=-1, keepdims=True)
-    if np.any(norm == 0):
-        raise OutOfCoverageError("steering target direction is the zero vector")
-    t = t / norm
-    # elementwise: unlike matmul, rounding then cannot depend on the stack's shape
-    check_range((t * panel.boresight).sum(axis=-1), *POSITIVE, OutOfCoverageError,
-                "steering target lies behind the panel")
-    return (t * panel.col_axis).sum(axis=-1), (t * panel.row_axis).sum(axis=-1)
+class BeamSet(namedtuple("BeamSet", "element rows cols spacing_wl col_axis row_axis boresight centers")):
+    """A payload's panels stacked on one beam axis, with the ground cell each beam serves; see :meth:`stack`.
+
+    ``col_axis``, ``row_axis`` and ``boresight`` hold one unit frame row per beam, ``(B, 3)``;
+    ``rows``, ``cols`` and ``spacing_wl`` are ``(B,)``, and ``centers`` the ``(B, 2)`` cell
+    centres or ``None``.  Every beam has the one ``element`` pattern.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def stack(cls, panels, centers=None) -> BeamSet:
+        """The read-only beams of ``panels`` in their order; the panels must share one element pattern."""
+        if any(p.element != panels[0].element for p in panels):
+            raise ConfigError("the panels of a beam set must share one element pattern")
+        arrays = (read_only(np.array([getattr(p, name) for p in panels])) for name in cls._fields[1:7])
+        return cls(panels[0].element, *arrays, None if centers is None else read_only(np.array(centers, float)))
+
+
+def _target_cosines(frame, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Frame (col, row) cosines of ``(..., B, 3)`` steering targets (a panel's: ``(3,)``), checked per beam."""
+    t = np.asarray(targets, dtype=float)
+    norm = np.sqrt(_dot(t, t))[..., None]
+    t = np.divide(t, norm, out=np.zeros_like(t), where=norm != 0.0)  # a zero target stays zero and fails
+    ok = _dot(t, frame.boresight) > 0.0  # NaN fails too
+    if not ok.all():
+        beam = int(np.flatnonzero(~ok.reshape(-1, *ok.shape[-1:]).all(axis=0))[0])
+        raise OutOfCoverageError(f"steering target of beam {beam} is zero or lies behind its panel", beam)
+    return _dot(t, frame.col_axis), _dot(t, frame.row_axis)
 
 
 def steering_weights(panel: Panel, target_direction) -> np.ndarray:
     """Conjugate-phase weights focusing one subarray on a global direction.
 
-    Weights have uniform amplitude ``1/sqrt(n)`` (unit total power) and
-    back out the per-element propagation phase towards the target, so the
-    array factor there is exactly ``sqrt(n)``.  Element ``r * cols + c``
-    sits in row ``r`` and column ``c``.
+    Weights have uniform amplitude ``1/sqrt(n)`` (unit total power) and back out the per-element
+    propagation phase towards the target, so the array factor there is exactly ``sqrt(n)``.
+    Element ``r * cols + c`` sits in row ``r`` and column ``c``.
     """
     u, v = _target_cosines(panel, target_direction)
     col = (np.arange(panel.cols) - (panel.cols - 1) / 2.0) * panel.spacing_wl
@@ -192,31 +192,31 @@ def broadside_weights(panel: Panel) -> np.ndarray:
     return steering_weights(panel, panel.boresight)
 
 
-def array_gain(panel: Panel, directions, target=None) -> np.ndarray | float:
-    """Realized gain (dBi) of one subarray steered to ``target``, in global directions.
+def array_gain(beams: BeamSet, directions, targets=None) -> np.ndarray:
+    """Realized gain (dBi) of every beam, ``(..., B, n)``, towards ``(..., n, 3)`` global directions.
 
     Element gain plus ``20*log10|AF|`` for the :func:`steering_weights` of
-    ``target`` (``None``: the boresight).  ``|AF|`` is the product over both
-    panel axes of ``|sin(N pi d x) / sin(pi d x)|``, ``x`` the direction
+    each beam's target: ``targets`` is ``(..., B, 3)``, broadcast against
+    the leading axes (``None``: the boresights).  ``|AF|`` is the product
+    over both panel axes of ``|U_{N-1}(cos pi d x)|``, ``x`` the direction
     cosine minus the target's, over ``sqrt(n)``: ``sqrt(n)`` on target.
-    ``directions`` is ``(..., m, 3)``; a ``(..., 3)`` stack of targets
-    broadcasts against its leading axes, each row exactly as its own call
-    would give.  A zero or behind-panel target raises ``OutOfCoverageError``.
+    A beam's gains are the bits of its own one-beam call.  A zero or
+    behind-panel target raises ``OutOfCoverageError`` with its ``beam``.
     """
-    az, el, u, v = panel.local_angles(directions)
-    t = np.asarray(panel.boresight if target is None else target, dtype=float)
-    ut, vt = _target_cosines(panel, t if t.ndim == 1 else t[..., None, :])
-    # shaped like the targets, so a stack of them broadcasts even with both axes skipped
-    af = np.full(np.shape(ut), 1.0 / np.sqrt(panel.n_elements))
-    for count, cosine, target_cosine in ((panel.cols, u, ut), (panel.rows, v, vt)):
-        # The kernel has period one in d x.  Reduced to r in [-1/2, 1/2] it is
-        # N |sinc(N r) / sinc(r)|, whose divisor is at least 2/pi, and grating
-        # lobes land exactly on r = 0, where it takes its limit N.  With N = 1
-        # that is exactly 1.0, so an axis of one element is skipped.
-        if count == 1:
+    d = np.asarray(directions, dtype=float)
+    d = (d / np.sqrt(_dot(d, d))[..., None])[..., None, :, :]  # normalised once, for every beam
+    az, el, u, v = _angles(d, *(a[:, None, :] for a in (beams.col_axis, beams.row_axis, beams.boresight)))
+    ut, vt = _target_cosines(beams, beams.boresight if targets is None else targets)
+    af = np.broadcast_to(1.0 / np.sqrt(beams.rows * beams.cols), ut.shape)[..., None]  # the targets' shape
+    for counts, cosine, target_cosine in ((beams.cols, u, ut), (beams.rows, v, vt)):
+        # |sin(N pi s) / sin(pi s)| = |U_{N-1}(cos pi s)| has period one, is N on grating lobes and
+        # exactly 1.0 for N = 1, so an axis where every beam has one element is skipped
+        if (counts == 1).all():
             continue
-        s = panel.spacing_wl * (cosine - target_cosine)
-        r = s - np.round(s)
-        af = af * count * np.abs(np.sinc(count * r) / np.sinc(r))
-    gain = element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))
-    return scalar_or_array(gain)
+        two_c = 2.0 * np.cos((np.pi * beams.spacing_wl)[:, None] * (cosine - target_cosine[..., None]))
+        kernel, u_prev, u_k = np.ones_like(two_c), 0.0, 1.0
+        for n in range(2, int(counts.max()) + 1):
+            u_prev, u_k = u_k, two_c * u_k - u_prev  # U_{n-1}
+            np.copyto(kernel, u_k, where=(counts == n)[:, None])
+        af = af * np.abs(kernel)
+    return element_gain(beams.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))

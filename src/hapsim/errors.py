@@ -1,4 +1,4 @@
-"""Shared across the simulator: exception types, one range check, checked records, the file reader, scalar results."""
+"""Shared helpers: exception types, one range check, checked records, the file reader, read-only and scalar results."""
 
 import math
 from collections import namedtuple
@@ -60,7 +60,11 @@ class DegenerateGeometryError(HapsimError):
 
 
 class OutOfCoverageError(HapsimError):
-    """Requested direction or position is not served by any beam."""
+    """Requested direction or position is not served by any beam; ``beam`` indexes the beam at fault, if one is."""
+
+    def __init__(self, message, beam=None):
+        super().__init__(message)
+        self.beam = beam
 
 
 class DomainError(HapsimError):
@@ -99,6 +103,12 @@ def checked_record(name: str, fields: str, defaults=()):
     base = namedtuple(name, fields, defaults=defaults)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, no longer writeable: it is shared by every caller of a cache."""
+    array.flags.writeable = False
+    return array
 
 
 def scalar_or_array(result):

@@ -87,13 +87,15 @@ def link_geometry(a, b):
     """``(elevation_deg, slant_range_m)`` of the ray a -> b.
 
     Elevation is measured from a's local horizontal plane (positive when b
-    is above it).  Every pair is one ray; any coincident pair is rejected.
+    is above it).  Every pair is one ray; a coincident or non-finite pair is rejected.
     """
     d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    if not np.isfinite(d).all():
+        raise DegenerateGeometryError("link endpoints must be finite")
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     horizontal = np.hypot(dx, dy)
     slant = np.sqrt(horizontal * horizontal + dz * dz)
-    if np.any(slant == 0.0):
+    if not (slant > 0.0).all():
         raise DegenerateGeometryError("link endpoints coincide")
     elevation = np.degrees(np.arctan2(dz, horizontal))
     return scalar_or_array(elevation), scalar_or_array(slant)

@@ -33,10 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import antenna, architecture, channel
-from .antenna import ElementPattern, Panel
+from .antenna import BeamSet, ElementPattern
 from .config import ScenarioConfig
 from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DomainError, OutOfCoverageError, ValidationError,
-                     check_range, scalar_or_array)
+                     check_range, read_only, scalar_or_array)
 from .geometry import FlightPattern, Point3, haps_position, link_geometry
 
 __all__ = [
@@ -121,11 +121,6 @@ class Terminal(NamedTuple):
     shadow_db: float
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 class Drop:
     """A terminal drop as read-only arrays in terminal-id order, and the one kind of its terminals.
 
@@ -136,7 +131,7 @@ class Drop:
     __slots__ = ("x", "y", "los", "shadow_db", "kind")
 
     def __init__(self, x: np.ndarray, y: np.ndarray, los: np.ndarray, shadow_db: np.ndarray, kind: str):
-        self.x, self.y, self.los, self.shadow_db, self.kind = *map(_read_only, (x, y, los, shadow_db)), kind
+        self.x, self.y, self.los, self.shadow_db, self.kind = *map(read_only, (x, y, los, shadow_db)), kind
 
     def __len__(self) -> int:
         return self.x.size
@@ -273,13 +268,8 @@ def _pattern(config: ScenarioConfig, prefix: str) -> ElementPattern:
                             for key in ("gain_dbi", "hpbw_deg", "front_to_back_db")))
 
 
-def build_beams(config: ScenarioConfig) -> tuple[tuple[Panel, ...], np.ndarray]:
-    """Platform antenna set and the ground cell each panel serves.
-
-    Returns the panels (one fixed antenna, or the hexagonal array) and
-    their cell centres as an index-aligned ``(n, 2)`` array.  Both are
-    read-only, and shared by every call with the same beam keys.
-    """
+def build_beams(config: ScenarioConfig) -> BeamSet:
+    """The platform's beams and the ground cell each serves: read-only, shared by all calls with the same beam keys."""
     return _beams(config.layout, config.resolved_cell_radius_m(), config.outer_cell_center_fraction,
                   config.side_panel_azimuth_offset_deg,
                   _pattern(config, "single_antenna" if config.layout == "single" else "array_element"),
@@ -290,18 +280,17 @@ def build_beams(config: ScenarioConfig) -> tuple[tuple[Panel, ...], np.ndarray]:
 # A sweep over seeds or presets reuses one or two beam sets and flight circles; these keep eight.
 @functools.lru_cache(maxsize=8)
 def _beams(layout, radius_m, outer_fraction, azimuth_offset_deg, element, bottom_rows, bottom_cols,
-           side_rows, side_cols, spacing_wl, tilt_deg) -> tuple[tuple[Panel, ...], np.ndarray]:
-    panels = (antenna.single_element_panel(element),) if layout == "single" else tuple(antenna.hex_array(
-        element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows,
-        side_cols=side_cols, spacing_wl=spacing_wl, side_tilt_deg=tilt_deg,
-        azimuth_offset_deg=azimuth_offset_deg))
-    return panels, _read_only(cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
+           side_rows, side_cols, spacing_wl, tilt_deg) -> BeamSet:
+    panels = [antenna.single_element_panel(element)] if layout == "single" else antenna.hex_array(
+        element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows, side_cols=side_cols,
+        spacing_wl=spacing_wl, side_tilt_deg=tilt_deg, azimuth_offset_deg=azimuth_offset_deg)
+    return BeamSet.stack(panels, cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
 
 
 @functools.lru_cache(maxsize=8)
 def _positions(pattern: FlightPattern) -> np.ndarray:
     """The ``(P, 3)`` platform positions of a flight pattern, read-only."""
-    return _read_only(haps_position(pattern, np.arange(pattern.position_count)))
+    return read_only(haps_position(pattern, np.arange(pattern.position_count)))
 
 
 def nominal_cells(xy: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -413,7 +402,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Run one full campaign over the flight circle."""
     cfg = config  # build_drop validates it before any work
     drop, tables = build_drop(cfg)
-    panels, centers = build_beams(cfg)
+    beams = build_beams(cfg)
     hpos = _positions(FlightPattern(Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
                                     cfg.flight_position_count, cfg.flight_angular_step_deg))
 
@@ -437,16 +426,15 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     else:
         term_gain = np.zeros((n_pos, n))
 
-    # Per-beam gains towards every terminal; a steered beam aims at its cell centre.
+    # Every beam's gain towards every terminal; a steered beam aims at its cell centre.
     steering = cfg.attachment_mode == "beam_steering"
-    gains = np.empty((n_pos, len(panels), n))
-    for b, panel in enumerate(panels):
-        target = np.append(centers[b], 0.0) - hpos if steering else None
-        try:
-            gains[:, b] = antenna.array_gain(panel, dirs, target)
-        except OutOfCoverageError:
-            raise ValidationError(("side_panel_tilt_deg", "outer_cell_center_fraction"),
-                                  f"the centre of cell {b} lies behind its panel") from None
+    targets = np.column_stack([beams.centers, np.zeros(len(beams.centers))]) - hpos[:, None, :] if steering else None
+    try:
+        gains = antenna.array_gain(beams, dirs, targets)
+    except OutOfCoverageError as exc:
+        # cell 0 lies below the flight circle's centre; the side-panel keys place the others
+        keys = (("altitude_m", "flight_circle_diameter_m"), ("side_panel_tilt_deg", "outer_cell_center_fraction"))
+        raise ValidationError(keys[exc.beam > 0], f"the centre of cell {exc.beam} lies behind its panel") from None
 
     # Downlink transmit power at each panel input.
     if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
@@ -461,10 +449,10 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
     rsrp = tx_dbm + gains - loss_dl[:, None, :]
     if steering:
-        serving = np.broadcast_to(nominal_cells(xy, centers), (n_pos, n))
+        serving = np.broadcast_to(nominal_cells(xy, beams.centers), (n_pos, n))
     else:
         serving = np.argmax(rsrp, axis=1)
-    member = serving[:, None, :] == np.arange(len(panels))[:, None]  # (P, beams, n)
+    member = serving[:, None, :] == np.arange(len(beams.centers))[:, None]  # (P, beams, n)
     counts = member.sum(axis=2)
     # per_beam[pos, serving, term] is the serving beam's entry of a (P, beams, n) array
     pos, term = np.arange(n_pos)[:, None], np.arange(n)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from hapsim.antenna import (
+    BeamSet,
     ElementPattern,
     Panel,
     array_gain,
@@ -66,6 +67,9 @@ PANEL_ARGS = dict(element=PLATFORM_ELEMENT, rows=2, cols=2, boresight=[0.0, 0.0,
     ({"col_axis": [0, 0, 0]}, "panel col_axis must be a nonzero vector"),
     ({"row_axis": np.zeros(3)}, "panel row_axis must be a nonzero vector"),
     ({"spacing_wl": math.nan}, "element spacing must be positive"),
+    ({"boresight": [math.nan, 0.0, -1.0]}, "panel boresight must be a finite vector"),
+    ({"col_axis": [0.0, math.inf, 0.0]}, "panel col_axis must be a finite vector"),
+    ({"row_axis": [0.0, 0.0, -math.inf]}, "panel row_axis must be a finite vector"),
 ])
 def test_panel_rejects_bad_arguments(change, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -87,15 +91,20 @@ def test_panels_compare_by_identity():
     assert len({a, b}) == 2
 
 
+def _one(panel):
+    """The beam set of one panel."""
+    return BeamSet.stack([panel])
+
+
 def test_single_element_panel_matches_element():
     panel = single_element_panel(PLATFORM_ELEMENT)
     down = np.array([[0.0, 0.0, -1.0]])
-    assert_allclose(array_gain(panel, down)[0], 5.0, atol=1e-9)
+    assert_allclose(array_gain(_one(panel), down)[0, 0], 5.0, atol=1e-9)
     # a 1x1 panel's kernel is exactly one, whatever the target
     probes = np.array([[0.3, -0.2, -1.0], [1.0, 0.5, -0.1]])
     az, el, _, _ = panel.local_angles(probes)
-    np.testing.assert_array_equal(array_gain(panel, probes, [0.1, 0.2, -1.0]),
-                                  element_gain(PLATFORM_ELEMENT, az, el))
+    np.testing.assert_array_equal(array_gain(_one(panel), probes, [[0.1, 0.2, -1.0]]),
+                                  [element_gain(PLATFORM_ELEMENT, az, el)])
 
 
 def test_written_out_row_axis_matches_np_cross_bit_for_bit():
@@ -133,7 +142,7 @@ def test_array_factor_at_steering_target_is_exact():
         v /= np.linalg.norm(v)
         if v @ panel.boresight <= 0.05:
             continue
-        g = array_gain(panel, v[None, :], v)[0]
+        g = array_gain(_one(panel), v[None, :], v[None, :])[0, 0]
         local_az, local_el, _, _ = panel.local_angles(v[None, :])
         expected = element_gain(panel.element, local_az[0], local_el[0]) + 10.0 * math.log10(panel.n_elements)
         assert_allclose(g, expected, atol=1e-9)
@@ -150,10 +159,22 @@ def test_steering_rejects_behind_panel_targets():
         with pytest.raises(OutOfCoverageError):
             steering_weights(panel, bad)
         with pytest.raises(OutOfCoverageError):
-            array_gain(panel, dirs, bad)
+            array_gain(_one(panel), dirs, bad[None, :])
         stack[1] = bad
         with pytest.raises(OutOfCoverageError):
-            array_gain(panel, np.stack([dirs, dirs]), stack)
+            array_gain(_one(panel), np.stack([dirs, dirs]), stack[:, None, :])
+
+
+@pytest.mark.parametrize("bad_beam", [0, 2, 4])
+def test_a_bad_target_names_the_first_beam_at_fault(bad_beam):
+    beams = BeamSet.stack(hex_array(PLATFORM_ELEMENT)[:5])
+    dirs = np.array([[1.0, 0.0, -0.5], [0.5, 0.5, -1.0]])
+    targets = np.broadcast_to(beams.boresight, (3, 5, 3)).copy()  # three positions
+    targets[1, bad_beam] = -beams.boresight[bad_beam]
+    targets[2, bad_beam:, :] = 0.0  # zero targets on this beam and every later one
+    with pytest.raises(OutOfCoverageError, match=f"^steering target of beam {bad_beam} ") as caught:
+        array_gain(beams, dirs, targets)
+    assert caught.value.beam == bad_beam
 
 
 def test_broadside_gains_frozen():
@@ -161,9 +182,9 @@ def test_broadside_gains_frozen():
                           boresight_azimuth_deg=0.0, boresight_elevation_deg=-90.0)
     side = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
-    g_bottom = array_gain(bottom, bottom.boresight[None, :])[0]
+    g_bottom = array_gain(_one(bottom), bottom.boresight[None, :])[0, 0]
     assert_allclose(g_bottom, 5.0 + 10.0 * math.log10(4.0), atol=1e-9)
-    g_side = array_gain(side, side.boresight[None, :])[0]
+    g_side = array_gain(_one(side), side.boresight[None, :])[0, 0]
     assert_allclose(g_side, 5.0 + 10.0 * math.log10(8.0), atol=1e-9)
     assert_allclose(g_bottom, 11.0206, atol=5e-4)
     assert_allclose(g_side, 14.0309, atol=5e-4)
@@ -182,11 +203,11 @@ def test_array_factor_is_maximised_at_the_target():
     probes = rng.normal(size=(2000, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     az, el, _, _ = panel.local_angles(probes)
-    af_db = array_gain(panel, probes, target) - element_gain(panel.element, az, el)
+    af_db = array_gain(_one(panel), probes, target[None, :])[0] - element_gain(panel.element, az, el)
     assert af_db.max() <= af_cap_db + 1e-9
 
     az_t, el_t, _, _ = panel.local_angles(target[None, :])
-    af_t = array_gain(panel, target[None, :], target)[0] - element_gain(panel.element, az_t, el_t)[0]
+    af_t = array_gain(_one(panel), target[None, :], target[None, :])[0, 0] - element_gain(panel.element, az_t, el_t)[0]
     assert_allclose(af_t, af_cap_db, atol=1e-9)
 
 
@@ -196,19 +217,23 @@ def test_stacked_targets_match_one_call_per_target_bit_for_bit():
     rng = np.random.default_rng(8)
     dirs = rng.normal(size=(5, 33, 3))
     dirs[..., 2] = -np.abs(dirs[..., 2]) - 1.0
-    targets = panel.boresight + rng.normal(scale=0.2, size=(5, 3))
-    gains = array_gain(panel, dirs, targets)
-    assert gains.shape == (5, 33)
+    targets = (panel.boresight + rng.normal(scale=0.2, size=(5, 3)))[:, None, :]  # one beam's, per position
+    beam = _one(panel)
+    gains = array_gain(beam, dirs, targets)
+    assert gains.shape == (5, 1, 33)
     for p in range(5):
-        np.testing.assert_array_equal(gains[p], array_gain(panel, dirs[p], targets[p]))
+        np.testing.assert_array_equal(gains[p], array_gain(beam, dirs[p], targets[p]))
     # one target, or none, applies to every leading axis of the directions
     for target in (targets[2], None):
-        np.testing.assert_array_equal(array_gain(panel, dirs, target)[3],
-                                      array_gain(panel, dirs[3], target))
+        np.testing.assert_array_equal(array_gain(beam, dirs, target)[3],
+                                      array_gain(beam, dirs[3], target))
 
 
 def _every_axis_gain(panel, directions, target=None):
-    """``array_gain`` with the array factor of every axis formed, one element or more."""
+    """One panel's ``array_gain`` with the kernel of every axis formed, one element or more.
+
+    ``target`` is one ``(3,)`` target or a stack of them, one per leading axis of the result.
+    """
     az, el, u, v = panel.local_angles(directions)
     t = np.asarray(panel.boresight if target is None else target, dtype=float)
     t = t / np.linalg.norm(t, axis=-1, keepdims=True)
@@ -217,9 +242,11 @@ def _every_axis_gain(panel, directions, target=None):
     ut, vt = (t * panel.col_axis).sum(axis=-1), (t * panel.row_axis).sum(axis=-1)
     af = 1.0 / np.sqrt(panel.n_elements)
     for count, x in ((panel.cols, u - ut), (panel.rows, v - vt)):
-        s = panel.spacing_wl * x
-        r = s - np.round(s)
-        af = af * count * np.abs(np.sinc(count * r) / np.sinc(r))
+        two_c = 2.0 * np.cos((np.pi * panel.spacing_wl) * x)
+        u_prev, u_k = 0.0, np.ones_like(two_c)  # U_{-1}, U_0
+        for _ in range(count - 1):
+            u_prev, u_k = u_k, two_c * u_k - u_prev
+        af = af * np.abs(u_k)
     return element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12))
 
 
@@ -235,10 +262,13 @@ def test_one_element_axes_match_the_every_axis_formula_bit_for_bit(rows, cols, a
     # broadside, one target, one per leading axis, and a stack of targets for one set of directions
     for d, target in ((dirs, None), (dirs, targets[1]), (dirs, targets), (dirs[0], targets)):
         want = _every_axis_gain(panel, d, target)
-        got = array_gain(panel, d, target)
+        got = array_gain(_one(panel), d, None if target is None else target[..., None, :])
+        assert got.shape[-2] == 1
+        got = got[..., 0, :]
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
-    assert array_gain(panel, dirs[0, 0], targets[0]) == _every_axis_gain(panel, dirs[0, 0], targets[0])
+    assert (array_gain(_one(panel), dirs[0, :1], targets[:1])[0, 0]
+            == _every_axis_gain(panel, dirs[0, 0], targets[0]))
 
 
 def test_weights_are_unit_norm():
@@ -275,7 +305,7 @@ def test_total_radiated_power_is_bounded():
     rng = np.random.default_rng(5)
     dirs = rng.normal(size=(20000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    g_lin = 10.0 ** (array_gain(panel, dirs) / 10.0)
+    g_lin = 10.0 ** (array_gain(_one(panel), dirs)[0] / 10.0)
     assert g_lin.mean() < 1.05
 
 
@@ -293,30 +323,40 @@ def _reference_gain(panel, weights, directions):
     return element_gain(panel.element, az, el) + 20.0 * np.log10(np.maximum(af, 1e-12)), af
 
 
-@given(rows=st.integers(1, 8), cols=st.integers(1, 8),
-       spacing=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(0.25, 2.0)),
-       azimuth=st.floats(0.0, 360.0), elevation=st.floats(-90.0, 0.0),
-       target_uv=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
-       steered=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_closed_form_matches_the_explicit_weights(rows, cols, spacing, azimuth, elevation,
-                                                  target_uv, steered, seed):
-    panel = planar_panel(PLATFORM_ELEMENT, rows, cols, azimuth, elevation, spacing_wl=spacing)
-    ut, vt = target_uv
-    target = (ut * panel.col_axis + vt * panel.row_axis
-              + math.sqrt(1.0 - ut * ut - vt * vt) * panel.boresight)
-    rng = np.random.default_rng(seed)
-    dirs = [rng.normal(size=(200, 3)), target, panel.boresight]
-    # grating lobes of the steered beam, where sin(pi d x) vanishes
-    for du, dv in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-        u, v = ut + du / spacing, vt + dv / spacing
-        if u * u + v * v < 1.0:
-            dirs.append(u * panel.col_axis + v * panel.row_axis
-                        + math.sqrt(1.0 - u * u - v * v) * panel.boresight)
-    dirs = np.vstack(dirs)
-    weights = steering_weights(panel, target) if steered else broadside_weights(panel)
-    want, af = _reference_gain(panel, weights, dirs)
-    got = array_gain(panel, dirs, target if steered else None)
-    resolved = af > 1e-3  # the dB comparison is ill-conditioned in deep nulls
-    assert_allclose(got[resolved], want[resolved], rtol=0.0, atol=1e-9)
+_PANELS = st.tuples(st.integers(1, 16), st.integers(1, 16),
+                    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(0.25, 2.0)),
+                    st.floats(0.0, 360.0), st.floats(-90.0, 0.0),
+                    st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)))
+
+
+@given(panels=st.lists(_PANELS, min_size=1, max_size=4), steered=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_matches_the_explicit_weights(panels, steered, seed):
+    """Every beam of a stacked call: its explicit weights' gain, and its one-beam call's bits."""
+    built, targets, dirs = [], [], [np.random.default_rng(seed).normal(size=(200, 3))]
+    for rows, cols, spacing, azimuth, elevation, (ut, vt) in panels:
+        panel = planar_panel(PLATFORM_ELEMENT, rows, cols, azimuth, elevation, spacing_wl=spacing)
+        target = (ut * panel.col_axis + vt * panel.row_axis
+                  + math.sqrt(1.0 - ut * ut - vt * vt) * panel.boresight)
+        built.append(panel)
+        targets.append(target)
+        dirs += [target, panel.boresight]
+        # grating lobes of the steered beam, where sin(pi d x) vanishes
+        for du, dv in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+            u, v = ut + du / spacing, vt + dv / spacing
+            if u * u + v * v < 1.0:
+                dirs.append(u * panel.col_axis + v * panel.row_axis
+                            + math.sqrt(1.0 - u * u - v * v) * panel.boresight)
+    dirs, targets = np.vstack(dirs), np.array(targets)
+    beams = BeamSet.stack(built)
+    got = array_gain(beams, dirs, targets if steered else None)
+    assert got.shape == (len(built), len(dirs))
+    for b, panel in enumerate(built):
+        weights = steering_weights(panel, targets[b]) if steered else broadside_weights(panel)
+        want, af = _reference_gain(panel, weights, dirs)
+        resolved = af > 1e-3  # the dB comparison is ill-conditioned in deep nulls
+        assert_allclose(got[b, resolved], want[resolved], rtol=0.0, atol=1e-9)
+        alone = array_gain(_one(panel), dirs, targets[b:b + 1] if steered else None)
+        np.testing.assert_array_equal(got[b], alone[0])
     with pytest.raises(OutOfCoverageError):
-        array_gain(panel, dirs, -target)
+        array_gain(beams, dirs, -targets)

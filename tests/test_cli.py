@@ -503,6 +503,29 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
     assert capsys.readouterr().err == proc.stderr
 
 
+NADIR_BEHIND = "error: altitude_m, flight_circle_diameter_m: the centre of cell 0 lies behind its panel"
+
+
+@pytest.mark.parametrize("lines", ["altitude_m = 5e-324\n", "layout = seven_cell\naltitude_m = 5e-324\n"])
+def test_a_nadir_target_behind_its_panel_names_the_flight_keys(tmp_path, capsys, lines):
+    # the file sets no side-panel key, so none may be blamed
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(lines)
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == NADIR_BEHIND
+    assert main(["validate", "--config", str(scenario)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == NADIR_BEHIND
+
+
+def test_an_overflowing_altitude_names_the_flight_keys_without_a_traceback(tmp_path):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("altitude_m = 1e300\n")
+    proc = _hapsim_process("run", "--config", str(scenario), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == NADIR_BEHIND
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate_runs_the_campaign_and_writes_nothing(tmp_path, monkeypatch, capsys):
     proc = _hapsim_process("validate", "--preset", "multi-steering-omni-bp", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -110,6 +110,17 @@ def test_coincident_pair_inside_an_array_rejected():
         link_geometry(a, Point3(5.0, 5.0, 5.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_endpoint_is_rejected_as_such(bad):
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for end in (a.copy(), np.array([0.0, 0.0, 20000.0])):
+        end.flat[0] = bad  # one coordinate of one point
+        with pytest.raises(DegenerateGeometryError, match="^link endpoints must be finite$"):
+            link_geometry(end, Point3(0.0, 0.0, 20000.0))
+        with pytest.raises(DegenerateGeometryError, match="^link endpoints must be finite$"):
+            link_geometry(a, end)
+
+
 def test_two_points_give_floats_and_arrays_give_arrays():
     pair = link_geometry(Point3(0.0, 0.0, 0.0), Point3(1000.0, 0.0, 100.0))
     assert type(pair) is tuple and len(pair) == 2

@@ -7,18 +7,25 @@ serving cells exactly; UL SE may move by rounding only (the co-block
 interference powers come from array ``power``, which can differ from
 scalar ``pow`` by one ulp).
 
+The seven-cell cases are also run under three OpenBLAS core types, in
+child processes: no host's BLAS kernels may change a bit of them.
+
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` -- only
 when the model itself changes on purpose.  Before it overwrites the file
 it prints, per case, the largest relative DL and UL change against the
 stored values and how many serving cells changed.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import hapsim
 from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.simulation import run_campaign
 
@@ -58,6 +65,29 @@ def test_per_user_se_matches_golden(golden, name):
 def test_golden_cases_are_all_stored(golden):
     assert sorted(golden) == sorted(f"{c}/{k}" for c in CASES
                                     for k in ("dl_se", "ul_se", "serving_cell"))
+
+
+# prints the key of every seven-cell array whose bytes differ from the committed ones
+_PRINT_CHANGED = """
+import numpy as np
+from test_golden import CASES, GOLDEN, case_config, compute
+with np.load(GOLDEN) as golden:
+    for name in CASES:
+        if case_config(name).layout == "seven_cell":
+            for key, got in compute(name).items():
+                if got.dtype != golden[key].dtype or got.tobytes() != golden[key].tobytes():
+                    print(key)
+"""
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Sandybridge", "Haswell"])
+def test_seven_cell_se_does_not_depend_on_the_blas_core(core):
+    path = [str(Path(__file__).parent), str(Path(hapsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _PRINT_CHANGED], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def _largest_rel_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import hapsim
 from hapsim import simulation
+from hapsim.antenna import ElementPattern
 from hapsim.architecture import bp_uplink_noise_figure
 from hapsim.channel import NtnTables
 from hapsim.cli import main
@@ -327,26 +328,25 @@ def test_build_drop_resolves_layout_defaults():
 # Beams and attachment
 
 def test_build_beams_single_and_seven():
-    panels, centers = build_beams(ScenarioConfig())
-    assert len(panels) == 1
-    assert panels[0].n_elements == 1
-    assert_array_equal(centers, np.zeros((1, 2)))
-    panels, centers = build_beams(ScenarioConfig(layout="seven_cell"))
-    assert len(panels) == 7
-    assert centers.shape == (7, 2)
-    assert panels[0].n_elements == 4
-    assert all(p.n_elements == 8 for p in panels[1:])
+    beams = build_beams(ScenarioConfig())
+    assert_array_equal(beams.rows * beams.cols, [1])
+    assert_array_equal(beams.centers, np.zeros((1, 2)))
+    beams = build_beams(ScenarioConfig(layout="seven_cell"))
+    assert beams.centers.shape == (7, 2)
+    assert_array_equal(beams.rows * beams.cols, [4, 8, 8, 8, 8, 8, 8])
+    for frame in (beams.col_axis, beams.row_axis, beams.boresight):
+        assert frame.shape == (7, 3)
+    assert beams.element == ElementPattern(5.0, 90.0, 30.0)
 
 
 def _beam_bits(cfg: ScenarioConfig) -> list[bytes]:
-    """Every bit of a config's panels, cell centres and flight positions."""
-    panels, centers = build_beams(cfg)
+    """Every bit of a config's beams, cell centres and flight positions."""
+    beams = build_beams(cfg)
     positions = simulation._positions(FlightPattern(
         Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
         cfg.flight_position_count, cfg.flight_angular_step_deg))
-    scalars = [v for p in panels for v in (p.rows, p.cols, p.spacing_wl, *p.element)]
-    vectors = [v for p in panels for v in (p.boresight, p.col_axis, p.row_axis)]
-    return [struct.pack("<d", v) for v in scalars] + [a.tobytes() for a in (centers, positions, *vectors)]
+    arrays = [np.asarray(a, dtype=float) for a in (beams.rows, beams.cols, *beams[3:])]
+    return [struct.pack("<d", v) for v in beams.element] + [a.tobytes() for a in (*arrays, positions)]
 
 
 def _key_changes(cfg: ScenarioConfig, f: dataclasses.Field) -> list[tuple]:
@@ -411,10 +411,10 @@ BEAM_KEYS = {
 
 def test_cached_beams_and_positions_are_read_only():
     cfg = ScenarioConfig(layout="seven_cell")
-    panels, centers = build_beams(cfg)
-    assert build_beams(cfg)[0] is panels and isinstance(panels, tuple)
+    beams = build_beams(cfg)
+    assert build_beams(cfg) is beams
     hpos = simulation._positions(FlightPattern())
-    for array in (centers, hpos, *(v for p in panels for v in (p.boresight, p.col_axis, p.row_axis))):
+    for array in (hpos, *beams[1:]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -422,10 +422,9 @@ def test_cached_beams_and_positions_are_read_only():
 # hex_array and cell_centers each add the offset to 60 k degrees
 @pytest.mark.parametrize("offset", [0.0, 17.5, -45.0, 330.0])
 def test_panels_and_cell_centres_are_index_aligned_on_azimuth(offset):
-    panels, centers = build_beams(ScenarioConfig(layout="seven_cell",
-                                                 side_panel_azimuth_offset_deg=offset))
-    for k, (p, (x, y)) in enumerate(zip(panels[1:], centers[1:])):
-        az_panel = math.degrees(math.atan2(p.boresight[1], p.boresight[0]))
+    beams = build_beams(ScenarioConfig(layout="seven_cell", side_panel_azimuth_offset_deg=offset))
+    for k, (boresight, (x, y)) in enumerate(zip(beams.boresight[1:], beams.centers[1:])):
+        az_panel = math.degrees(math.atan2(boresight[1], boresight[0]))
         az_cell = math.degrees(math.atan2(y, x))
         for az in (az_panel, az_cell):  # the same azimuth, up to a whole turn
             assert_allclose((az - offset - 60.0 * k + 180.0) % 360.0 - 180.0, 0.0, atol=1e-9)
@@ -437,7 +436,7 @@ def _xy(terminals):
 
 def test_nominal_cells_take_nearest_center():
     cfg = ScenarioConfig(layout="seven_cell")
-    _, centers = build_beams(cfg)
+    centers = build_beams(cfg).centers
     terminals, _ = build_drop(cfg)
     cells = nominal_cells(_xy(terminals), centers)
     for t, c in zip(terminals, cells):
@@ -449,7 +448,7 @@ def test_attach_steering_uses_fixed_cells():
     for cfg in (preset_config(p) for p in preset_names() if "steering" in p):
         result = run_campaign(cfg)
         assert_array_equal(result.serving_cell,
-                           nominal_cells(_xy(result.terminals), build_beams(cfg)[1]))
+                           nominal_cells(_xy(result.terminals), build_beams(cfg).centers))
 
 
 def test_attach_selection_prefers_nadir_panel_overhead():
