@@ -146,19 +146,19 @@ class BeamSet(namedtuple("BeamSet", "element rows cols spacing_wl col_axis row_a
     """A payload's panels stacked on one beam axis, with the ground cell each beam serves; see :meth:`stack`.
 
     ``col_axis``, ``row_axis`` and ``boresight`` hold one unit frame row per beam, ``(B, 3)``;
-    ``rows``, ``cols`` and ``spacing_wl`` are ``(B,)``, and ``centers`` the ``(B, 2)`` cell
-    centres or ``None``.  Every beam has the one ``element`` pattern.
+    ``rows``, ``cols`` and ``spacing_wl`` are ``(B,)``, and ``centers`` holds the ``(B, 2)``
+    cell centres.  Every beam has the one ``element`` pattern.
     """
 
     __slots__ = ()
 
     @classmethod
-    def stack(cls, panels, centers=None) -> BeamSet:
+    def stack(cls, panels, centers) -> BeamSet:
         """The read-only beams of ``panels`` in their order; the panels must share one element pattern."""
         if any(p.element != panels[0].element for p in panels):
             raise ConfigError("the panels of a beam set must share one element pattern")
         arrays = (read_only(np.array([getattr(p, name) for p in panels])) for name in cls._fields[1:7])
-        return cls(panels[0].element, *arrays, None if centers is None else read_only(np.array(centers, float)))
+        return cls(panels[0].element, *arrays, read_only(np.array(centers, dtype=float)))
 
 
 def _target_cosines(frame, targets) -> tuple[np.ndarray, np.ndarray]:
