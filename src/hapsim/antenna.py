@@ -161,8 +161,8 @@ class BeamSet(namedtuple("BeamSet", "element rows cols spacing_wl col_axis row_a
         return cls(panels[0].element, *arrays, read_only(np.array(centers, dtype=float)))
 
 
-def _target_cosines(frame, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Frame (col, row) cosines of ``(..., B, 3)`` steering targets (a panel's: ``(3,)``), checked per beam."""
+def _unit_targets(frame, targets) -> np.ndarray:
+    """``(..., B, 3)`` steering targets (a panel's: ``(3,)``) scaled to unit vectors, checked beam by beam."""
     t = np.asarray(targets, dtype=float)
     norm = np.sqrt(_dot(t, t))[..., None]
     t = np.divide(t, norm, out=np.zeros_like(t), where=norm != 0.0)  # a zero target stays zero and fails
@@ -170,7 +170,7 @@ def _target_cosines(frame, targets) -> tuple[np.ndarray, np.ndarray]:
     if not ok.all():
         beam = int(np.flatnonzero(~ok.reshape(-1, *ok.shape[-1:]).all(axis=0))[0])
         raise OutOfCoverageError(f"steering target of beam {beam} is zero or lies behind its panel", beam)
-    return _dot(t, frame.col_axis), _dot(t, frame.row_axis)
+    return t
 
 
 def steering_weights(panel: Panel, target_direction) -> np.ndarray:
@@ -180,7 +180,8 @@ def steering_weights(panel: Panel, target_direction) -> np.ndarray:
     propagation phase towards the target, so the array factor there is exactly ``sqrt(n)``.
     Element ``r * cols + c`` sits in row ``r`` and column ``c``.
     """
-    u, v = _target_cosines(panel, target_direction)
+    t = _unit_targets(panel, target_direction)
+    u, v = _dot(t, panel.col_axis), _dot(t, panel.row_axis)
     col = (np.arange(panel.cols) - (panel.cols - 1) / 2.0) * panel.spacing_wl
     row = (np.arange(panel.rows) - (panel.rows - 1) / 2.0) * panel.spacing_wl
     phase = 2.0 * np.pi * np.add.outer(row * v, col * u).ravel()
@@ -195,25 +196,24 @@ def broadside_weights(panel: Panel) -> np.ndarray:
 def array_gain(beams: BeamSet, directions, targets=None) -> np.ndarray:
     """Realized gain (dBi) of every beam, ``(..., B, n)``, towards ``(..., n, 3)`` global directions.
 
-    Element gain plus ``20*log10|AF|`` for the :func:`steering_weights` of
-    each beam's target: ``targets`` is ``(..., B, 3)``, broadcast against
-    the leading axes (``None``: the boresights).  ``|AF|`` is the product
-    over both panel axes of ``|U_{N-1}(cos pi d x)|``, ``x`` the direction
-    cosine minus the target's, over ``sqrt(n)``: ``sqrt(n)`` on target.
-    A beam's gains are the bits of its own one-beam call.  A zero or
-    behind-panel target raises ``OutOfCoverageError`` with its ``beam``.
+    Element gain plus ``20*log10|AF|`` for the :func:`steering_weights` of each beam's target:
+    ``targets`` is ``(..., B, 3)``, broadcast against the leading axes (``None``: the boresights).
+    ``|AF|`` is the product over both panel axes of ``|U_{N-1}(cos pi d x)|``, ``x`` the direction
+    cosine minus the target's, over ``sqrt(n)``: ``sqrt(n)`` on target.  A beam's gains are the
+    bits of its own one-beam call.  A zero or behind-panel target raises ``OutOfCoverageError``
+    with its ``beam``.
     """
     d = np.asarray(directions, dtype=float)
     d = (d / np.sqrt(_dot(d, d))[..., None])[..., None, :, :]  # normalised once, for every beam
     az, el, u, v = _angles(d, *(a[:, None, :] for a in (beams.col_axis, beams.row_axis, beams.boresight)))
-    ut, vt = _target_cosines(beams, beams.boresight if targets is None else targets)
-    af = np.broadcast_to(1.0 / np.sqrt(beams.rows * beams.cols), ut.shape)[..., None]  # the targets' shape
-    for counts, cosine, target_cosine in ((beams.cols, u, ut), (beams.rows, v, vt)):
+    t = _unit_targets(beams, beams.boresight if targets is None else targets)
+    af = np.broadcast_to(1.0 / np.sqrt(beams.rows * beams.cols), t.shape[:-1])[..., None]  # the targets' shape
+    for counts, cosine, axis in ((beams.cols, u, beams.col_axis), (beams.rows, v, beams.row_axis)):
         # |sin(N pi s) / sin(pi s)| = |U_{N-1}(cos pi s)| has period one, is N on grating lobes and
         # exactly 1.0 for N = 1, so an axis where every beam has one element is skipped
         if (counts == 1).all():
             continue
-        two_c = 2.0 * np.cos((np.pi * beams.spacing_wl)[:, None] * (cosine - target_cosine[..., None]))
+        two_c = 2.0 * np.cos((np.pi * beams.spacing_wl)[:, None] * (cosine - _dot(t, axis)[..., None]))
         kernel, u_prev, u_k = np.ones_like(two_c), 0.0, 1.0
         for n in range(2, int(counts.max()) + 1):
             u_prev, u_k = u_k, two_c * u_k - u_prev  # U_{n-1}
