@@ -106,7 +106,7 @@ def checked_record(name: str, fields: str, defaults=()):
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
-    """``array``, no longer writeable: it is shared by every caller of a cache."""
+    """``array``, no longer writeable, for an array that several callers share."""
     array.flags.writeable = False
     return array
 
