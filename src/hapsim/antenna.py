@@ -18,8 +18,6 @@ never by BLAS, so their bits do not depend on the host.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import POSITIVE, ConfigError, OutOfCoverageError, check_range, checked_record, read_only, scalar_or_array
@@ -104,8 +102,9 @@ class Panel:
         return _angles(d / np.sqrt(_dot(d, d))[..., None], self.col_axis, self.row_axis, self.boresight)
 
 
-def planar_panel(element: ElementPattern, rows: int, cols: int, boresight_azimuth_deg: float,
-                 boresight_elevation_deg: float, spacing_wl: float = 0.5) -> Panel:
+def planar_panel(element: ElementPattern, rows: int, cols: int,
+                 boresight_azimuth_deg: float, boresight_elevation_deg: float,
+                 spacing_wl: float = 0.5) -> Panel:
     """Build a panel whose boresight points at the given compass direction.
 
     Columns run horizontally (constant height), rows stack along the
@@ -121,7 +120,8 @@ def planar_panel(element: ElementPattern, rows: int, cols: int, boresight_azimut
     return Panel(element, rows, cols, boresight, col_axis, row_axis, spacing_wl)
 
 
-def single_element_panel(element: ElementPattern, boresight_azimuth_deg: float = 0.0,
+def single_element_panel(element: ElementPattern,
+                         boresight_azimuth_deg: float = 0.0,
                          boresight_elevation_deg: float = -90.0) -> Panel:
     """A lone antenna modelled as a 1x1 panel (array factor unity)."""
     return planar_panel(element, 1, 1, boresight_azimuth_deg, boresight_elevation_deg)
@@ -142,23 +142,22 @@ def hex_array(element: ElementPattern, *, bottom_rows: int = 2, bottom_cols: int
         for k in range(6)]
 
 
-class BeamSet(namedtuple("BeamSet", "element rows cols spacing_wl col_axis row_axis boresight centers")):
-    """A payload's panels stacked on one beam axis, with the ground cell each beam serves; see :meth:`stack`.
+class BeamSet:
+    """A payload's panels stacked on one beam axis, with the ground cell each beam serves.
 
     ``col_axis``, ``row_axis`` and ``boresight`` hold one unit frame row per beam, ``(B, 3)``;
     ``rows``, ``cols`` and ``spacing_wl`` are ``(B,)``, and ``centers`` holds the ``(B, 2)``
-    cell centres.  Every beam has the one ``element`` pattern.
+    cell centres.  Every beam has the one ``element`` pattern.  The arrays are read-only.
     """
 
-    __slots__ = ()
+    __slots__ = ("element", "rows", "cols", "spacing_wl", "col_axis", "row_axis", "boresight", "centers")
 
-    @classmethod
-    def stack(cls, panels, centers) -> BeamSet:
-        """The read-only beams of ``panels`` in their order; the panels must share one element pattern."""
+    def __init__(self, panels, centers):
         if any(p.element != panels[0].element for p in panels):
             raise ConfigError("the panels of a beam set must share one element pattern")
-        arrays = (read_only(np.array([getattr(p, name) for p in panels])) for name in cls._fields[1:7])
-        return cls(panels[0].element, *arrays, read_only(np.array(centers, dtype=float)))
+        self.element, self.centers = panels[0].element, read_only(np.array(centers, dtype=float))
+        for name in self.__slots__[1:7]:
+            setattr(self, name, read_only(np.array([getattr(p, name) for p in panels])))
 
 
 def _unit_targets(frame, targets) -> np.ndarray:

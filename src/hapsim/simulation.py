@@ -284,7 +284,7 @@ def _beams(layout, radius_m, outer_fraction, azimuth_offset_deg, element, bottom
     panels = [antenna.single_element_panel(element)] if layout == "single" else antenna.hex_array(
         element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows, side_cols=side_cols,
         spacing_wl=spacing_wl, side_tilt_deg=tilt_deg, azimuth_offset_deg=azimuth_offset_deg)
-    return BeamSet.stack(panels, cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
+    return BeamSet(panels, cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
 
 
 @functools.lru_cache(maxsize=8)

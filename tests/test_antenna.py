@@ -93,19 +93,19 @@ def test_panels_compare_by_identity():
 
 def _one(panel):
     """The beam set of one panel, serving a cell at the origin."""
-    return BeamSet.stack([panel], np.zeros((1, 2)))
+    return BeamSet([panel], np.zeros((1, 2)))
 
 
 def test_a_beam_set_is_one_element_pattern_stacked():
     panels = hex_array(PLATFORM_ELEMENT, side_rows=3, spacing_wl=0.6)
-    beams = BeamSet.stack(panels, np.arange(14.0).reshape(7, 2))
+    beams = BeamSet(panels, np.arange(14.0).reshape(7, 2))
     assert beams.element == PLATFORM_ELEMENT
     np.testing.assert_array_equal(beams.rows, [2, 3, 3, 3, 3, 3, 3])
     np.testing.assert_array_equal(beams.spacing_wl, 0.6)
     for name in ("col_axis", "row_axis", "boresight"):
         np.testing.assert_array_equal(getattr(beams, name), [getattr(p, name) for p in panels])
     with pytest.raises(ConfigError, match="^the panels of a beam set must share one element pattern$"):
-        BeamSet.stack([panels[0], planar_panel(CPE_PATTERN, 2, 2, 0.0, -90.0)], np.zeros((2, 2)))
+        BeamSet([panels[0], planar_panel(CPE_PATTERN, 2, 2, 0.0, -90.0)], np.zeros((2, 2)))
 
 
 def test_single_element_panel_matches_element():
@@ -179,7 +179,7 @@ def test_steering_rejects_behind_panel_targets():
 
 @pytest.mark.parametrize("bad_beam", [0, 2, 4])
 def test_a_bad_target_names_the_first_beam_at_fault(bad_beam):
-    beams = BeamSet.stack(hex_array(PLATFORM_ELEMENT)[:5], np.zeros((5, 2)))
+    beams = BeamSet(hex_array(PLATFORM_ELEMENT)[:5], np.zeros((5, 2)))
     dirs = np.array([[1.0, 0.0, -0.5], [0.5, 0.5, -1.0]])
     targets = np.broadcast_to(beams.boresight, (3, 5, 3)).copy()  # three positions
     targets[1, bad_beam] = -beams.boresight[bad_beam]
@@ -360,7 +360,7 @@ def test_closed_form_matches_the_explicit_weights(panels, steered, seed):
                 dirs.append(u * panel.col_axis + v * panel.row_axis
                             + math.sqrt(1.0 - u * u - v * v) * panel.boresight)
     dirs, targets = np.vstack(dirs), np.array(targets)
-    beams = BeamSet.stack(built, np.zeros((len(built), 2)))
+    beams = BeamSet(built, np.zeros((len(built), 2)))
     got = array_gain(beams, dirs, targets if steered else None)
     assert got.shape == (len(built), len(dirs))
     for b, panel in enumerate(built):

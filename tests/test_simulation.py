@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import hapsim
 from hapsim import simulation
-from hapsim.antenna import ElementPattern
+from hapsim.antenna import BeamSet, ElementPattern
 from hapsim.architecture import bp_uplink_noise_figure
 from hapsim.channel import NtnTables
 from hapsim.cli import main
@@ -345,7 +345,7 @@ def _beam_bits(cfg: ScenarioConfig) -> list[bytes]:
     positions = simulation._positions(FlightPattern(
         Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
         cfg.flight_position_count, cfg.flight_angular_step_deg))
-    arrays = [np.asarray(a, dtype=float) for a in (beams.rows, beams.cols, *beams[3:])]
+    arrays = [np.asarray(getattr(beams, name), dtype=float) for name in BeamSet.__slots__[1:]]
     return [struct.pack("<d", v) for v in beams.element] + [a.tobytes() for a in (*arrays, positions)]
 
 
@@ -414,7 +414,7 @@ def test_cached_beams_and_positions_are_read_only():
     beams = build_beams(cfg)
     assert build_beams(cfg) is beams
     hpos = simulation._positions(FlightPattern())
-    for array in (hpos, *beams[1:]):
+    for array in (hpos, *(getattr(beams, name) for name in BeamSet.__slots__[1:])):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
