@@ -282,8 +282,9 @@ def build_beams(config: ScenarioConfig) -> BeamSet:
 def _beams(layout, radius_m, outer_fraction, azimuth_offset_deg, element, bottom_rows, bottom_cols,
            side_rows, side_cols, spacing_wl, tilt_deg) -> BeamSet:
     panels = [antenna.single_element_panel(element)] if layout == "single" else antenna.hex_array(
-        element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows, side_cols=side_cols,
-        spacing_wl=spacing_wl, side_tilt_deg=tilt_deg, azimuth_offset_deg=azimuth_offset_deg)
+        element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows,
+        side_cols=side_cols, spacing_wl=spacing_wl, side_tilt_deg=tilt_deg,
+        azimuth_offset_deg=azimuth_offset_deg)
     return BeamSet(panels, cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
 
 
