@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import UserString
 from itertools import repeat
 from typing import NamedTuple
@@ -122,11 +121,7 @@ class Terminal(NamedTuple):
 
 
 class Drop:
-    """A terminal drop as read-only arrays in terminal-id order, and the one kind of its terminals.
-
-    It reads as the list of its ``Terminal`` records: ``len``, iteration, an
-    integer index and ``==`` give what they give on that list.
-    """
+    """A terminal drop: read-only arrays in terminal-id order and its terminals' one kind; iterates as ``Terminal``s."""
 
     __slots__ = ("x", "y", "los", "shadow_db", "kind")
 
@@ -139,13 +134,6 @@ class Drop:
     def __iter__(self):
         return map(Terminal, range(self.x.size), self.x.tolist(), self.y.tolist(), repeat(self.kind),
                    self.los.tolist(), self.shadow_db.tolist())
-
-    def __getitem__(self, index: int) -> Terminal:
-        i = range(self.x.size)[operator.index(index)]  # from the end when negative
-        return Terminal(i, float(self.x[i]), float(self.y[i]), self.kind, bool(self.los[i]), float(self.shadow_db[i]))
-
-    def __eq__(self, other):
-        return list(self) == list(other) if other.__class__ is Drop else NotImplemented
 
 
 def cell_centers(layout: str, service_radius_m: float,
@@ -259,39 +247,51 @@ def build_drop(config: ScenarioConfig) -> tuple[Drop, channel.NtnTables]:
 
 
 # ----------------------------------------------------------------------
-# Beams and attachment
+# Platform and attachment
 
 def _pattern(config: ScenarioConfig, prefix: str) -> ElementPattern:
     """The pattern of the ``<prefix>_gain_dbi``, ``_hpbw_deg`` and ``_front_to_back_db`` keys."""
-    # + 0.0 makes -0.0 a 0.0, here and for the side tilt: equal keys build equal bits and share a beam set
-    return ElementPattern(*(getattr(config, f"{prefix}_{key}") + 0.0
-                            for key in ("gain_dbi", "hpbw_deg", "front_to_back_db")))
+    return ElementPattern(*(getattr(config, f"{prefix}_{key}") for key in ("gain_dbi", "hpbw_deg", "front_to_back_db")))
 
 
-def build_beams(config: ScenarioConfig) -> BeamSet:
-    """The platform's beams and the ground cell each serves: read-only, shared by all calls with the same beam keys."""
-    return _beams(config.layout, config.resolved_cell_radius_m(), config.outer_cell_center_fraction,
-                  config.side_panel_azimuth_offset_deg,
-                  _pattern(config, "single_antenna" if config.layout == "single" else "array_element"),
-                  config.bottom_panel_rows, config.bottom_panel_cols, config.side_panel_rows,
-                  config.side_panel_cols, config.element_spacing_wl, config.side_panel_tilt_deg + 0.0)
+def _platform(config: ScenarioConfig) -> tuple[BeamSet, np.ndarray, np.ndarray | None]:
+    """The platform a scenario flies: its beams, ``(P, 3)`` flight positions and ``(P, B, 3)`` steering targets.
+
+    The targets are ``None`` unless the beams are steered.  Nothing here depends on the seed, so
+    every config with the same platform keys shares one read-only platform.
+    """
+    element = _pattern(config, "single_antenna" if config.layout == "single" else "array_element")
+    # + 0.0 makes -0.0 a 0.0: equal keys build equal bits and share one platform
+    return _build_platform(
+        config.layout, config.attachment_mode == "beam_steering", config.bottom_panel_rows,
+        config.bottom_panel_cols, config.side_panel_rows, config.side_panel_cols, config.flight_position_count,
+        *(value + 0.0 for value in (*element, config.resolved_cell_radius_m(), config.outer_cell_center_fraction,
+                                    config.side_panel_azimuth_offset_deg, config.element_spacing_wl,
+                                    config.side_panel_tilt_deg, config.altitude_m,
+                                    config.flight_circle_diameter_m, config.flight_angular_step_deg)))
 
 
-# A sweep over seeds or presets reuses one or two beam sets and flight circles; these keep eight.
+# A sweep over seeds or presets reuses one or two platforms; this keeps eight.
 @functools.lru_cache(maxsize=8)
-def _beams(layout, radius_m, outer_fraction, azimuth_offset_deg, element, bottom_rows, bottom_cols,
-           side_rows, side_cols, spacing_wl, tilt_deg) -> BeamSet:
+def _build_platform(layout, steering, bottom_rows, bottom_cols, side_rows, side_cols, position_count,
+                    gain_dbi, hpbw_deg, front_to_back_db, radius_m, outer_fraction, azimuth_offset_deg,
+                    spacing_wl, tilt_deg, altitude_m, diameter_m, step_deg):
+    element = ElementPattern(gain_dbi, hpbw_deg, front_to_back_db)
     panels = [antenna.single_element_panel(element)] if layout == "single" else antenna.hex_array(
         element, bottom_rows=bottom_rows, bottom_cols=bottom_cols, side_rows=side_rows,
         side_cols=side_cols, spacing_wl=spacing_wl, side_tilt_deg=tilt_deg,
         azimuth_offset_deg=azimuth_offset_deg)
-    return BeamSet(panels, cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
+    beams = BeamSet(panels, cell_centers(layout, radius_m, outer_fraction, azimuth_offset_deg))
+    flight = FlightPattern(Point3(0.0, 0.0, altitude_m), diameter_m, position_count, step_deg)
+    positions = read_only(haps_position(flight, np.arange(position_count)))
+    # a steered beam aims at its cell centre on the ground
+    targets = np.column_stack([beams.centers, np.zeros(len(beams.centers))]) - positions[:, None, :]
+    return beams, positions, read_only(targets) if steering else None
 
 
-@functools.lru_cache(maxsize=8)
-def _positions(pattern: FlightPattern) -> np.ndarray:
-    """The ``(P, 3)`` platform positions of a flight pattern, read-only."""
-    return read_only(haps_position(pattern, np.arange(pattern.position_count)))
+def build_beams(config: ScenarioConfig) -> BeamSet:
+    """The platform's beams and the ground cell each serves: read-only, shared by every config of that platform."""
+    return _platform(config)[0]
 
 
 def nominal_cells(xy: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -403,9 +403,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Run one full campaign over the flight circle."""
     cfg = config  # build_drop validates it before any work
     drop, tables = build_drop(cfg)
-    beams = build_beams(cfg)
-    hpos = _positions(FlightPattern(Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
-                                    cfg.flight_position_count, cfg.flight_angular_step_deg))
+    beams, hpos, targets = _platform(cfg)
 
     # Every array below has the platform positions on axis 0:
     # (P, n) per terminal, (P, beams, n) per beam and terminal.
@@ -427,9 +425,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     else:
         term_gain = np.zeros((n_pos, n))
 
-    # Every beam's gain towards every terminal; a steered beam aims at its cell centre.
-    steering = cfg.attachment_mode == "beam_steering"
-    targets = np.column_stack([beams.centers, np.zeros(len(beams.centers))]) - hpos[:, None, :] if steering else None
+    # Every beam's gain towards every terminal
     try:
         gains = antenna.array_gain(beams, dirs, targets)
     except OutOfCoverageError as exc:
@@ -449,7 +445,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         tx_dbm = cfg.panel_tx_power_dbm
 
     rsrp = tx_dbm + gains - loss_dl[:, None, :]
-    if steering:
+    if targets is not None:  # a steered beam serves its own cell
         serving = np.broadcast_to(nominal_cells(xy, beams.centers), (n_pos, n))
     else:
         serving = np.argmax(rsrp, axis=1)

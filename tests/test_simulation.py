@@ -22,7 +22,7 @@ from hapsim.channel import NtnTables
 from hapsim.cli import main
 from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.errors import ConfigError, DomainError, HapsimError, ValidationError
-from hapsim.geometry import FlightPattern, Point3, link_geometry
+from hapsim.geometry import Point3, link_geometry
 from hapsim.report import format_report
 from hapsim.simulation import (
     AggregateStats,
@@ -181,7 +181,7 @@ def test_drop_is_reproducible_and_inside_disc():
     t = NtnTables.default()
     a = drop_terminals(50, 60_000.0, "ue_omni", t, np.random.default_rng(3), CENTER)
     b = drop_terminals(50, 60_000.0, "ue_omni", t, np.random.default_rng(3), CENTER)
-    assert a == b
+    assert _drop_bits(a) == _drop_bits(b)
     for term in a:
         assert math.hypot(term.x, term.y) <= 60_000.0
         assert term.kind == "ue_omni"
@@ -252,35 +252,38 @@ def test_drop_records_hold_the_drawn_arrays(target_los):
     assert {type(v) for v in x + y + shadow_col} == {float}
     assert {type(v) for v in los_col} == {bool}
     with pytest.raises(AttributeError):
-        terms[0].x = 0.0
-    # the records a list of them held, bit for bit, by iteration and by index alike
+        next(iter(terms)).x = 0.0
+    # the drawn arrays, bit for bit, and the records a list of them held
+    assert _drop_bits(terms) == (xs.tobytes(), ys.tobytes(), los.tobytes(), shadow.tobytes(), "ue_omni")
     records = list(map(Terminal, range(20), xs.tolist(), ys.tolist(), ["ue_omni"] * 20,
                        los.tolist(), shadow.tolist()))
-    for got in (list(terms), [terms[i] for i in range(20)], [terms[i - 20] for i in range(20)]):
-        assert list(map(_record_bits, got)) == list(map(_record_bits, records))
-        assert {type(t) for t in got} == {Terminal}
+    got = list(terms)
+    assert list(map(_record_bits, got)) == list(map(_record_bits, records))
+    assert {type(t) for t in got} == {Terminal}
 
 
 def _record_bits(t: Terminal) -> tuple:
     return t.terminal_id, t.x.hex(), t.y.hex(), t.kind, t.los, t.shadow_db.hex()
 
 
-def test_drop_is_read_only_arrays_and_compares_as_its_records():
+def _drop_bits(drop: Drop) -> tuple:
+    """Every bit of a drop: its four arrays and its kind."""
+    return drop.x.tobytes(), drop.y.tobytes(), drop.los.tobytes(), drop.shadow_db.tobytes(), drop.kind
+
+
+def test_drop_is_read_only_arrays_and_a_seed_fixes_their_bits():
     a, _ = build_drop(ScenarioConfig(seed=4))
     b, _ = build_drop(ScenarioConfig(seed=4))
-    assert isinstance(a, Drop) and a is not b and a == b and not a != b
-    assert a != build_drop(ScenarioConfig(seed=5))[0]
-    assert a != Drop(a.x, a.y, a.los, a.shadow_db, "cpe_directional")
-    assert a != list(a)  # a drop equals a drop, as a list equals a list
+    assert isinstance(a, Drop) and a is not b and _drop_bits(a) == _drop_bits(b)
+    assert _drop_bits(a) != _drop_bits(build_drop(ScenarioConfig(seed=5))[0])
+    assert _drop_bits(a) != _drop_bits(Drop(a.x, a.y, a.los, a.shadow_db, "cpe_directional"))
+    assert a != b  # drops compare by identity: compare their arrays
     for array in (a.x, a.y, a.los, a.shadow_db):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
     assert a.x.dtype == a.y.dtype == a.shadow_db.dtype == float and a.los.dtype == bool
-    for bad in (len(a), -len(a) - 1):
-        with pytest.raises(IndexError):
-            a[bad]
-    with pytest.raises(TypeError):
-        a[1.0]
+    with pytest.raises(TypeError):  # a terminal is read from the arrays, not by index
+        a[0]
 
 
 def test_drop_validation():
@@ -339,14 +342,12 @@ def test_build_beams_single_and_seven():
     assert beams.element == ElementPattern(5.0, 90.0, 30.0)
 
 
-def _beam_bits(cfg: ScenarioConfig) -> list[bytes]:
-    """Every bit of a config's beams, cell centres and flight positions."""
-    beams = build_beams(cfg)
-    positions = simulation._positions(FlightPattern(
-        Point3(0.0, 0.0, cfg.altitude_m), cfg.flight_circle_diameter_m,
-        cfg.flight_position_count, cfg.flight_angular_step_deg))
+def _platform_bits(cfg: ScenarioConfig) -> list[bytes]:
+    """Every bit of a config's platform: beams, cell centres, flight positions and steering targets."""
+    beams, positions, targets = simulation._platform(cfg)
     arrays = [np.asarray(getattr(beams, name), dtype=float) for name in BeamSet.__slots__[1:]]
-    return [struct.pack("<d", v) for v in beams.element] + [a.tobytes() for a in (*arrays, positions)]
+    return [struct.pack("<d", v) for v in beams.element] + [a.tobytes() for a in (*arrays, positions)] + [
+        b"not steered" if targets is None else targets.tobytes()]
 
 
 def _key_changes(cfg: ScenarioConfig, f: dataclasses.Field) -> list[tuple]:
@@ -372,7 +373,7 @@ def _key_changes(cfg: ScenarioConfig, f: dataclasses.Field) -> list[tuple]:
 
 @pytest.mark.parametrize("layout", ["single", "seven_cell"])
 def test_a_cached_beam_set_is_what_an_empty_cache_builds_for_every_key(layout):
-    caches = (simulation._beams, simulation._positions)
+    cache = simulation._build_platform
     base = ScenarioConfig(layout=layout)
     changed = set()
     for f in dataclasses.fields(ScenarioConfig):
@@ -384,21 +385,20 @@ def test_a_cached_beam_set_is_what_an_empty_cache_builds_for_every_key(layout):
             except ValidationError:  # a check across keys: the count and step of the circle
                 assert f.name.startswith("flight_")
                 continue
-            for cache in caches:
-                cache.cache_clear()
-            _beam_bits(first)
-            from_cache = _beam_bits(then)
-            for cache in caches:
-                cache.cache_clear()
-            assert from_cache == _beam_bits(then), (f.name, cached, asked)
-            if from_cache != _beam_bits(first):
+            cache.cache_clear()
+            _platform_bits(first)
+            from_cache = _platform_bits(then)
+            cache.cache_clear()
+            assert from_cache == _platform_bits(then), (f.name, cached, asked)
+            if from_cache != _platform_bits(first):
                 changed.add(f.name)
-    # and a cache miss on each key the beam set or the flight circle reads
+    # and a cache miss on each key the platform reads
     assert changed == BEAM_KEYS[layout]
 
 
-# what a layout's beam set and flight circle read; the circle's count and step cannot change alone
-_FLIGHT_KEYS = {"layout", "altitude_m", "flight_circle_diameter_m"}
+# what a layout's platform reads: its beam set, flight circle and whether it steers its beams;
+# the circle's count and step cannot change alone
+_FLIGHT_KEYS = {"layout", "attachment_mode", "altitude_m", "flight_circle_diameter_m"}
 _PATTERN_KEYS = ("gain_dbi", "hpbw_deg", "front_to_back_db")
 BEAM_KEYS = {
     "single": _FLIGHT_KEYS | {f"single_antenna_{k}" for k in _PATTERN_KEYS},
@@ -411,10 +411,10 @@ BEAM_KEYS = {
 
 def test_cached_beams_and_positions_are_read_only():
     cfg = ScenarioConfig(layout="seven_cell")
-    beams = build_beams(cfg)
-    assert build_beams(cfg) is beams
-    hpos = simulation._positions(FlightPattern())
-    for array in (hpos, *(getattr(beams, name) for name in BeamSet.__slots__[1:])):
+    beams, hpos, targets = simulation._platform(cfg)
+    assert build_beams(cfg) is beams and simulation._platform(cfg)[1] is hpos
+    assert hpos.shape == (12, 3) and targets.shape == (12, 7, 3)
+    for array in (hpos, targets, *(getattr(beams, name) for name in BeamSet.__slots__[1:])):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -753,6 +753,27 @@ def test_regenerative_payload_ignores_every_bent_pipe_switch(preset):
     assert_array_equal(switched.dl_se, plain.dl_se)
     assert_array_equal(switched.ul_se, plain.ul_se)
     assert_array_equal(switched.serving_cell, plain.serving_cell)
+
+
+# every key that only the uplink reads, with another value; the presets' matched UL noise never
+# reads the gateway's noise figure, nor a regenerative payload the bent pipe's UL noise switch
+UL_KEYS = {"ue_tx_power_dbm": 26.0, "bs_noise_figure_db": 3.0, "ul_carrier_hz": 2.0e9, "ul_allocation_hz": 5e5,
+           "ul_se_attenuation": 0.5, "ul_sinr_min_db": -5.0, "ul_se_max": 1.5, "bp_ul_noise": "cascade",
+           "gateway_noise_figure_db": 6.0}
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_an_uplink_key_leaves_the_downlink_and_the_serving_cells_bit_identical(preset):
+    base = run_campaign(preset_config(preset))
+    moved = set()
+    for key, value in UL_KEYS.items():
+        changed = _bp(preset, **{key: value})
+        assert changed.dl_se.tobytes() == base.dl_se.tobytes(), key
+        assert changed.serving_cell.tobytes() == base.serving_cell.tobytes(), key
+        if changed.ul_se.tobytes() != base.ul_se.tobytes():
+            moved.add(key)
+    inert = {"gateway_noise_figure_db", "bp_ul_noise"} if preset.endswith("-rg") else {"gateway_noise_figure_db"}
+    assert moved == UL_KEYS.keys() - inert
 
 
 # ----------------------------------------------------------------------
