@@ -61,6 +61,8 @@ _frequency = _within(1, 1e15, "must lie in [1, 1e+15] Hz")
 _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 # the element pattern squares offset / beamwidth, which overflows as the beamwidth nears 0
 _beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
+# ground lengths: a squared distance overflows near 1e154 m; 1e7 m is a quarter of the Earth's girth
+_length = _within(1, 1e7, "must lie in [1, 1e+07] m")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -76,7 +78,7 @@ class ScenarioConfig:
     target_los_count: int | None = _non_negative(None)
 
     # Geometry
-    cell_radius_m: float | None = _positive(None)
+    cell_radius_m: float | None = _length(None)
     # Outer-ring cell centers sit at this fraction of the service radius.
     # 0.44 places them between the side panels' peak ground power
     # (34.5 km at 20 km altitude / 23 deg tilt) and their gain boresight
@@ -87,7 +89,7 @@ class ScenarioConfig:
     flight_position_count: int = _positive(12)
     flight_angular_step_deg: float = _positive(30.0)
     platform_speed_kmh: float = 110.0  # inert: each position is a frozen snapshot
-    gateway_distance_m: float = _positive(45_000.0)
+    gateway_distance_m: float = _length(45_000.0)
 
     # Carriers and bandwidth
     dl_carrier_hz: float = _frequency(2.1e9)

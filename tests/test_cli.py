@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -179,24 +180,37 @@ HPBW_ENDS = dict.fromkeys(["single_antenna_hpbw_deg", "array_element_hpbw_deg", 
 # runs with a system bandwidth as wide
 HZ_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\n", "bp_feeder_chain = explicit\n")
 CARRIER_ENDS = dict.fromkeys(["dl_carrier_hz", "ul_carrier_hz", "feeder_carrier_hz"], (1.0, 1e15))
+# the cell radius and the gateway distance lie in [1, 1e7] m: on one cell, on seven rooftop cells
+# with a drawn LOS split (every terminal of a 1 m disc is under the platform, so no fixed split is
+# reachable) and on the explicit feeder chain, the gateway's one reader in a campaign
+LENGTH_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\nlos_assignment = probabilistic\n",
+                   "bp_feeder_chain = explicit\n")
+LENGTH_ENDS = dict.fromkeys(["cell_radius_m", "gateway_distance_m"], (1.0, 1e7))
 ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS, **CARRIER_ENDS,
-        "ul_allocation_hz": (1.0, 1e15)}
+        "ul_allocation_hz": (1.0, 1e15), **LENGTH_ENDS}
 SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, LEVEL_SWITCHES),
             "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES),
             **dict.fromkeys(CARRIER_ENDS, HZ_SWITCHES),
-            "ul_allocation_hz": tuple(f"{switch}dl_bandwidth_hz = 1e15\n" for switch in HZ_SWITCHES)}
+            "ul_allocation_hz": tuple(f"{switch}dl_bandwidth_hz = 1e15\n" for switch in HZ_SWITCHES),
+            **dict.fromkeys(LENGTH_ENDS, LENGTH_SWITCHES)}
+# the one warning an accepted scenario may print to stderr (pytest captures it as a log record):
+# a 1e7 m cell lies mostly below the table's lowest elevation bin
+CLAMPED = re.compile(r"\d+ elevation\(s\) outside channel table range \[10, 90\] deg, clamped to the nearest bin")
 
 
-def _both_commands_run_cleanly(tmp_path, capsys, switches, assignments: str) -> None:
+def _both_commands_run_cleanly(tmp_path, capsys, caplog, switches, assignments: str, clamped: bool = False) -> None:
     scenario = tmp_path / "end.cfg"
     for switch in switches:
         scenario.write_text(f"{switch}{assignments}")
+        caplog.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warning fails the run
             for command in ("run", "consumption"):
                 out = tmp_path / command
                 assert main([command, "--config", str(scenario), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+        logged = [record.getMessage() for record in caplog.records]
+        assert all(map(CLAMPED.fullmatch, logged)) and bool(logged) == clamped, logged
         text = (tmp_path / "consumption" / "consumption.csv").read_text()
         assert "nan" not in text and "inf" not in text
         cfg = ScenarioConfig()
@@ -206,13 +220,14 @@ def _both_commands_run_cleanly(tmp_path, capsys, switches, assignments: str) -> 
 
 
 @pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
-def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, key, end):
-    _both_commands_run_cleanly(tmp_path, capsys, SWITCHES[key], f"{key} = {end!r}\n")
+def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, caplog, key, end):
+    clamped = key == "cell_radius_m" and end == 1e7
+    _both_commands_run_cleanly(tmp_path, capsys, caplog, SWITCHES[key], f"{key} = {end!r}\n", clamped)
 
 
 @pytest.mark.parametrize("end", [-300.0, 300.0])
-def test_every_power_and_antenna_gain_at_one_end_together_runs_cleanly(tmp_path, capsys, end):
-    _both_commands_run_cleanly(tmp_path, capsys, LEVEL_SWITCHES,
+def test_every_power_and_antenna_gain_at_one_end_together_runs_cleanly(tmp_path, capsys, caplog, end):
+    _both_commands_run_cleanly(tmp_path, capsys, caplog, LEVEL_SWITCHES,
                                "".join(f"{key} = {end!r}\n" for key in LEVEL_ENDS))
 
 
