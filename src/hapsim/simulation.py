@@ -271,7 +271,7 @@ def _platform(config: ScenarioConfig) -> tuple[BeamSet, np.ndarray, np.ndarray |
                                     config.flight_circle_diameter_m, config.flight_angular_step_deg)))
 
 
-# A sweep over seeds or presets reuses one or two platforms; this keeps eight.
+# A sweep over seeds or presets reuses a few platforms (the ten presets fly three); this keeps eight.
 @functools.lru_cache(maxsize=8)
 def _build_platform(layout, steering, bottom_rows, bottom_cols, side_rows, side_cols, position_count,
                     gain_dbi, hpbw_deg, front_to_back_db, radius_m, outer_fraction, azimuth_offset_deg,

@@ -767,7 +767,7 @@ def test_an_uplink_key_leaves_the_downlink_and_the_serving_cells_bit_identical(p
     base = run_campaign(preset_config(preset))
     moved = set()
     for key, value in UL_KEYS.items():
-        changed = _bp(preset, **{key: value})
+        changed = run_campaign(dataclasses.replace(preset_config(preset), **{key: value}))
         assert changed.dl_se.tobytes() == base.dl_se.tobytes(), key
         assert changed.serving_cell.tobytes() == base.serving_cell.tobytes(), key
         if changed.ul_se.tobytes() != base.ul_se.tobytes():
