@@ -63,7 +63,7 @@ def _dot(a, b):
 def _angles(d, col_axis, row_axis, boresight):
     """Frame (az, el) offsets in degrees and (col, row) cosines of the unit directions ``d``."""
     u, v, w = _dot(d, col_axis), _dot(d, row_axis), _dot(d, boresight)
-    return np.degrees(np.arctan2(u, w)), np.degrees(np.arctan2(v, np.hypot(u, w))), u, v
+    return np.arctan2(u, w) * (180.0 / np.pi), np.arctan2(v, np.hypot(u, w)) * (180.0 / np.pi), u, v
 
 
 class Panel:

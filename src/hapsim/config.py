@@ -8,7 +8,7 @@ bent-pipe baseline).  Unknown or duplicated keys are rejected.
 Each key's declaration below is its whole rule: the annotation gives its
 type, and its default either names a domain (``_one_of``, ``_positive``,
 ``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``,
-``_frequency``, ``_power_dbm``, ``_beamwidth``) or, for a number, leaves it finite only.
+``_frequency``, ``_power_dbm``, ``_beamwidth``, ``_length``) or, for a number, leaves it finite only.
 The keys of ``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and
 resolve from the layout: ``terminal_count`` (20 single / 210 seven-cell),
 ``cell_radius_m`` (60 km / 100 km) and ``target_los_count`` (17 / 175).
@@ -61,7 +61,7 @@ _frequency = _within(1, 1e15, "must lie in [1, 1e+15] Hz")
 _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 # the element pattern squares offset / beamwidth, which overflows as the beamwidth nears 0
 _beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
-# ground lengths: a squared distance overflows near 1e154 m; 1e7 m is a quarter of the Earth's girth
+# ground and platform lengths: a squared distance overflows near 1e154 m; 1e7 m is a quarter of the Earth's girth
 _length = _within(1, 1e7, "must lie in [1, 1e+07] m")
 
 
@@ -84,8 +84,8 @@ class ScenarioConfig:
     # (34.5 km at 20 km altitude / 23 deg tilt) and their gain boresight
     # ring (47.1 km), matching the coverage footprint of the fixed beams.
     outer_cell_center_fraction: float = _fraction(0.44)
-    altitude_m: float = _positive(20_000.0)
-    flight_circle_diameter_m: float = _positive(6_000.0)
+    altitude_m: float = _length(20_000.0)
+    flight_circle_diameter_m: float = _length(6_000.0)
     flight_position_count: int = _positive(12)
     flight_angular_step_deg: float = _positive(30.0)
     platform_speed_kmh: float = 110.0  # inert: each position is a frozen snapshot

@@ -97,5 +97,5 @@ def link_geometry(a, b):
     slant = np.sqrt(horizontal * horizontal + dz * dz)
     if not (slant > 0.0).all():
         raise DegenerateGeometryError("link endpoints coincide")
-    elevation = np.degrees(np.arctan2(dz, horizontal))
+    elevation = np.arctan2(dz, horizontal) * (180.0 / np.pi)
     return scalar_or_array(elevation), scalar_or_array(slant)

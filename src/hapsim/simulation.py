@@ -331,45 +331,50 @@ def ul_slot_assignments(serving: np.ndarray, offset: int = 0,
     rank = np.empty(serving.size, dtype=np.intp)
     rank[order] = np.arange(serving.size) - first[serving[order]]
     j = np.arange(intervals)[:, None]
-    slots = (rank + (offset + j) * (serving + 1)) % counts[serving]
-    return (slots + j * counts.max(initial=0)).ravel()
+    shift = (offset + j) * np.arange(1, counts.size + 1) % np.maximum(counts, 1)  # cell c's pointer in interval j
+    slots = rank + shift[:, serving]  # under 2 * load: min with slots - load, unsigned (huge below load), wraps once
+    np.minimum(slots.view(np.uint64), (slots - counts[serving]).view(np.uint64), out=slots.view(np.uint64))
+    slots += j * counts.max(initial=0)
+    return slots.ravel()
 
 
 def _coblock_interference(serving: np.ndarray, counts: np.ndarray, ul_lin: np.ndarray,
                           first_offset: int) -> np.ndarray:
     """Uplink co-block interference (mW), one row per sub-interval.
 
-    Sub-interval ``j`` schedules with round-robin offset
-    ``first_offset + j``; there are as many sub-intervals as the largest
-    cell has members, and one ``ul_slot_assignments`` call keys them all.
-    A terminal's interferers are the terminals of the other cells that
-    hold its slot key, received through its serving panel and summed in
-    beam order.  That sum depends only on the panel and the key, so it is
-    built once as a table ``table[c, k]`` (everything panel ``c`` receives
-    on key ``k``) and each terminal reads its entry.
+    Sub-interval ``j`` schedules with round-robin offset ``first_offset + j``;
+    there are as many as the largest cell has members, all keyed by one
+    ``ul_slot_assignments`` call.  A terminal's interferers are the terminals
+    of the other cells that hold its slot key, received through its serving
+    panel and summed in beam order.  That sum depends only on the panel and
+    the key, so it is built once as a table (everything panel ``c`` receives
+    on key ``k``, at flat index ``c * n_keys + k``) that each terminal reads.
     """
     n = serving.size
     n_sub = int(counts.max())
     n_keys = n_sub * n_sub
     idx = np.arange(n)
-    # key[j, m]: j * n_sub + slot of terminal m in sub-interval j
-    key = ul_slot_assignments(serving, first_offset, n_sub).reshape(n_sub, n)
+    # flat[j, m]: the entry of terminal m in sub-interval j, with key j * n_sub + slot
+    flat = ul_slot_assignments(serving, first_offset, n_sub).reshape(n_sub, n)
+    flat += serving * n_keys
     # holder[b, key]: the terminal of beam b holding the slot key; n if none
     holder = np.full((counts.size, n_keys), n)
-    holder[serving, key] = idx
+    holder.ravel()[flat] = idx
     # power[c, m]: terminal m received through panel c.  Column n (no
     # holder) is zero, and so is each terminal's own serving panel: in its
     # own beam a terminal finds itself, which is not interference.
     power = np.zeros((counts.size, n + 1))
     power[:, :n] = ul_lin
     power[serving, idx] = 0.0
-    table = np.zeros((counts.size, n_keys))
-    # one scratch buffer for every beam's take; the keys are always in
-    # range, and mode="clip" writes into it without an extra copy
+    # the first active beam starts the table: its powers are at least +0.0,
+    # so it is their sum from zero.  The later takes share one buffer; the
+    # keys are in range, and mode="clip" fills it without an extra copy.
+    first, *rest = np.flatnonzero(counts)
+    table = power.take(holder[first], axis=1)
     held = np.empty_like(table)
-    for b in np.flatnonzero(counts):
+    for b in rest:
         table += power.take(holder[b], axis=1, out=held, mode="clip")
-    return table.take(serving * n_keys + key)
+    return table.take(flat)
 
 
 # ----------------------------------------------------------------------
@@ -429,9 +434,9 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     try:
         gains = antenna.array_gain(beams, dirs, targets)
     except OutOfCoverageError as exc:
-        # cell 0 lies below the flight circle's centre; the side-panel keys place the others
-        keys = (("altitude_m", "flight_circle_diameter_m"), ("side_panel_tilt_deg", "outer_cell_center_fraction"))
-        raise ValidationError(keys[exc.beam > 0], f"the centre of cell {exc.beam} lies behind its panel") from None
+        # an altitude of at least 1 m keeps cell 0 before the nadir panel; these keys place the side cells
+        keys = ("altitude_m", "flight_circle_diameter_m", "side_panel_tilt_deg", "outer_cell_center_fraction")
+        raise ValidationError(keys, f"the centre of cell {exc.beam} lies behind its panel") from None
 
     # Downlink transmit power at each panel input.
     if cfg.architecture == "bp" and cfg.bp_feeder_chain == "explicit":
@@ -491,8 +496,8 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     # the largest cell rather than freezing a single collision draw.
     for p in np.flatnonzero(np.count_nonzero(counts, axis=1) > 1):
         n_sub = int(counts[p].max())
-        ul_if_lin = _coblock_interference(serving[p], counts[p], ul_lin[p], p * n_sub)
-        sinr_ul = own_ul_lin[p] / (noise_ul_lin + ul_if_lin)
+        sinr_ul = _coblock_interference(serving[p], counts[p], ul_lin[p], p * n_sub)
+        np.divide(own_ul_lin[p], np.add(sinr_ul, noise_ul_lin, out=sinr_ul), out=sinr_ul)
         se_ul[p] = sinr_to_se(sinr_ul, *ul_abs).sum(axis=0) / n_sub
 
     # Per-user SE: bits over time-bandwidth, summed over the positions.  A

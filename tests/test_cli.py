@@ -180,21 +180,28 @@ HPBW_ENDS = dict.fromkeys(["single_antenna_hpbw_deg", "array_element_hpbw_deg", 
 # runs with a system bandwidth as wide
 HZ_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\n", "bp_feeder_chain = explicit\n")
 CARRIER_ENDS = dict.fromkeys(["dl_carrier_hz", "ul_carrier_hz", "feeder_carrier_hz"], (1.0, 1e15))
-# the cell radius and the gateway distance lie in [1, 1e7] m: on one cell, on seven rooftop cells
-# with a drawn LOS split (every terminal of a 1 m disc is under the platform, so no fixed split is
-# reachable) and on the explicit feeder chain, the gateway's one reader in a campaign
-LENGTH_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\nlos_assignment = probabilistic\n",
+# the cell radius, the gateway distance, the altitude and the flight circle's diameter lie in
+# [1, 1e7] m: on one cell, on seven rooftop cells steered and selected with a drawn LOS split (every
+# terminal of a 1 m disc is under the platform, and every one is LOS from 1e7 m up, so no fixed
+# split is reachable) and on the explicit feeder chain, the gateway's one reader in a campaign
+LENGTH_SWITCHES = ("", *(f"layout = seven_cell\nterminal_kind = cpe_directional\nlos_assignment = probabilistic\n"
+                         f"attachment_mode = {mode}\n" for mode in ("beam_steering", "beam_selection")),
                    "bp_feeder_chain = explicit\n")
-LENGTH_ENDS = dict.fromkeys(["cell_radius_m", "gateway_distance_m"], (1.0, 1e7))
+LENGTH_ENDS = dict.fromkeys(["cell_radius_m", "gateway_distance_m", "altitude_m", "flight_circle_diameter_m"],
+                            (1.0, 1e7))
 ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS, **CARRIER_ENDS,
         "ul_allocation_hz": (1.0, 1e15), **LENGTH_ENDS}
 SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, LEVEL_SWITCHES),
             "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES),
             **dict.fromkeys(CARRIER_ENDS, HZ_SWITCHES),
             "ul_allocation_hz": tuple(f"{switch}dl_bandwidth_hz = 1e15\n" for switch in HZ_SWITCHES),
-            **dict.fromkeys(LENGTH_ENDS, LENGTH_SWITCHES)}
+            **dict.fromkeys(LENGTH_ENDS, LENGTH_SWITCHES),
+            # a 1e7 m flight circle leaves the steered side cells behind their panels (tested below)
+            "flight_circle_diameter_m": LENGTH_SWITCHES[:1] + LENGTH_SWITCHES[2:]}
 # the one warning an accepted scenario may print to stderr (pytest captures it as a log record):
-# a 1e7 m cell lies mostly below the table's lowest elevation bin
+# a 1e7 m cell, a 1 m altitude or a 1e7 m flight circle puts the terminals mostly below the
+# table's lowest elevation bin
+LOW_ELEVATION_ENDS = {("cell_radius_m", 1e7), ("altitude_m", 1.0), ("flight_circle_diameter_m", 1e7)}
 CLAMPED = re.compile(r"\d+ elevation\(s\) outside channel table range \[10, 90\] deg, clamped to the nearest bin")
 
 
@@ -221,7 +228,7 @@ def _both_commands_run_cleanly(tmp_path, capsys, caplog, switches, assignments: 
 
 @pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
 def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, caplog, key, end):
-    clamped = key == "cell_radius_m" and end == 1e7
+    clamped = (key, end) in LOW_ELEVATION_ENDS
     _both_commands_run_cleanly(tmp_path, capsys, caplog, SWITCHES[key], f"{key} = {end!r}\n", clamped)
 
 
@@ -347,6 +354,40 @@ def test_last_stage_amp_gain_is_inert(tmp_path, capsys, key):
         assert main(["consumption", "--config", str(scenario), "--out", str(out)]) == 0
         outputs.append(((out / "consumption.csv").read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# keys that only the campaign reads, with other values: consumption reads the drop's positions
+# (drawn before any LOS state), the altitude, the gateway distance and the chain keys alone
+CAMPAIGN_KEYS = {
+    "panel_tx_power_dbm": 40.0, "ue_tx_power_dbm": 26.0, "gateway_tx_power_dbm": 40.0,
+    "repeater_max_output_dbm": 20.0, "ue_noise_figure_db": 9.0, "bs_noise_figure_db": 3.0,
+    "gateway_noise_figure_db": 6.0, "repeater_noise_figure_db": 9.0, "dl_carrier_hz": 2.6e9,
+    "ul_carrier_hz": 2.0e9, "feeder_carrier_hz": 28e9, "dl_bandwidth_hz": 40e6, "ul_allocation_hz": 5e5,
+    "dl_se_attenuation": 0.5, "dl_sinr_min_db": 0.0, "dl_se_max": 2.0, "ul_se_attenuation": 0.5,
+    "ul_sinr_min_db": -5.0, "ul_se_max": 1.5, "attachment_mode": "beam_selection",
+    "terminal_kind": "cpe_directional", "single_antenna_gain_dbi": 10.0, "single_antenna_hpbw_deg": 50.0,
+    "array_element_gain_dbi": 7.0, "array_element_hpbw_deg": 70.0, "bottom_panel_rows": 3,
+    "side_panel_cols": 3, "element_spacing_wl": 0.7, "side_panel_tilt_deg": 30.0,
+    "side_panel_azimuth_offset_deg": 10.0, "outer_cell_center_fraction": 0.5, "cpe_gain_dbi": 15.0,
+    "cpe_hpbw_deg": 40.0, "bp_feeder_chain": "explicit", "bp_repeater_noise_at_ue": True,
+    "bp_ul_noise": "cascade", "flight_circle_diameter_m": 8000.0, "repeater_gain_db": 100.0,
+    "los_assignment": "probabilistic",
+}
+
+
+@pytest.mark.parametrize("layout", ["single", "seven_cell"])
+def test_a_campaign_only_key_leaves_the_consumption_output_unchanged(tmp_path, capsys, layout):
+    def consumption(**values):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(dump_config(ScenarioConfig(layout=layout, **values)))
+        assert main(["consumption", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        return capsys.readouterr().out, (tmp_path / "out" / "consumption.csv").read_bytes()
+
+    base = consumption()
+    target = ScenarioConfig(layout=layout).resolved_target_los_count() - 1
+    for key, value in {**CAMPAIGN_KEYS, "target_los_count": target}.items():
+        assert consumption(**{key: value}) == base, key
+    assert consumption(altitude_m=25_000.0) != base  # a key it reads does move it
 
 
 def test_workers_flag_matches_serial_run(tmp_path):
@@ -491,7 +532,8 @@ def test_a_file_name_that_is_not_utf8_names_the_scenario_byte_for_byte(tmp_path,
                                   "side-panels-tilted-up", "cell-centres-above-flat-panels"])
 def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys, case):
     table = tmp_path / "table.csv"
-    steering = "side_panel_tilt_deg, outer_cell_center_fraction: the centre of cell"
+    steering = ("altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, outer_cell_center_fraction: "
+                "the centre of cell")
     if case == "missing-table":
         lines, named = f"ntn_table_path = {table}\n", str(table)
     elif case == "non-utf8-table":
@@ -518,27 +560,32 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
     assert capsys.readouterr().err == proc.stderr
 
 
-NADIR_BEHIND = "error: altitude_m, flight_circle_diameter_m: the centre of cell 0 lies behind its panel"
+SIDE_BEHIND = ("error: altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, outer_cell_center_fraction: "
+               "the centre of cell 1 lies behind its panel")
 
 
-@pytest.mark.parametrize("lines", ["altitude_m = 5e-324\n", "layout = seven_cell\naltitude_m = 5e-324\n"])
-def test_a_nadir_target_behind_its_panel_names_the_flight_keys(tmp_path, capsys, lines):
-    # the file sets no side-panel key, so none may be blamed
+@pytest.mark.parametrize("lines", ["layout = seven_cell\nflight_circle_diameter_m = 1e7\n",
+                                   # neither runs into the fault alone
+                                   "layout = seven_cell\naltitude_m = 1\nflight_circle_diameter_m = 1e5\n"])
+def test_a_side_cell_behind_its_panel_names_the_flight_keys(tmp_path, capsys, lines):
+    # the file sets no side-panel key, so the flight keys must be among those blamed
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(lines)
     assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == NADIR_BEHIND
+    assert capsys.readouterr().err.splitlines()[-1] == SIDE_BEHIND
     assert main(["validate", "--config", str(scenario)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == NADIR_BEHIND
+    assert capsys.readouterr().err.splitlines()[-1] == SIDE_BEHIND
 
 
-def test_an_overflowing_altitude_names_the_flight_keys_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("layout", ["", "layout = seven_cell\n"])
+@pytest.mark.parametrize("key", ["altitude_m", "flight_circle_diameter_m"])
+def test_an_overflowing_flight_length_names_its_key_and_line_without_a_traceback(tmp_path, layout, key):
     scenario = tmp_path / "scenario.cfg"
-    scenario.write_text("altitude_m = 1e300\n")
+    scenario.write_text(f"{layout}{key} = 1e300\n")
     proc = _hapsim_process("run", "--config", str(scenario), "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1] == NADIR_BEHIND
-    assert "Traceback" not in proc.stderr
+    line = layout.count("\n") + 1
+    assert proc.stderr == f"error: {scenario}, line {line}: {key}: must lie in [1, 1e+07] m; got 1e+300\n"
 
 
 def test_validate_runs_the_campaign_and_writes_nothing(tmp_path, monkeypatch, capsys):

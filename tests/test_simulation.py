@@ -776,6 +776,30 @@ def test_an_uplink_key_leaves_the_downlink_and_the_serving_cells_bit_identical(p
     assert moved == UL_KEYS.keys() - inert
 
 
+# every key that only the downlink reads, with another value (the bandwidth raised, so the UL
+# allocation still fits); a regenerative payload never reads the bent pipe's repeater-noise switch
+DL_KEYS = {"ue_noise_figure_db": 10.0, "dl_se_attenuation": 0.5, "dl_sinr_min_db": 0.0, "dl_se_max": 2.0,
+           "dl_bandwidth_hz": 40e6, "bp_repeater_noise_at_ue": True}
+# the DL budget also picks a selected beam; a steered beam (the single-cell presets' too) serves its
+# own cell whatever the budget reads
+DL_BUDGET_KEYS = {"panel_tx_power_dbm": 40.0, "dl_carrier_hz": 2.6e9}
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_a_downlink_key_leaves_the_uplink_and_the_serving_cells_bit_identical(preset):
+    cfg = preset_config(preset)
+    base = run_campaign(cfg)
+    keys = {**DL_KEYS, **DL_BUDGET_KEYS} if cfg.attachment_mode == "beam_steering" else DL_KEYS
+    moved = set()
+    for key, value in keys.items():
+        changed = run_campaign(dataclasses.replace(cfg, **{key: value}))
+        assert changed.ul_se.tobytes() == base.ul_se.tobytes(), key
+        assert changed.serving_cell.tobytes() == base.serving_cell.tobytes(), key
+        if changed.dl_se.tobytes() != base.dl_se.tobytes():
+            moved.add(key)
+    assert moved == keys.keys() - ({"bp_repeater_noise_at_ue"} if preset.endswith("-rg") else set())
+
+
 # ----------------------------------------------------------------------
 # Differential check against the benchmark's independent oracle
 
