@@ -6,8 +6,8 @@ Subcommands:
 * ``consumption``  - relay-versus-direct power-efficiency assessment
 * ``validate``     - run a scenario's campaign, writing nothing, then print its canonical form
 
-A scenario comes from ``--preset`` or ``--config`` (an empty file is the
-single-cell bent-pipe baseline); ``--seed`` and ``--arch`` override
+A scenario comes from ``--preset`` or ``--config`` (neither, or an empty file,
+is the single-cell bent-pipe baseline); ``--seed`` and ``--arch`` override
 individual fields without editing the file.  ``run`` still accepts
 ``--workers`` for compatibility; it has no effect.
 """
@@ -15,7 +15,6 @@ individual fields without editing the file.  ``run`` still accepts
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import sys
@@ -41,24 +40,17 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    if args.preset:
-        cfg = preset_config(args.preset)
-    elif args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ScenarioConfig()
+    cfg = load_config(args.config) if args.config else preset_config(_scenario_name(args))
     overrides = {"seed": args.seed, "architecture": args.arch,
                  "workers": getattr(args, "workers", None)}
     # not validated here: every command reaches ``build_drop``, which validates first
-    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    return ScenarioConfig(**{**vars(cfg), **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def _scenario_name(args) -> str:
-    if args.preset:
-        return args.preset
-    if args.config:
-        return Path(args.config).stem
-    return "single-cell-bp"
+    """The config file's stem, else the preset's name; a command given neither runs ``single-cell-bp``."""
+    # the default lives here: argparse tells a --config/--preset clash only from --preset's None default
+    return Path(args.config).stem if args.config else args.preset or "single-cell-bp"
 
 
 def _cmd_run(args) -> int:

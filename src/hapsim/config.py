@@ -172,7 +172,7 @@ class ScenarioConfig:
     # Written out, not generated: @dataclass would compile and run the source of these three
     # methods for some 80 keys on every import of hapsim, most of its own import time.
     def __init__(self, **values):
-        if values.keys() != _DEFAULTS.keys():  # dataclasses.replace passes every key
+        if values.keys() != _DEFAULTS.keys():  # a copy with overrides passes every key
             unknown = [key for key in values if key not in _DEFAULTS]
             if unknown:
                 raise TypeError(f"ScenarioConfig.__init__() got an unexpected keyword argument {unknown[0]!r}")
@@ -389,8 +389,9 @@ def preset_names() -> list[str]:
 
 
 def preset_config(name: str) -> ScenarioConfig:
+    """A preset's scenario, not validated: the presets are constants, and ``build_drop`` validates."""
     if name not in PRESETS:
         raise ValidationError(
             "preset", f"unknown preset {name!r}; choose from {', '.join(PRESETS)}"
         )
-    return ScenarioConfig(**PRESETS[name]).validate()
+    return ScenarioConfig(**PRESETS[name])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import os
-from itertools import repeat
 
 import numpy as np
 
@@ -52,25 +51,24 @@ def _column_text(c: np.ndarray) -> list[str]:
     return list(map(str, values))
 
 
-def _write_csv(path, columns: dict) -> None:
-    """A CSV of equal-length columns, named by the keys; each distinct column is formatted once."""
+def _write_csv(path, columns: dict) -> dict[int, list[str]]:
+    """A CSV of equal-length columns, named by the keys; returns each distinct column's text, keyed by ``id``."""
     # keyed on the caller's objects, which ``columns`` keeps alive, so no id is reused
     distinct = {id(c): c for c in columns.values()}
     text = {key: _column_text(np.asarray(c)) for key, c in distinct.items()}
     lines = [",".join(columns), *map(",".join, zip(*(text[id(c)] for c in columns.values())))]
     _overwrite(path, "\n".join(lines) + "\n")
+    return text
 
 
 def write_users_csv(path, result: CampaignResult) -> tuple[list[str], list[str]]:
     """Per-user results, one line per terminal in id order; returns the DL and UL SE text."""
-    drop = result.terminals
-    dl_text, ul_text = _column_text(result.dl_se), _column_text(result.ul_se)
-    rows = zip(map(str, range(len(drop))), map(repr, drop.x.tolist()), map(repr, drop.y.tolist()),
-               repeat(drop.kind), map("01".__getitem__, drop.los.tolist()),
-               map(str, result.serving_cell.tolist()), dl_text, ul_text,
-               _column_text((result.dl_se == 0.0) | (result.ul_se == 0.0)))
-    _overwrite(path, "\n".join([",".join(USER_CSV_COLUMNS), *map(",".join, rows)]) + "\n")
-    return dl_text, ul_text
+    drop, dl, ul = result.terminals, result.dl_se, result.ul_se
+    n = len(drop)
+    text = _write_csv(path, dict(zip(USER_CSV_COLUMNS, (
+        np.arange(n), drop.x, drop.y, np.full(n, drop.kind), drop.los, result.serving_cell,
+        dl, ul, (dl == 0.0) | (ul == 0.0)))))
+    return text[id(dl)], text[id(ul)]
 
 
 def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:

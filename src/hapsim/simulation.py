@@ -239,10 +239,13 @@ def build_drop(config: ScenarioConfig) -> tuple[Drop, channel.NtnTables]:
     """The campaign drop implied by a configuration (seed included)."""
     config.validate()
     tables = _load_tables(config)
-    drop = drop_terminals(
-        config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,
-        tables, np.random.default_rng(config.seed), Point3(0.0, 0.0, config.altitude_m),
-        config.resolved_target_los_count())
+    try:
+        drop = drop_terminals(
+            config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,
+            tables, np.random.default_rng(config.seed), Point3(0.0, 0.0, config.altitude_m),
+            config.resolved_target_los_count())
+    except ValidationError as exc:  # an unreachable LOS target: these keys set the LOS probabilities
+        raise ValidationError((*exc.fields, "altitude_m", "cell_radius_m", "ntn_table_path"), exc.reason) from None
     return drop, tables
 
 

@@ -528,6 +528,10 @@ def test_a_file_name_that_is_not_utf8_names_the_scenario_byte_for_byte(tmp_path,
     assert proc.stdout.startswith("scenario = sz\udce9nario\n")
 
 
+# the keys of an unreachable LOS target: the target, and what sets the terminals' LOS probabilities
+LOS_KEYS = "terminal_count, target_los_count, altitude_m, cell_radius_m, ntn_table_path"
+
+
 @pytest.mark.parametrize("case", ["missing-table", "non-utf8-table", "unreachable-los-target",
                                   "side-panels-tilted-up", "cell-centres-above-flat-panels"])
 def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys, case):
@@ -541,7 +545,7 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
         lines, named = f"ntn_table_path = {table}\n", str(table)
     elif case == "unreachable-los-target":
         lines = "layout = seven_cell\nterminal_count = 420\n"
-        named = "terminal_count, target_los_count: could not hit LOS target 175/420"
+        named = f"{LOS_KEYS}: could not hit LOS target 175/420"
     elif case == "side-panels-tilted-up":
         lines, named = "layout = seven_cell\nside_panel_tilt_deg = -70\n", steering
     else:
@@ -558,6 +562,27 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
     # the same line that ``run`` prints for the same scenario
     assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == proc.stderr
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("layout = seven_cell\naltitude_m = 1e7\n", "175/210 (expected LOS count 209.6)"),
+    ("layout = seven_cell\ncell_radius_m = 1e4\n", "175/210 (expected LOS count 199.6)"),
+    ("ntn_table_path = {table}\n", "17/20 (expected LOS count 20.0)"),
+], ids=["high-platform", "small-cells", "all-los-table"])
+def test_an_unreachable_los_target_names_the_keys_that_set_its_probabilities(tmp_path, capsys, lines, expected):
+    # each file raises the expected LOS count beyond the auto target without setting either count
+    bundled = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_text()
+    table = tmp_path / "table.csv"
+    table.write_text(re.sub(r"(?m)^(\d+),[^,]+,", r"\1,1.0,", bundled))  # every bin always LOS
+    assert (NtnTables.from_file(table).los_probability == 1.0).all()
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(lines.format(table=table))
+    out = ["--out", str(tmp_path / "out")]
+    for command in (["run", *out], ["consumption", *out], ["validate"]):
+        assert main([*command, "--config", str(scenario)]) == 1
+        assert capsys.readouterr().err == (f"error: {LOS_KEYS}: could not hit LOS target {expected}; "
+                                           "check the target against the elevation profile\n")
+        assert not (tmp_path / "out").exists()
 
 
 SIDE_BEHIND = ("error: altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, outer_cell_center_fraction: "

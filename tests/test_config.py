@@ -446,6 +446,8 @@ def test_preset_catalogue():
     assert "single-cell-bp" in names
     assert "single-cell-rg" in names
     assert len(names) == 10  # 2 single + 2 modes x 2 kinds x 2 architectures
+    for name in names:  # a lookup does not validate its constant, so the catalogue is checked here
+        preset_config(name).validate()
     cpe = preset_config("multi-selection-cpe-rg")
     assert cpe.layout == "seven_cell"
     assert cpe.attachment_mode == "beam_selection"

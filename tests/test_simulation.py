@@ -800,6 +800,34 @@ def test_a_downlink_key_leaves_the_uplink_and_the_serving_cells_bit_identical(pr
     assert moved == keys.keys() - ({"bp_repeater_noise_at_ue"} if preset.endswith("-rg") else set())
 
 
+# steps that can only help a link: (key, step, the SE they move, the keys of a scenario that reads the key)
+HELPING_STEPS = [
+    ("panel_tx_power_dbm", 3.0, {"dl_se"}, {}),
+    ("ue_noise_figure_db", -2.0, {"dl_se"}, {}),
+    ("ue_tx_power_dbm", 3.0, {"ul_se"}, {}),
+    ("bs_noise_figure_db", -2.0, {"ul_se"}, {}),
+    ("single_antenna_gain_dbi", 3.0, {"dl_se", "ul_se"}, {"layout": "single"}),
+    ("array_element_gain_dbi", 3.0, {"dl_se", "ul_se"}, {"layout": "seven_cell"}),
+    ("cpe_gain_dbi", 3.0, {"dl_se", "ul_se"}, {"terminal_kind": "cpe_directional"}),
+]
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_more_power_or_gain_or_less_noise_never_lowers_a_users_se(preset):
+    cfg = preset_config(preset)  # seed 1
+    base = run_campaign(cfg)
+    for key, step, moves, reader in HELPING_STEPS:
+        changed = run_campaign(dataclasses.replace(cfg, **{key: getattr(cfg, key) + step}))
+        moved = set()
+        for se in ("dl_se", "ul_se"):
+            after, before = getattr(changed, se), getattr(base, se)
+            assert (after >= before).all(), (key, se, np.flatnonzero(after < before))
+            if after.tobytes() != before.tobytes():
+                moved.add(se)
+        reads = all(getattr(cfg, k) == v for k, v in reader.items())
+        assert moved == (moves if reads else set()), key
+
+
 # ----------------------------------------------------------------------
 # Differential check against the benchmark's independent oracle
 
