@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DomainError, check_range, checked_record,
-                     read_utf8, scalar_or_array)
+                     read_only, read_utf8, scalar_or_array)
 from .geometry import link_geometry
 
 __all__ = [
@@ -50,13 +50,13 @@ def fspl(frequency_hz, distance_m):
 
 class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shadow_std_los_db "
                                             "shadow_std_nlos_db clutter_loss_nlos_db")):
-    """Elevation-binned large-scale channel statistics, one float array per column."""
+    """Elevation-binned large-scale channel statistics: per column a read-only copy of a float array."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self = super().__new__(cls, *(np.asarray(column, dtype=float) for column in self))
+        self = super().__new__(cls, *(read_only(np.array(column, dtype=float)) for column in self))
         n = len(self.elevation_deg)
         if n == 0:
             raise ConfigError("channel table has no rows")
@@ -119,13 +119,11 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
     @classmethod
     @functools.cache
     def default(cls) -> "NtnTables":
-        """The bundled rural S-band table, parsed once and shared read-only."""
-        ref = resources.files("hapsim.data") / DEFAULT_TABLE_RESOURCE
+        """The bundled rural S-band table, parsed once per process and shared."""
+        # relative to this package, so a copy of it under another name reads its own table
+        ref = resources.files(__package__) / "data" / DEFAULT_TABLE_RESOURCE
         with resources.as_file(ref) as path:
-            tables = cls.from_file(path)
-        for column in tables:
-            column.flags.writeable = False
-        return tables
+            return cls.from_file(path)
 
     def bin_indices(self, elevation_deg) -> np.ndarray:
         """Nearest-bin lookup for an array of elevations (ties go to the lower bin).

@@ -6,9 +6,9 @@ default, so an empty file is a complete scenario (the single-cell
 bent-pipe baseline).  Unknown or duplicated keys are rejected.
 
 Each key's declaration below is its whole rule: the annotation gives its
-type, and its default either names a domain (``_one_of``, ``_positive``,
-``_fraction``, ``_non_negative``, ``_noise_figure``, ``_gain_db``,
-``_frequency``, ``_power_dbm``, ``_beamwidth``, ``_length``) or, for a number, leaves it finite only.
+type, and its default either names a domain (``_one_of``, ``_positive``, ``_fraction``,
+``_non_negative``, ``_noise_figure``, ``_gain_db``, ``_frequency``, ``_power_dbm``, ``_beamwidth``,
+``_length``, ``_panel_side`` or ``_within`` itself) or, for a number, leaves it finite only.
 The keys of ``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and
 resolve from the layout: ``terminal_count`` (20 single / 210 seven-cell),
 ``cell_radius_m`` (60 km / 100 km) and ``target_los_count`` (17 / 175).
@@ -63,6 +63,10 @@ _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 _beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
 # ground and platform lengths: a squared distance overflows near 1e154 m; 1e7 m is a quarter of the Earth's girth
 _length = _within(1, 1e7, "must lie in [1, 1e+07] m")
+# the array sizes end where a seven-cell campaign still takes seconds and a few hundred MB: its uplink
+# grows with the square of the terminal count, its memory with the positions, and the array factor's
+# recurrence loops once per element of a panel side
+_panel_side = _within(1, 1000, "must lie in [1, 1000]")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -73,7 +77,7 @@ class ScenarioConfig:
     terminal_kind: str = _one_of("ue_omni", "cpe_directional")
     attachment_mode: str = _one_of("beam_steering", "beam_selection")
     seed: int = _non_negative(1)
-    terminal_count: int | None = _positive(None)
+    terminal_count: int | None = _within(1, 5000, "must lie in [1, 5000]")(None)
     los_assignment: str = _one_of("fixed_counts", "probabilistic")
     target_los_count: int | None = _non_negative(None)
 
@@ -86,7 +90,7 @@ class ScenarioConfig:
     outer_cell_center_fraction: float = _fraction(0.44)
     altitude_m: float = _length(20_000.0)
     flight_circle_diameter_m: float = _length(6_000.0)
-    flight_position_count: int = _positive(12)
+    flight_position_count: int = _within(1, 360, "must lie in [1, 360]")(12)
     flight_angular_step_deg: float = _positive(30.0)
     platform_speed_kmh: float = 110.0  # inert: each position is a frozen snapshot
     gateway_distance_m: float = _length(45_000.0)
@@ -123,10 +127,10 @@ class ScenarioConfig:
     array_element_gain_dbi: float = _gain_db(5.0)
     array_element_hpbw_deg: float = _beamwidth(90.0)
     array_element_front_to_back_db: float = _positive(30.0)
-    bottom_panel_rows: int = _positive(2)
-    bottom_panel_cols: int = _positive(2)
-    side_panel_rows: int = _positive(4)
-    side_panel_cols: int = _positive(2)
+    bottom_panel_rows: int = _panel_side(2)
+    bottom_panel_cols: int = _panel_side(2)
+    side_panel_rows: int = _panel_side(4)
+    side_panel_cols: int = _panel_side(2)
     panel_polarizations: int = _positive(2)  # inert: a link sees one co-polarized subarray
     element_spacing_wl: float = _positive(0.5)
     side_panel_tilt_deg: float = 23.0

@@ -19,7 +19,6 @@ from .consumption import RelayAssessment
 from .simulation import USER_CSV_COLUMNS, CampaignResult
 
 __all__ = [
-    "USER_CSV_COLUMNS",
     "write_users_csv",
     "write_report",
     "write_cdf",
@@ -71,7 +70,7 @@ def write_users_csv(path, result: CampaignResult) -> tuple[list[str], list[str]]
     return text[id(dl)], text[id(ul)]
 
 
-def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
+def format_report(result: CampaignResult, scenario_name: str) -> str:
     """Human-readable aggregate summary (stable key = value lines)."""
     cfg = result.config
     lines = [
@@ -93,7 +92,7 @@ def format_report(result: CampaignResult, scenario_name: str = "custom") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(path, result: CampaignResult, scenario_name: str = "custom") -> str:
+def write_report(path, result: CampaignResult, scenario_name: str) -> str:
     """Write the aggregate summary and return the text written."""
     text = format_report(result, scenario_name)
     _overwrite(path, text)
@@ -105,16 +104,12 @@ def _fraction_text(n: int) -> tuple[str, ...]:
     return tuple(map(repr, (np.arange(1, n + 1) / n).tolist()))
 
 
-def write_cdf(path, values, text: list[str] | None = None) -> None:
+def write_cdf(path, values, text: list[str]) -> None:
     """Empirical CDF as two-column text: value, cumulative fraction; ``text`` formats ``values``."""
     values = np.asarray(values, dtype=float)
-    text = list(map(repr, values.tolist())) if text is None else text
     ordered = map(text.__getitem__, np.argsort(values, kind="stable").tolist())
     lines = map(" ".join, zip(ordered, _fraction_text(values.size)))
     _overwrite(path, "\n".join(["# se_bit_per_s_per_hz cumulative_fraction", *lines]) + "\n")
-
-
-CONSUMPTION_CSV_COLUMNS = RelayAssessment._fields
 
 
 def write_consumption_csv(path, assessment: RelayAssessment) -> None:

@@ -228,17 +228,11 @@ class _ScenarioPath(UserString):
         return self.data.encode("utf-8", "surrogateescape")
 
 
-def _load_tables(config: ScenarioConfig) -> channel.NtnTables:
-    path = config.resolved_table_path()
-    if path is None:
-        return channel.NtnTables.default()
-    return channel.NtnTables.from_file(_ScenarioPath(path))
-
-
 def build_drop(config: ScenarioConfig) -> tuple[Drop, channel.NtnTables]:
     """The campaign drop implied by a configuration (seed included)."""
     config.validate()
-    tables = _load_tables(config)
+    path = config.resolved_table_path()
+    tables = channel.NtnTables.default() if path is None else channel.NtnTables.from_file(_ScenarioPath(path))
     try:
         drop = drop_terminals(
             config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,

@@ -2,11 +2,17 @@
 
 import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hapsim
 from hapsim.channel import (
     C_LIGHT,
     NtnTables,
@@ -115,6 +121,34 @@ def test_default_table_is_parsed_once_and_read_only():
         t.elevation_deg += 1.0
 
 
+def test_every_table_is_read_only_and_leaves_the_callers_arrays_writable(tmp_path):
+    p = tmp_path / "table.csv"
+    p.write_text("10,0.5,1.0,4.0,20.0\n20,0.9,1.0,4.0,18.0\n")
+    columns = [np.array(values) for values in _columns().values()]
+    built = NtnTables(*columns)
+    for t in (NtnTables.from_file(p), built, built._replace(los_probability=[0.4, 0.8])):
+        assert not any(column.flags.writeable for column in t)
+        with pytest.raises(ValueError):
+            t.los_probability[0] = 0.5
+    assert all(column.flags.writeable for column in columns)
+    columns[1][0] = 0.25  # a copy was frozen, not the caller's array
+    assert built.los_probability[0] == 0.5
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_bundled_table(tmp_path):
+    copy = tmp_path / "hapsim_copy"
+    shutil.copytree(Path(hapsim.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    table = copy / "data" / "ntn_rural_s_band.csv"
+    table.write_text(table.read_text().replace("10,0.782,", "10,0.700,"))
+    # the original stays importable too, so a lookup by its absolute name would find its table
+    path = [str(tmp_path), str(Path(hapsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "from hapsim_copy.channel import NtnTables; print(NtnTables.default().los_probability[0])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.7\n"
+
+
 def test_in_range_lookup_does_not_warn(caplog):
     t = NtnTables.default()
     with caplog.at_level(logging.WARNING, logger="hapsim.channel"):
@@ -192,6 +226,11 @@ def test_direct_construction_rejects_negative_shadow_sigmas(column):
     values[column][0] = -1.0
     with pytest.raises(ConfigError, match="sigmas must be non-negative"):
         NtnTables(**values)
+
+
+def test_direct_construction_rejects_a_table_without_rows():
+    with pytest.raises(ConfigError, match="^channel table has no rows$"):
+        NtnTables(*[[]] * len(NtnTables._fields))
 
 
 def test_assign_los_follows_bin_probability():

@@ -189,15 +189,27 @@ LENGTH_SWITCHES = ("", *(f"layout = seven_cell\nterminal_kind = cpe_directional\
                    "bp_feeder_chain = explicit\n")
 LENGTH_ENDS = dict.fromkeys(["cell_radius_m", "gateway_distance_m", "altitude_m", "flight_circle_diameter_m"],
                             (1.0, 1e7))
+# the array sizes are integers: a panel side lies in [1, 1000] and runs on seven rooftop cells, steered
+# and selected; the flight positions lie in [1, 360] and run there and on one cell, with the angular step
+# that makes one turn; the terminal count lies in [1, 5000] and runs with a drawn LOS split (no fixed
+# split of one terminal is reachable) on one cell, and at its lower end on seven too: a seven-cell
+# campaign of 5000 terminals takes seconds
+PANEL_ENDS = dict.fromkeys(["bottom_panel_rows", "bottom_panel_cols", "side_panel_rows", "side_panel_cols"], (1, 1000))
 ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS, **CARRIER_ENDS,
-        "ul_allocation_hz": (1.0, 1e15), **LENGTH_ENDS}
+        "ul_allocation_hz": (1.0, 1e15), **LENGTH_ENDS, **PANEL_ENDS, "flight_position_count": (1, 360),
+        "terminal_count": (1, 5000)}
 SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, LEVEL_SWITCHES),
             "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES),
             **dict.fromkeys(CARRIER_ENDS, HZ_SWITCHES),
             "ul_allocation_hz": tuple(f"{switch}dl_bandwidth_hz = 1e15\n" for switch in HZ_SWITCHES),
             **dict.fromkeys(LENGTH_ENDS, LENGTH_SWITCHES),
             # a 1e7 m flight circle leaves the steered side cells behind their panels (tested below)
-            "flight_circle_diameter_m": LENGTH_SWITCHES[:1] + LENGTH_SWITCHES[2:]}
+            "flight_circle_diameter_m": LENGTH_SWITCHES[:1] + LENGTH_SWITCHES[2:],
+            **dict.fromkeys(PANEL_ENDS, HPBW_SWITCHES[1:]), "terminal_count": ("los_assignment = probabilistic\n",)}
+# where an end takes switches of its own
+END_SWITCHES = {**{("flight_position_count", count): tuple(f"flight_angular_step_deg = {360.0 / count!r}\n{switch}"
+                                                         for switch in HPBW_SWITCHES) for count in (1, 360)},
+                ("terminal_count", 1): ("los_assignment = probabilistic\n", *LENGTH_SWITCHES[1:3])}
 # the one warning an accepted scenario may print to stderr (pytest captures it as a log record):
 # a 1e7 m cell, a 1 m altitude or a 1e7 m flight circle puts the terminals mostly below the
 # table's lowest elevation bin
@@ -229,7 +241,8 @@ def _both_commands_run_cleanly(tmp_path, capsys, caplog, switches, assignments: 
 @pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
 def test_each_end_of_a_db_domain_runs_both_commands_cleanly(tmp_path, capsys, caplog, key, end):
     clamped = (key, end) in LOW_ELEVATION_ENDS
-    _both_commands_run_cleanly(tmp_path, capsys, caplog, SWITCHES[key], f"{key} = {end!r}\n", clamped)
+    switches = END_SWITCHES.get((key, end)) or SWITCHES[key]
+    _both_commands_run_cleanly(tmp_path, capsys, caplog, switches, f"{key} = {end!r}\n", clamped)
 
 
 @pytest.mark.parametrize("end", [-300.0, 300.0])
@@ -241,7 +254,8 @@ def test_every_power_and_antenna_gain_at_one_end_together_runs_cleanly(tmp_path,
 @pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
 def test_a_value_just_outside_a_db_domain_names_its_key_and_line(tmp_path, capsys, key, end):
     lo, hi = ENDS[key]
-    outside = math.nextafter(end, math.copysign(math.inf, end - (lo + hi) / 2))
+    away = math.copysign(1, end - (lo + hi) / 2)
+    outside = end + int(away) if isinstance(end, int) else math.nextafter(end, away * math.inf)
     scenario = tmp_path / "outside.cfg"
     scenario.write_text(f"seed = 1\n{key} = {outside!r}\n")
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")], ["consumption"]):

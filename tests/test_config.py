@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ INTS = [f.name for f in FIELDS if f.type.startswith("int")]
 BOOLS = [f.name for f in FIELDS if f.type == "bool"]
 TEXTS = [f.name for f in FIELDS if f.type == "str" and "choices" not in f.metadata]
 AUTO = ("terminal_count", "cell_radius_m", "target_los_count")
+_FIELD = {f.name: f for f in FIELDS}
 
 
 def _domain(f: dataclasses.Field) -> tuple[float, float]:
@@ -223,11 +225,23 @@ def test_out_of_domain_value_names_its_key_and_line(key, raw):
     assert err.value.line_no == 2
 
 
+def _companions(key: str, raw: str) -> str:
+    """What the checks across keys need beside ``key = raw``: a turn of positions, a count above the target."""
+    if key == "flight_position_count":
+        return f"flight_angular_step_deg = {360.0 / int(raw)!r}\n"
+    return {"ul_allocation_hz": "dl_bandwidth_hz = 1e15\n",  # no allocation exceeds the bandwidth
+            "terminal_count": "los_assignment = probabilistic\n"}.get(key, "")
+
+
 @pytest.mark.parametrize("key, raw", [(f.name, raw) for f in FIELDS for raw in _closed_bounds(f)])
 def test_closed_domain_bounds_are_accepted(key, raw):
-    wide = "dl_bandwidth_hz = 1e15\n" if key == "ul_allocation_hz" else ""  # no allocation exceeds it
-    cfg = parse_config(f"{wide}{key} = {raw}\n")
+    cfg = parse_config(f"{_companions(key, raw)}{key} = {raw}\n")
     assert getattr(cfg, key) == float(raw)
+
+
+def test_readme_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [f.name for f in FIELDS if not re.search(rf"(?<!\w){f.name}(?!\w)", readme)] == []
 
 
 def test_the_first_invalid_key_in_declaration_order_is_named():
@@ -247,7 +261,7 @@ def _admitted(f: dataclasses.Field) -> st.SearchStrategy:
         return _PATHS
     lo, hi = _domain(f)
     if f.type.startswith("int"):
-        values = st.integers(min_value=math.ceil(lo))
+        values = st.integers(min_value=math.ceil(lo), max_value=hi if hi < math.inf else None)
     else:
         values = st.floats(min_value=lo if lo > -math.inf else None,
                            max_value=hi if hi < math.inf else None,
@@ -275,9 +289,12 @@ def _configs(draw) -> ScenarioConfig:
     # the three checks across keys
     cfg.flight_angular_step_deg = 360.0 / cfg.flight_position_count
     cfg.dl_bandwidth_hz = max(cfg.dl_bandwidth_hz, cfg.ul_allocation_hz)  # each stays in its domain
-    target = cfg.resolved_target_los_count()
-    if target is not None and target > cfg.resolved_terminal_count():
-        cfg.terminal_count = target
+    target, count = cfg.resolved_target_los_count(), cfg.resolved_terminal_count()
+    if target is not None and target > count:  # the count rises to the target where its end admits it
+        if target <= _domain(_FIELD["terminal_count"])[1]:
+            cfg.terminal_count = target
+        else:
+            cfg.target_los_count = count
     return cfg
 
 

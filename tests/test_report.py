@@ -14,15 +14,13 @@ from hapsim.config import ScenarioConfig, preset_config, preset_names
 from hapsim.consumption import RelayAssessment, haps_relay_assessment
 from hapsim.geometry import Point3
 from hapsim.report import (
-    CONSUMPTION_CSV_COLUMNS,
-    USER_CSV_COLUMNS,
     format_report,
     write_cdf,
     write_consumption_csv,
     write_report,
     write_users_csv,
 )
-from hapsim.simulation import run_campaign
+from hapsim.simulation import USER_CSV_COLUMNS, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +122,7 @@ def test_artifacts_open_in_binary_mode_where_the_os_has_one(tmp_path, monkeypatc
 
     monkeypatch.setattr(os, "O_BINARY", fake_binary, raising=False)
     monkeypatch.setattr(os, "open", recording_open)
-    write_cdf(tmp_path / "cdf.txt", [1.0, 2.0])
+    write_cdf(tmp_path / "cdf.txt", [1.0, 2.0], ["1.0", "2.0"])
     assert seen and all(flags & fake_binary for flags in seen)
     assert (tmp_path / "cdf.txt").read_bytes() == b"# se_bit_per_s_per_hz cumulative_fraction\n" \
         b"1.0 0.5\n2.0 1.0\n"
@@ -152,7 +150,7 @@ def test_short_writes_give_the_same_bytes(tmp_path, monkeypatch, capsys):
 
 def test_cdf_is_sorted_and_normalised(tmp_path):
     p = tmp_path / "cdf.txt"
-    write_cdf(p, [2.0, 0.5, 1.0, 1.5])
+    write_cdf(p, [2.0, 0.5, 1.0, 1.5], ["2.0", "0.5", "1.0", "1.5"])
     lines = p.read_text().splitlines()
     assert lines[0].startswith("#")
     data = np.array([[float(tok) for tok in line.split()] for line in lines[1:]])
@@ -171,7 +169,7 @@ def test_consumption_csv(tmp_path):
     p = tmp_path / "consumption.csv"
     write_consumption_csv(p, rows)
     lines = p.read_text().splitlines()
-    assert lines[0] == ",".join(CONSUMPTION_CSV_COLUMNS)
+    assert lines[0] == ",".join(RelayAssessment._fields)
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -239,8 +237,8 @@ def test_csv_writers_match_the_per_value_reference(tmp_path, monkeypatch, case):
     for name, values in (("cdf_dl.txt", result.dl_se), ("cdf_ul.txt", result.ul_se)):
         assert (out / name).read_bytes() == _reference_cdf(values), name
     assessment = written["write_consumption_csv"]
-    verdicts = zip(*(getattr(assessment, c).tolist() for c in CONSUMPTION_CSV_COLUMNS))
-    want = _reference_csv(CONSUMPTION_CSV_COLUMNS, verdicts)
+    verdicts = zip(*(getattr(assessment, c).tolist() for c in RelayAssessment._fields))
+    want = _reference_csv(RelayAssessment._fields, verdicts)
     assert (out / "consumption.csv").read_bytes() == want
 
 
@@ -299,5 +297,4 @@ def test_each_csv_has_one_schema(tmp_path, preset):
         text = [("1" if v else "0") if type(v) is bool else str(v) for v in row.values()]
         assert ",".join(text) == line
     header = (tmp_path / "consumption.csv").read_text().splitlines()[0]
-    assert header == ",".join(CONSUMPTION_CSV_COLUMNS)
-    assert CONSUMPTION_CSV_COLUMNS == RelayAssessment._fields
+    assert header == ",".join(RelayAssessment._fields)

@@ -615,7 +615,7 @@ def test_campaign_looks_up_all_positions_in_one_clamped_lookup(tmp_path, caplog,
 def test_campaign_report_consistent_with_arrays():
     res = run_campaign(ScenarioConfig())
     assert res.dl_se.shape == (20,)
-    lines = format_report(res).splitlines()
+    lines = format_report(res, "custom").splitlines()
     assert "terminals = 20" in lines
     assert "los_terminals = 17" in lines
     assert res.dl == aggregate_se(res.dl_se)
