@@ -249,6 +249,9 @@ class ScenarioConfig:
         if target is not None and target > count:
             raise ValidationError(("terminal_count", "target_los_count"),
                                   f"LOS target {target} cannot exceed terminal count {count}")
+        if count * self.flight_position_count > 240_000:  # the (P, beams, n) arrays grow with it
+            raise ValidationError(("terminal_count", "flight_position_count"), "terminal count times position "
+                                  f"count must not exceed 240000; got {count * self.flight_position_count}")
         if self.ul_allocation_hz > self.dl_bandwidth_hz:
             raise ValidationError(
                 ("ul_allocation_hz", "dl_bandwidth_hz"),

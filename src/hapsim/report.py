@@ -1,11 +1,11 @@
 """Campaign artifacts: per-user CSV, aggregate report, CDF data.
 
 All writers emit deterministic bytes for identical inputs: fixed column and row order
-(terminal id), shortest-round-trip floats (an SE value formatted once, for ``users.csv`` and
-its CDF), UTF-8 with "\\n" line ends whatever the locale or platform.  Each artifact is
-overwritten in place with one raw write and cut to length: 6-12 us for 1.8-18 kB on ext4,
-against 14-25 us through a text layer and 103-162 us truncating on open.  A failed write (the
-CLI exits 1) or a crash can leave an artifact incomplete or holding older bytes; rerun.
+(terminal id), numbers as ``str`` writes them but a column per ``orjson`` call (an SE value
+formatted once, for ``users.csv`` and its CDF), UTF-8 with "\\n" line ends whatever the locale or
+platform.  Each artifact is overwritten in place with one raw write and cut to length: 6-12 us for
+1.8-18 kB on ext4, against 14-25 us through a text layer and 103-162 us truncating on open.  A
+failed write (the CLI exits 1) or a crash can leave an artifact incomplete or holding older bytes; rerun.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import os
 
 import numpy as np
+import orjson
 
 from .consumption import RelayAssessment
 from .simulation import USER_CSV_COLUMNS, CampaignResult
@@ -40,14 +41,21 @@ def _overwrite(path, text: str) -> None:
 
 
 def _column_text(c: np.ndarray) -> list[str]:
-    """Bools as 1/0, the rest by ``str``; a float column of one bit pattern takes one ``str``."""
+    """Each value as ``str`` writes it, bools as 1/0.  An int64 or float64 column takes one ``orjson``
+    call, whose digits are ``repr``'s; where its notation is not (below 1e-4, from 1e16 up, nan, inf)
+    the text holds ``e``, ``0.0000`` or ``null``, and the column takes ``str`` per value."""
     if c.dtype == bool:
         return np.where(c, "1", "0").tolist()
-    values = c.tolist()  # equal ends first: most columns skip the bitwise test
-    if (c.dtype == float and values and values[0] == values[-1]
-            and (c.view(np.uint64) == c[:1].view(np.uint64)).all()):
-        return [str(values[0])] * len(values)
-    return list(map(str, values))
+    if not c.size:
+        return []
+    # a float column of one bit pattern takes one str; equal ends first: most columns skip the bitwise test
+    if c.dtype == float and c[0] == c[-1] and (c.view(np.uint64) == c[:1].view(np.uint64)).all():
+        return [str(c[0].item())] * c.size
+    if c.dtype in (np.float64, np.int64):  # native order: orjson reads the raw bytes
+        text = orjson.dumps(np.ascontiguousarray(c), option=orjson.OPT_SERIALIZE_NUMPY)
+        if b"e" not in text and b"0.0000" not in text and b"null" not in text:
+            return text[1:-1].decode().split(",")
+    return list(map(str, c.tolist()))
 
 
 def _write_csv(path, columns: dict) -> dict[int, list[str]]:
@@ -101,7 +109,7 @@ def write_report(path, result: CampaignResult, scenario_name: str) -> str:
 
 @functools.lru_cache(maxsize=1)  # the DL and UL CDFs of a campaign share it
 def _fraction_text(n: int) -> tuple[str, ...]:
-    return tuple(map(repr, (np.arange(1, n + 1) / n).tolist()))
+    return tuple(_column_text(np.arange(1, n + 1) / n))
 
 
 def write_cdf(path, values, text: list[str]) -> None:

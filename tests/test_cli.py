@@ -210,6 +210,14 @@ SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, L
 END_SWITCHES = {**{("flight_position_count", count): tuple(f"flight_angular_step_deg = {360.0 / count!r}\n{switch}"
                                                          for switch in HPBW_SWITCHES) for count in (1, 360)},
                 ("terminal_count", 1): ("los_assignment = probabilistic\n", *LENGTH_SWITCHES[1:3])}
+# the terminal count times the position count lies in [1, 240000]: the upper end of each count also runs
+# on one cell with the other count at the product's end
+PRODUCT_END = 240_000
+END_SWITCHES["terminal_count", 5000] = SWITCHES["terminal_count"] + (
+    f"los_assignment = probabilistic\nflight_position_count = {PRODUCT_END // 5000}\n"
+    f"flight_angular_step_deg = {360 / (PRODUCT_END // 5000)!r}\n",)
+END_SWITCHES["flight_position_count", 360] += (
+    f"flight_angular_step_deg = 1.0\nlos_assignment = probabilistic\nterminal_count = {PRODUCT_END // 360}\n",)
 # the one warning an accepted scenario may print to stderr (pytest captures it as a log record):
 # a 1e7 m cell, a 1 m altitude or a 1e7 m flight circle puts the terminals mostly below the
 # table's lowest elevation bin
@@ -263,6 +271,19 @@ def test_a_value_just_outside_a_db_domain_names_its_key_and_line(tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scenario}, line 2: {key}: must lie in [{lo:g}, {hi:g}]")
         assert err.endswith(f"; got {outside!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("terminals, positions", [(5000, PRODUCT_END // 5000 + 1), (PRODUCT_END // 360 + 1, 360)])
+def test_a_product_past_its_end_names_both_counts_and_the_first_line(tmp_path, capsys, terminals, positions):
+    scenario = tmp_path / "product.cfg"
+    scenario.write_text(f"seed = 1\nflight_position_count = {positions}\nflight_angular_step_deg = {360 / positions!r}\n"
+                        f"los_assignment = probabilistic\nterminal_count = {terminals}\n")
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")], ["consumption"]):
+        assert main([*command, "--config", str(scenario)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scenario}, line 2: terminal_count, flight_position_count: terminal count times position "
+            f"count must not exceed {PRODUCT_END}; got {terminals * positions}\n")
     assert not (tmp_path / "out").exists()
 
 

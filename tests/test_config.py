@@ -286,8 +286,7 @@ def _table_paths(draw) -> tuple[str, bool]:
 @st.composite
 def _configs(draw) -> ScenarioConfig:
     cfg = ScenarioConfig(**{f.name: draw(_admitted(f)) for f in FIELDS})
-    # the three checks across keys
-    cfg.flight_angular_step_deg = 360.0 / cfg.flight_position_count
+    # the four checks across keys
     cfg.dl_bandwidth_hz = max(cfg.dl_bandwidth_hz, cfg.ul_allocation_hz)  # each stays in its domain
     target, count = cfg.resolved_target_los_count(), cfg.resolved_terminal_count()
     if target is not None and target > count:  # the count rises to the target where its end admits it
@@ -295,6 +294,9 @@ def _configs(draw) -> ScenarioConfig:
             cfg.terminal_count = target
         else:
             cfg.target_los_count = count
+    # the positions fall to what the count admits: at most 240000 terminal positions
+    cfg.flight_position_count = min(cfg.flight_position_count, 240_000 // cfg.resolved_terminal_count())
+    cfg.flight_angular_step_deg = 360.0 / cfg.flight_position_count
     return cfg
 
 

@@ -280,6 +280,49 @@ def test_any_columns_match_the_per_value_reference(tmp_path_factory, columns):
     assert path.read_bytes() == _reference_csv(columns, rows)
 
 
+def _doubles() -> np.ndarray:
+    """About 200k doubles: where ``str`` writes plain decimals, where it writes exponents, and both ends."""
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, 90_000, dtype=np.uint64, endpoint=False)
+    anywhere = bits[:30_000].view(float)
+    # random mantissas and signs under exponents of 2**-16 to 2**56, around both notation switches
+    window = bits[30_000:] & np.uint64(0x800F_FFFF_FFFF_FFFF) | rng.integers(1007, 1080, 60_000).astype(np.uint64) << 52
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    # 1e-4 and 1e16 with their 16 nextafter neighbours on each side: one bit step each
+    edges = (np.array([1e-4, 1e16]).view(np.int64)[:, None] + np.arange(-16, 17)).view(float).ravel()
+    values = np.concatenate([
+        anywhere[np.isfinite(anywhere)], window.view(float), powers, -powers,
+        np.arange(-3000.0, 3001.0), edges, -edges, [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf],
+        rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-6, 18, 100_000),  # log-uniform
+    ])
+    return rng.permutation(values)
+
+
+def test_column_text_is_str_on_a_corpus_of_doubles(monkeypatch):
+    values = _doubles()
+    want = list(map(str, values.tolist()))
+    plain = np.flatnonzero([not ("e" in t or "n" in t or "0.0000" in t) for t in want])
+    other = np.setdiff1d(np.arange(values.size), plain)
+    assert plain.size > 100_000 and other.size > 50_000
+    # a value that str writes in another notation sends its whole column, here a plain value beside
+    # it, to str per value
+    pairs = np.column_stack([other, plain[:other.size]])
+    assert list(map(report._column_text, values[pairs])) == [[want[i], want[j]] for i, j in pairs.tolist()]
+    ints = np.array([*range(-3000, 3001), np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    assert ints.dtype == np.int64
+    # a byte-swapped or float32 column is written by its values, not by its raw bytes or float32 digits
+    for other_dtype in (values[plain[:5000]].astype(">f8"), ints.astype(">i8"), np.float32([0.1, 2.5, 1e-3])):
+        assert report._column_text(other_dtype) == list(map(str, other_dtype.tolist()))
+    # the plain values take the one call, also through a strided view, and so do ints
+    monkeypatch.setattr(report, "str", None, raising=False)  # a per-value fallback would fail
+    assert report._column_text(values[plain]) == [want[i] for i in plain]
+    strided = values[plain][::-3]
+    assert not strided.flags.c_contiguous
+    assert report._column_text(strided) == [want[i] for i in plain[::-3]]
+    assert report._column_text(ints) == list(map(repr, ints.tolist()))
+    assert report._column_text(np.empty(0)) == []
+
+
 # ----------------------------------------------------------------------
 # One schema per CSV: the writers and the in-memory rows share their columns
 
