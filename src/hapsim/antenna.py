@@ -5,7 +5,7 @@ used in system simulations: attenuation 12*(offset/hpbw)^2 per principal
 plane, summed over both planes and floored at the front-to-back ratio.
 
 A panel is one co-polarized planar grid of elements, spaced in
-wavelengths of the operating carrier (half a wavelength by default); a
+wavelengths of the operating carrier (the ``element_spacing_wl`` key); a
 link sees one subarray, so no second-polarization grid is modelled.
 Beams use conjugate-phase weights with uniform amplitude and unit total
 power, so a steered beam combines coherently to exactly 10*log10(n) of
@@ -26,7 +26,7 @@ __all__ = ["ElementPattern", "Panel", "BeamSet", "element_gain", "planar_panel",
            "hex_array", "steering_weights", "broadside_weights", "array_gain"]
 
 
-class ElementPattern(checked_record("ElementPattern", "peak_gain_dbi hpbw_deg front_to_back_db", (30.0,))):
+class ElementPattern(checked_record("ElementPattern", "peak_gain_dbi hpbw_deg front_to_back_db")):
     """Quadratic-rolloff radiating element (or standalone antenna).
 
     The pattern is rotationally symmetric: one half-power beamwidth
@@ -77,7 +77,7 @@ class Panel:
     """
 
     def __init__(self, element: ElementPattern, rows: int, cols: int,
-                 boresight, col_axis, row_axis, spacing_wl: float = 0.5):
+                 boresight, col_axis, row_axis, spacing_wl: float):
         check_range(rows, *POSITIVE, ConfigError, "panel dimensions must be positive")
         check_range(cols, *POSITIVE, ConfigError, "panel dimensions must be positive")
         check_range(spacing_wl, *POSITIVE, ConfigError, "element spacing must be positive")
@@ -103,8 +103,7 @@ class Panel:
 
 
 def planar_panel(element: ElementPattern, rows: int, cols: int,
-                 boresight_azimuth_deg: float, boresight_elevation_deg: float,
-                 spacing_wl: float = 0.5) -> Panel:
+                 boresight_azimuth_deg: float, boresight_elevation_deg: float, spacing_wl: float) -> Panel:
     """Build a panel whose boresight points at the given compass direction.
 
     Columns run horizontally (constant height), rows stack along the
@@ -113,27 +112,22 @@ def planar_panel(element: ElementPattern, rows: int, cols: int,
     """
     az = np.radians(boresight_azimuth_deg)
     el = np.radians(boresight_elevation_deg)
-    b0, b1, b2 = boresight = (np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el))
-    c0, c1, c2 = col_axis = (-np.sin(az), np.cos(az), 0.0)
-    # col_axis x boresight, term for term as np.cross forms it, which costs more than the rest
-    row_axis = (c1 * b2 - c2 * b1, c2 * b0 - c0 * b2, c0 * b1 - c1 * b0)
-    return Panel(element, rows, cols, boresight, col_axis, row_axis, spacing_wl)
+    boresight = (np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el))
+    col_axis = (-np.sin(az), np.cos(az), 0.0)
+    return Panel(element, rows, cols, boresight, col_axis, np.cross(col_axis, boresight), spacing_wl)
 
 
-def single_element_panel(element: ElementPattern,
-                         boresight_azimuth_deg: float = 0.0,
-                         boresight_elevation_deg: float = -90.0) -> Panel:
-    """A lone antenna modelled as a 1x1 panel (array factor unity)."""
-    return planar_panel(element, 1, 1, boresight_azimuth_deg, boresight_elevation_deg)
+def single_element_panel(element: ElementPattern) -> Panel:
+    """A lone antenna facing nadir, modelled as a 1x1 panel (array factor unity, whatever the spacing)."""
+    return planar_panel(element, 1, 1, 0.0, -90.0, 0.5)
 
 
-def hex_array(element: ElementPattern, *, bottom_rows: int = 2, bottom_cols: int = 2,
-              side_rows: int = 4, side_cols: int = 2, spacing_wl: float = 0.5,
-              side_tilt_deg: float = 23.0, azimuth_offset_deg: float = 0.0) -> list[Panel]:
-    """Hexagonal-prism payload: one nadir panel plus six tilted side panels.
+def hex_array(element: ElementPattern, *, bottom_rows: int, bottom_cols: int, side_rows: int, side_cols: int,
+              spacing_wl: float, side_tilt_deg: float, azimuth_offset_deg: float) -> list[Panel]:
+    """Hexagonal-prism payload: one nadir panel plus six tilted side panels, elements ``spacing_wl`` apart.
 
     Panel 0 faces straight down; panels 1..6 sit at azimuths 60 degrees
-    apart (plus the configured offset), tilted ``side_tilt_deg`` below the
+    apart from ``azimuth_offset_deg``, tilted ``side_tilt_deg`` below the
     horizon.  The compass orientation is fixed: it does not rotate as the
     platform moves around its flight circle.
     """

@@ -22,12 +22,13 @@ from pathlib import Path
 
 from . import consumption as consumption_mod
 from . import report as report_mod
-from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names
-from .errors import HapsimError
+from .config import ScenarioConfig, dump_config, load_config, preset_config, preset_names, with_line
+from .errors import HapsimError, ValidationError, read_utf8
 from .geometry import Point3
 from .simulation import build_drop, run_campaign
 
 __all__ = ["main"]
+_FLAGS = {"seed": "seed", "architecture": "arch", "workers": "workers"}  # key: the argument of the flag setting it
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -41,8 +42,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 def _scenario_from_args(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else preset_config(_scenario_name(args))
-    overrides = {"seed": args.seed, "architecture": args.arch,
-                 "workers": getattr(args, "workers", None)}
+    overrides = {key: getattr(args, flag, None) for key, flag in _FLAGS.items()}
     # not validated here: every command reaches ``build_drop``, which validates first
     return ScenarioConfig(**{**vars(cfg), **{k: v for k, v in overrides.items() if v is not None}})
 
@@ -137,7 +137,13 @@ def main(argv=None) -> int:
             stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValidationError as exc:  # one with no line was raised once the campaign started
+            if exc.line_no is not None or not args.config:
+                raise
+            # a flag's value is checked only there, so no line of the file is blamed for its key
+            raise with_line(exc, read_utf8(args.config), args.config, unset=_FLAGS) from None
     except (HapsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

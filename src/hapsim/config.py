@@ -29,6 +29,7 @@ __all__ = [
     "ScenarioConfig",
     "load_config",
     "parse_config",
+    "with_line",
     "dump_config",
     "preset_config",
     "preset_names",
@@ -249,7 +250,7 @@ class ScenarioConfig:
         if target is not None and target > count:
             raise ValidationError(("terminal_count", "target_los_count"),
                                   f"LOS target {target} cannot exceed terminal count {count}")
-        if count * self.flight_position_count > 240_000:  # the (P, beams, n) arrays grow with it
+        if count * self.flight_position_count > 240_000:  # caps the (P, beams, n) arrays' memory, not the run time
             raise ValidationError(("terminal_count", "flight_position_count"), "terminal count times position "
                                   f"count must not exceed 240000; got {count * self.flight_position_count}")
         if self.ul_allocation_hz > self.dl_bandwidth_hz:
@@ -333,7 +334,6 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
     first line that sets one of them.
     """
     values: dict[str, object] = {}
-    lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -350,12 +350,17 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
             values[key] = _parse_value(key, raw_value.strip())
         except ValueError as exc:
             raise ConfigSyntaxError(str(exc), line_no, source) from None
-        lines[key] = line_no
     try:
         return ScenarioConfig(**values).validate()
     except ValidationError as exc:
-        line_no = min((lines[f] for f in exc.fields if f in lines), default=None)
-        raise ValidationError(exc.fields, exc.reason, line_no, source) from None
+        raise with_line(exc, text, source) from None
+
+
+def with_line(exc: ValidationError, text: str, source, unset=()) -> ValidationError:
+    """``exc`` naming ``source`` and the first line of scenario ``text`` that sets one of its keys not in ``unset``."""
+    keys = (raw.partition("=")[0].strip() for raw in text.splitlines())
+    line_no = next((n for n, key in enumerate(keys, 1) if key in exc.fields and key not in unset), None)
+    return ValidationError(exc.fields, exc.reason, line_no, source)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -94,13 +94,13 @@ def check_range(value, lo, hi, error, message: str) -> None:
     raise error(message.format(value))
 
 
-def checked_record(name: str, fields: str, defaults=()):
-    """A named-tuple base whose subclass checks its values in ``__new__``.
+def checked_record(name: str, fields: str):
+    """A named-tuple base with ``fields`` and no defaults, whose subclass checks its values in ``__new__``.
 
     ``_make``, and so ``_replace``, build through ``cls(...)``, so neither skips the check;
     unpickling calls ``__new__`` as well.
     """
-    base = namedtuple(name, fields, defaults=defaults)
+    base = namedtuple(name, fields)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
 

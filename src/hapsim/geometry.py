@@ -41,8 +41,7 @@ class Point3(checked_record("Point3", "x y z")):
         return self
 
 
-class FlightPattern(checked_record("FlightPattern", "center diameter_m position_count angular_step_deg",
-                                   (Point3(0.0, 0.0, 20_000.0), 6_000.0, 12, 30.0))):
+class FlightPattern(checked_record("FlightPattern", "center diameter_m position_count angular_step_deg")):
     """Circular station-keeping pattern sampled at fixed azimuth steps.
 
     Each position is a frozen snapshot, so the pattern has no speed.

@@ -136,14 +136,13 @@ class Drop:
                    self.los.tolist(), self.shadow_db.tolist())
 
 
-def cell_centers(layout: str, service_radius_m: float,
-                 outer_fraction: float = 0.44,
-                 azimuth_offset_deg: float = 0.0) -> np.ndarray:
+def cell_centers(layout: str, service_radius_m: float, outer_fraction: float, azimuth_offset_deg: float) -> np.ndarray:
     """Ground cell centres as an (n, 2) array.
 
     The single layout has one cell at the origin.  The seven-cell layout
     adds six outer centres at ``outer_fraction`` of the service radius,
-    60 degrees apart, aligned with the side-panel azimuths.
+    60 degrees apart from ``azimuth_offset_deg``, aligned with the
+    side-panel azimuths.
     """
     if layout == "single":
         return np.zeros((1, 2))
@@ -199,21 +198,18 @@ def drop_terminals(n: int, service_radius_m: float, kind: str,
     bins = tables.bin_indices(elevation)
     p_los = tables.los_probability[bins]
 
-    if target_los is None:
+    # one draw without a target; an unreachable target fails before the first
+    attempts = 1 if target_los is None else _MAX_LOS_ATTEMPTS if _los_target_reachable(p_los, target_los) else 0
+    for _ in range(attempts):
         los = rng.random(n) < p_los
+        if target_los is None or np.count_nonzero(los) == target_los:
+            break
     else:
-        # an unreachable target fails before the first redraw
-        attempts = _MAX_LOS_ATTEMPTS if _los_target_reachable(p_los, target_los) else 0
-        for _ in range(attempts):
-            los = rng.random(n) < p_los
-            if np.count_nonzero(los) == target_los:
-                break
-        else:
-            raise ValidationError(
-                ("terminal_count", "target_los_count"),
-                f"could not hit LOS target {target_los}/{n} (expected LOS count "
-                f"{p_los.sum():.1f}); check the target against the elevation profile",
-            )
+        raise ValidationError(
+            ("terminal_count", "target_los_count"),
+            f"could not hit LOS target {target_los}/{n} (expected LOS count "
+            f"{p_los.sum():.1f}); check the target against the elevation profile",
+        )
 
     sigma = np.where(los, tables.shadow_std_los_db[bins], tables.shadow_std_nlos_db[bins])
     shadow = rng.normal(0.0, sigma)

@@ -21,8 +21,11 @@ from hapsim.antenna import (
 )
 from hapsim.errors import ConfigError, OutOfCoverageError
 
-PLATFORM_ELEMENT = ElementPattern(peak_gain_dbi=5.0, hpbw_deg=90.0)
-CPE_PATTERN = ElementPattern(peak_gain_dbi=12.0, hpbw_deg=60.0)
+PLATFORM_ELEMENT = ElementPattern(peak_gain_dbi=5.0, hpbw_deg=90.0, front_to_back_db=30.0)
+CPE_PATTERN = ElementPattern(peak_gain_dbi=12.0, hpbw_deg=60.0, front_to_back_db=30.0)
+# the scenario keys' defaults: the payload of the seven-cell presets
+HEX = dict(bottom_rows=2, bottom_cols=2, side_rows=4, side_cols=2, spacing_wl=0.5, side_tilt_deg=23.0,
+           azimuth_offset_deg=0.0)
 
 
 def test_element_peak_on_boresight():
@@ -48,15 +51,15 @@ def test_element_quadratic_rolloff_sums_planes():
 
 def test_element_rejects_bad_parameters():
     with pytest.raises(ConfigError):
-        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=0.0)
+        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=0.0, front_to_back_db=30.0)
     with pytest.raises(ConfigError):
-        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=-1.0)
+        ElementPattern(peak_gain_dbi=5.0, hpbw_deg=-1.0, front_to_back_db=30.0)
     with pytest.raises(ConfigError, match="^front-to-back ratio must be positive$"):
         ElementPattern(peak_gain_dbi=5.0, hpbw_deg=65.0, front_to_back_db=math.nan)
 
 
 PANEL_ARGS = dict(element=PLATFORM_ELEMENT, rows=2, cols=2, boresight=[0.0, 0.0, -2.0],
-                  col_axis=[0.0, 3.0, 0.0], row_axis=[1.0, 1.0, 0.0])
+                  col_axis=[0.0, 3.0, 0.0], row_axis=[1.0, 1.0, 0.0], spacing_wl=0.5)
 
 
 @pytest.mark.parametrize("change, message", [
@@ -97,7 +100,7 @@ def _one(panel):
 
 
 def test_a_beam_set_is_one_element_pattern_stacked():
-    panels = hex_array(PLATFORM_ELEMENT, side_rows=3, spacing_wl=0.6)
+    panels = hex_array(PLATFORM_ELEMENT, **{**HEX, "side_rows": 3, "spacing_wl": 0.6})
     beams = BeamSet(panels, np.arange(14.0).reshape(7, 2))
     assert beams.element == PLATFORM_ELEMENT
     np.testing.assert_array_equal(beams.rows, [2, 3, 3, 3, 3, 3, 3])
@@ -105,7 +108,7 @@ def test_a_beam_set_is_one_element_pattern_stacked():
     for name in ("col_axis", "row_axis", "boresight"):
         np.testing.assert_array_equal(getattr(beams, name), [getattr(p, name) for p in panels])
     with pytest.raises(ConfigError, match="^the panels of a beam set must share one element pattern$"):
-        BeamSet([panels[0], planar_panel(CPE_PATTERN, 2, 2, 0.0, -90.0)], np.zeros((2, 2)))
+        BeamSet([panels[0], planar_panel(CPE_PATTERN, 2, 2, 0.0, -90.0, 0.5)], np.zeros((2, 2)))
 
 
 def test_single_element_panel_matches_element():
@@ -119,15 +122,15 @@ def test_single_element_panel_matches_element():
                                   [element_gain(PLATFORM_ELEMENT, az, el)])
 
 
-def test_written_out_row_axis_matches_np_cross_bit_for_bit():
+def test_panel_frame_is_the_np_cross_frame_bit_for_bit():
     """The panel frame equals the one built from ``np.cross``, signs of zero included."""
     for az_deg in np.arange(-360.0, 361.0, 15.0):
         for el_deg in np.arange(-90.0, 91.0, 7.5):
-            panel = planar_panel(PLATFORM_ELEMENT, 2, 2, az_deg, el_deg)
+            panel = planar_panel(PLATFORM_ELEMENT, 2, 2, az_deg, el_deg, 0.5)
             az, el = np.radians(az_deg), np.radians(el_deg)
             boresight = np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
             col_axis = np.array([-np.sin(az), np.cos(az), 0.0])
-            ref = Panel(PLATFORM_ELEMENT, 2, 2, boresight, col_axis, np.cross(col_axis, boresight))
+            ref = Panel(PLATFORM_ELEMENT, 2, 2, boresight, col_axis, np.cross(col_axis, boresight), 0.5)
             for name in ("boresight", "col_axis", "row_axis"):
                 got, want = getattr(panel, name), getattr(ref, name)
                 np.testing.assert_array_equal(got, want)
@@ -136,9 +139,9 @@ def test_written_out_row_axis_matches_np_cross_bit_for_bit():
 
 def test_planar_panel_element_count():
     bottom = planar_panel(PLATFORM_ELEMENT, rows=2, cols=2,
-                          boresight_azimuth_deg=0.0, boresight_elevation_deg=-90.0)
+                          boresight_azimuth_deg=0.0, boresight_elevation_deg=-90.0, spacing_wl=0.5)
     side = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                        boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
+                        boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     assert bottom.n_elements == 4
     assert side.n_elements == 8
 
@@ -146,7 +149,7 @@ def test_planar_panel_element_count():
 def test_array_factor_at_steering_target_is_exact():
     """Conjugate-phase unit-norm weights put 10*log10(n) of array gain on target."""
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
+                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 50:
@@ -163,7 +166,7 @@ def test_array_factor_at_steering_target_is_exact():
 
 def test_steering_rejects_behind_panel_targets():
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
+                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     dirs = np.array([[1.0, 0.0, -0.5], [0.5, 0.5, -1.0]])
     # one bad target in a stack is enough
     stack = np.array([panel.boresight, -panel.boresight])
@@ -179,7 +182,7 @@ def test_steering_rejects_behind_panel_targets():
 
 @pytest.mark.parametrize("bad_beam", [0, 2, 4])
 def test_a_bad_target_names_the_first_beam_at_fault(bad_beam):
-    beams = BeamSet(hex_array(PLATFORM_ELEMENT)[:5], np.zeros((5, 2)))
+    beams = BeamSet(hex_array(PLATFORM_ELEMENT, **HEX)[:5], np.zeros((5, 2)))
     dirs = np.array([[1.0, 0.0, -0.5], [0.5, 0.5, -1.0]])
     targets = np.broadcast_to(beams.boresight, (3, 5, 3)).copy()  # three positions
     targets[1, bad_beam] = -beams.boresight[bad_beam]
@@ -191,9 +194,9 @@ def test_a_bad_target_names_the_first_beam_at_fault(bad_beam):
 
 def test_broadside_gains_frozen():
     bottom = planar_panel(PLATFORM_ELEMENT, rows=2, cols=2,
-                          boresight_azimuth_deg=0.0, boresight_elevation_deg=-90.0)
+                          boresight_azimuth_deg=0.0, boresight_elevation_deg=-90.0, spacing_wl=0.5)
     side = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                        boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
+                        boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     g_bottom = array_gain(_one(bottom), bottom.boresight[None, :])[0, 0]
     assert_allclose(g_bottom, 5.0 + 10.0 * math.log10(4.0), atol=1e-9)
     g_side = array_gain(_one(side), side.boresight[None, :])[0, 0]
@@ -205,7 +208,7 @@ def test_broadside_gains_frozen():
 def test_array_factor_is_maximised_at_the_target():
     """Cauchy-Schwarz: |AF| <= sqrt(n) everywhere, attained at the target."""
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                         boresight_azimuth_deg=60.0, boresight_elevation_deg=-23.0)
+                         boresight_azimuth_deg=60.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     target = np.array([math.cos(math.radians(40.0)) * math.cos(math.radians(60.0)),
                        math.cos(math.radians(40.0)) * math.sin(math.radians(60.0)),
                        -math.sin(math.radians(40.0))])
@@ -225,7 +228,7 @@ def test_array_factor_is_maximised_at_the_target():
 
 def test_stacked_targets_match_one_call_per_target_bit_for_bit():
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                         boresight_azimuth_deg=60.0, boresight_elevation_deg=-23.0)
+                         boresight_azimuth_deg=60.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     rng = np.random.default_rng(8)
     dirs = rng.normal(size=(5, 33, 3))
     dirs[..., 2] = -np.abs(dirs[..., 2]) - 1.0
@@ -285,13 +288,13 @@ def test_one_element_axes_match_the_every_axis_formula_bit_for_bit(rows, cols, a
 
 def test_weights_are_unit_norm():
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
+                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     for w in (broadside_weights(panel), steering_weights(panel, np.array([0.5, 0.1, -0.8]))):
         assert_allclose(np.linalg.norm(w), 1.0, atol=1e-12)
 
 
 def test_hex_array_layout():
-    panels = hex_array(PLATFORM_ELEMENT)
+    panels = hex_array(PLATFORM_ELEMENT, **HEX)
     assert len(panels) == 7
     assert panels[0].rows == 2 and panels[0].cols == 2
     assert_allclose(panels[0].boresight, [0.0, 0.0, -1.0], atol=1e-12)
@@ -313,7 +316,7 @@ def test_total_radiated_power_is_bounded():
     element model is an envelope, so well below in practice).
     """
     panel = planar_panel(PLATFORM_ELEMENT, rows=4, cols=2,
-                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0)
+                         boresight_azimuth_deg=0.0, boresight_elevation_deg=-23.0, spacing_wl=0.5)
     rng = np.random.default_rng(5)
     dirs = rng.normal(size=(20000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -287,6 +287,27 @@ def test_a_product_past_its_end_names_both_counts_and_the_first_line(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+# values far beyond an end, each of which once ended in an overflow, a NaN or an all-zero run
+FAR_OUTSIDE = {
+    "cell_radius_m = 1e300\n": (1, "cell_radius_m: must lie in [1, 1e+07] m; got 1e+300"),
+    "repeater_gain_db = 1e6\nbp_ul_noise = cascade\n": (
+        1, "repeater_gain_db: must lie in [-300, 300] dB; got 1000000.0"),
+    "dl_carrier_hz = 5e-324\n": (1, "dl_carrier_hz: must lie in [1, 1e+15] Hz; got 5e-324"),
+    "seed = 1\nouter_cell_center_fraction = 0\n": (2, "outer_cell_center_fraction: must lie in (0, 1]; got 0.0"),
+}
+
+
+@pytest.mark.parametrize("lines", FAR_OUTSIDE, ids=[message.partition(":")[0] for _, message in FAR_OUTSIDE.values()])
+def test_a_value_far_outside_its_domain_names_its_key_and_line(tmp_path, capsys, lines):
+    line_no, message = FAR_OUTSIDE[lines]
+    scenario = tmp_path / "far.cfg"
+    scenario.write_text(lines)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")], ["consumption"]):
+        assert main([*command, "--config", str(scenario)]) == 1  # an exception would end the test
+        assert capsys.readouterr().err == f"error: {scenario}, line {line_no}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("40,0.929,-0.92,10.25,18.28", "shadow_std_los_db: must be non-negative; got -0.92"),
     ("40,0.929,nan,10.25,18.28", "shadow_std_los_db: must be a finite number; got 'nan'"),
@@ -353,6 +374,28 @@ def test_validate_applies_overrides(capsys):
     out = capsys.readouterr().out
     assert "seed = 42" in out
     assert out == dump_config(ScenarioConfig(seed=42))
+
+
+def test_flags_override_a_preset_as_a_file_setting_their_keys_would(tmp_path, capsys):
+    assert main(["validate", "--preset", "multi-selection-cpe-bp", "--seed", "5", "--arch", "rg"]) == 0
+    by_flags = capsys.readouterr().out
+    scenario = tmp_path / "o.cfg"
+    scenario.write_text("layout = seven_cell\nattachment_mode = beam_selection\nterminal_kind = cpe_directional\n"
+                        "architecture = rg\nseed = 5\n")
+    assert main(["validate", "--config", str(scenario)]) == 0
+    assert capsys.readouterr().out == by_flags
+
+
+def test_a_flag_value_is_never_blamed_on_a_line_of_the_file(tmp_path, capsys):
+    # the file sets both keys validly; only the flags' values are out of their domains
+    scenario = tmp_path / "s.cfg"
+    scenario.write_text("seed = 3\nworkers = 2\n")
+    for flags, message in ((["--seed", "-1"], "seed: must be non-negative; got -1"),
+                           (["--workers", "0"], "workers: must be positive; got 0")):
+        assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["validate", "--preset", "single-cell-bp", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed: must be non-negative; got -1\n"
 
 
 def test_consumption_artifacts_and_summary(tmp_path, capsys):
@@ -570,28 +613,28 @@ LOS_KEYS = "terminal_count, target_los_count, altitude_m, cell_radius_m, ntn_tab
 @pytest.mark.parametrize("case", ["missing-table", "non-utf8-table", "unreachable-los-target",
                                   "side-panels-tilted-up", "cell-centres-above-flat-panels"])
 def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys, case):
-    table = tmp_path / "table.csv"
-    steering = ("altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, outer_cell_center_fraction: "
-                "the centre of cell")
+    table, scenario = tmp_path / "table.csv", tmp_path / "scenario.cfg"
+    # a rejection once the campaign starts names the file's first line that sets one of its keys
+    steering = (f"{scenario}, line 2: altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, "
+                "outer_cell_center_fraction: the centre of cell")
     if case == "missing-table":
-        lines, named = f"ntn_table_path = {table}\n", str(table)
+        lines, named = f"ntn_table_path = {table}\n", f"[Errno 2] No such file or directory: '{table}'\n"
     elif case == "non-utf8-table":
         table.write_bytes(b"10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
-        lines, named = f"ntn_table_path = {table}\n", str(table)
+        lines, named = f"ntn_table_path = {table}\n", f"{table}, line 2: not valid UTF-8 (byte 0xe9)\n"
     elif case == "unreachable-los-target":
         lines = "layout = seven_cell\nterminal_count = 420\n"
-        named = f"{LOS_KEYS}: could not hit LOS target 175/420"
+        named = f"{scenario}, line 2: {LOS_KEYS}: could not hit LOS target 175/420"
     elif case == "side-panels-tilted-up":
         lines, named = "layout = seven_cell\nside_panel_tilt_deg = -70\n", steering
     else:
         # horizontal side panels see a centre 1 km out behind them from the flight circle
         lines = "layout = seven_cell\nside_panel_tilt_deg = 0\nouter_cell_center_fraction = 0.01\n"
         named = steering
-    scenario = tmp_path / "scenario.cfg"
     scenario.write_text(lines)
     proc = _hapsim_process("validate", "--config", str(scenario))
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert proc.stderr.startswith(f"error: {named}")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     # the same line that ``run`` prints for the same scenario
@@ -599,12 +642,13 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
     assert capsys.readouterr().err == proc.stderr
 
 
-@pytest.mark.parametrize("lines, expected", [
-    ("layout = seven_cell\naltitude_m = 1e7\n", "175/210 (expected LOS count 209.6)"),
-    ("layout = seven_cell\ncell_radius_m = 1e4\n", "175/210 (expected LOS count 199.6)"),
-    ("ntn_table_path = {table}\n", "17/20 (expected LOS count 20.0)"),
+@pytest.mark.parametrize("lines, line_no, expected", [
+    ("layout = seven_cell\naltitude_m = 1e7\n", 2, "175/210 (expected LOS count 209.6)"),
+    ("# LOS cells\nlayout = seven_cell\ncell_radius_m = 1e4\n", 3, "175/210 (expected LOS count 199.6)"),
+    ("ntn_table_path = {table}\n", 1, "17/20 (expected LOS count 20.0)"),
 ], ids=["high-platform", "small-cells", "all-los-table"])
-def test_an_unreachable_los_target_names_the_keys_that_set_its_probabilities(tmp_path, capsys, lines, expected):
+def test_an_unreachable_los_target_names_the_keys_that_set_its_probabilities(tmp_path, capsys, lines, line_no,
+                                                                             expected):
     # each file raises the expected LOS count beyond the auto target without setting either count
     bundled = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_text()
     table = tmp_path / "table.csv"
@@ -615,12 +659,12 @@ def test_an_unreachable_los_target_names_the_keys_that_set_its_probabilities(tmp
     out = ["--out", str(tmp_path / "out")]
     for command in (["run", *out], ["consumption", *out], ["validate"]):
         assert main([*command, "--config", str(scenario)]) == 1
-        assert capsys.readouterr().err == (f"error: {LOS_KEYS}: could not hit LOS target {expected}; "
-                                           "check the target against the elevation profile\n")
+        assert capsys.readouterr().err == (f"error: {scenario}, line {line_no}: {LOS_KEYS}: could not hit LOS "
+                                           f"target {expected}; check the target against the elevation profile\n")
         assert not (tmp_path / "out").exists()
 
 
-SIDE_BEHIND = ("error: altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, outer_cell_center_fraction: "
+SIDE_BEHIND = ("altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, outer_cell_center_fraction: "
                "the centre of cell 1 lies behind its panel")
 
 
@@ -628,13 +672,14 @@ SIDE_BEHIND = ("error: altitude_m, flight_circle_diameter_m, side_panel_tilt_deg
                                    # neither runs into the fault alone
                                    "layout = seven_cell\naltitude_m = 1\nflight_circle_diameter_m = 1e5\n"])
 def test_a_side_cell_behind_its_panel_names_the_flight_keys(tmp_path, capsys, lines):
-    # the file sets no side-panel key, so the flight keys must be among those blamed
+    # the file sets no side-panel key, so the flight keys must be among those blamed, from line 2
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(lines)
-    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == SIDE_BEHIND
-    assert main(["validate", "--config", str(scenario)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == SIDE_BEHIND
+    for command in (["run", "--out", str(tmp_path / "out")], ["validate"]):
+        assert main([*command, "--config", str(scenario)]) == 1
+        err = capsys.readouterr().err  # after the clamped-elevation warning, if any
+        assert err.splitlines()[-1] == f"error: {scenario}, line 2: {SIDE_BEHIND}"
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("layout", ["", "layout = seven_cell\n"])
@@ -670,16 +715,30 @@ def test_the_printed_scenario_is_the_whole_input(tmp_path, monkeypatch, capsys):
     for preset in preset_names():
         monkeypatch.setenv("HAPSIM_NTN_TABLES", str(edited))
         by_preset, by_file = tmp_path / preset / "preset", tmp_path / preset / "file"
-        assert main(["run", "--preset", preset, "--out", str(by_preset)]) == 0
+        for command in ("run", "consumption"):
+            assert main([command, "--preset", preset, "--out", str(by_preset)]) == 0
         capsys.readouterr()
         assert main(["validate", "--preset", preset]) == 0
         printed = tmp_path / f"{preset}.cfg"  # the stem names the scenario in report.txt
         printed.write_text(capsys.readouterr().out)
         # the printout alone, run where the variable is unset
         monkeypatch.delenv("HAPSIM_NTN_TABLES")
-        assert main(["run", "--config", str(printed), "--out", str(by_file)]) == 0
-        for name in ARTIFACTS:
+        for command in ("run", "consumption"):
+            assert main([command, "--config", str(printed), "--out", str(by_file)]) == 0
+        for name in (*ARTIFACTS, "consumption.csv"):
             assert (by_preset / name).read_bytes() == (by_file / name).read_bytes(), (preset, name)
+        # validating the printout prints it again, byte for byte
+        capsys.readouterr()
+        assert main(["validate", "--config", str(printed)]) == 0
+        assert capsys.readouterr().out == printed.read_text()
+    # so does a file that sets a few keys, once printed whole
+    partial = tmp_path / "dense.cfg"
+    partial.write_text("layout = seven_cell\nattachment_mode = beam_selection\nterminal_kind = cpe_directional\n"
+                       "seed = 3\nterminal_count = 84\ntarget_los_count = 70\n")
+    assert main(["validate", "--config", str(partial)]) == 0
+    partial.write_text(capsys.readouterr().out)
+    assert main(["validate", "--config", str(partial)]) == 0
+    assert capsys.readouterr().out == partial.read_text()
 
 
 def test_repeated_calls_build_no_new_parser(monkeypatch, capsys):

@@ -239,9 +239,28 @@ def test_closed_domain_bounds_are_accepted(key, raw):
     assert getattr(cfg, key) == float(raw)
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_readme_names_every_key():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     assert [f.name for f in FIELDS if not re.search(rf"(?<!\w){f.name}(?!\w)", readme)] == []
+
+
+def _key_list() -> list[str]:
+    """The bullets of README's list of every key by domain, each joined into one line."""
+    text = README.read_text(encoding="utf-8").partition("Every key, by domain:\n\n")[2].partition("\n\n")[0]
+    return [" ".join(bullet.split()) for bullet in re.split(r"(?m)^- ", text) if bullet.strip()]
+
+
+@pytest.mark.parametrize("key", [f.name for f in FIELDS if "range" in f.metadata])
+def test_the_readme_key_list_prints_each_range_as_the_key_table_does(key):
+    # "must lie in [1, 1e+07] m" prints its ends as "[1, 1e+07] m"; "must be positive" as "positive"
+    reason = _FIELD[key].metadata["range"][2].partition(":")[0]
+    ends = reason.removeprefix("must lie in ") if reason.startswith("must lie in ") else reason.removeprefix("must be ")
+    holding = [bullet for bullet in _key_list() if f"`{key}`" in bullet]
+    assert len(holding) == 1, holding
+    assert ends in holding[0]
 
 
 def test_the_first_invalid_key_in_declaration_order_is_named():

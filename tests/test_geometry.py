@@ -10,6 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hapsim.errors import ConfigError, DegenerateGeometryError
 from hapsim.geometry import FlightPattern, Point3, haps_position, link_geometry
 
+# the flight of the scenario keys' defaults
+FLIGHT = FlightPattern(Point3(0.0, 0.0, 20_000.0), 6_000.0, 12, 30.0)
+
 
 def test_point_below_ground_rejected():
     with pytest.raises(ConfigError):
@@ -22,7 +25,7 @@ def test_point_as_array():
 
 
 def test_default_pattern_closes_the_circle():
-    pat = FlightPattern()
+    pat = FLIGHT
     assert pat.position_count * pat.angular_step_deg == 360.0
     assert pat.radius_m == 3000.0
     assert pat.center.z == 20000.0
@@ -30,11 +33,11 @@ def test_default_pattern_closes_the_circle():
 
 def test_pattern_rejects_open_circle():
     with pytest.raises(ConfigError):
-        FlightPattern(position_count=12, angular_step_deg=25.0)
+        FLIGHT._replace(angular_step_deg=25.0)
 
 
 def test_positions_on_the_circle():
-    pat = FlightPattern()
+    pat = FLIGHT
     p0 = haps_position(pat, 0)
     p3 = haps_position(pat, 3)
     p6 = haps_position(pat, 6)
@@ -44,7 +47,7 @@ def test_positions_on_the_circle():
 
 
 def test_position_index_bounds():
-    pat = FlightPattern()
+    pat = FLIGHT
     with pytest.raises(ConfigError):
         haps_position(pat, 12)
     with pytest.raises(ConfigError):
@@ -66,11 +69,11 @@ def test_an_index_array_gives_the_stacked_points_bit_for_bit(count):
 @pytest.mark.parametrize("runs", [[0, 12], [-1, 3], [5, 13, 2]])
 def test_an_index_array_with_an_index_out_of_range_is_rejected(runs):
     with pytest.raises(ConfigError, match=r"^run_index -?\d+ outside \[0, 12\)$"):
-        haps_position(FlightPattern(), np.array(runs))
+        haps_position(FLIGHT, np.array(runs))
 
 
 def test_all_positions_at_constant_radius():
-    pat = FlightPattern()
+    pat = FLIGHT
     for k in range(pat.position_count):
         p = haps_position(pat, k)
         assert_allclose(math.hypot(p.x, p.y), 3000.0)

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import math
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -115,3 +117,15 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     finally:
         tracer.uninstall()
     assert {name: getattr(hapsim.geometry, name) for name in originals} == originals
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_the_readme_python_blocks_run_as_written(capsys):
+    blocks = re.findall(r"(?ms)^```python\n(.*?)^```$", README.read_text(encoding="utf-8"))
+    assert blocks  # "Library use"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert printed and all(math.isfinite(float(word)) for word in printed)

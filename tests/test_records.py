@@ -18,18 +18,19 @@ from hapsim.errors import ConfigError
 from hapsim.geometry import FlightPattern, Point3
 from hapsim.simulation import AggregateStats, CampaignResult, Terminal
 
+FLIGHT = FlightPattern(Point3(0.0, 0.0, 20_000.0), 6_000.0, 12, 30.0)
 # a valid record, one field set out of its domain, and the error that must name it
 CHECKED = [
     (Point3(1.0, -2.0, 3.0), "z", -1.0, ConfigError, "point below ground: z=-1.0"),
-    (FlightPattern(), "position_count", 0, ConfigError, "position_count must be positive"),
-    (ElementPattern(8.0, 65.0), "hpbw_deg", 0.0, ConfigError,
+    (FLIGHT, "position_count", 0, ConfigError, "position_count must be positive"),
+    (ElementPattern(8.0, 65.0, 30.0), "hpbw_deg", 0.0, ConfigError,
      "half-power beamwidth must be positive"),
     (NtnTables.default(), "los_probability", NtnTables.default().los_probability + 1.0,
      ConfigError, "LOS probabilities must lie in [0, 1]"),
     # NaN fails every range
     (Point3(1.0, -2.0, 3.0), "z", math.nan, ConfigError, "point below ground: z=nan"),
-    (FlightPattern(), "diameter_m", math.nan, ConfigError, "flight circle diameter must be positive"),
-    (ElementPattern(8.0, 65.0), "hpbw_deg", math.nan, ConfigError,
+    (FLIGHT, "diameter_m", math.nan, ConfigError, "flight circle diameter must be positive"),
+    (ElementPattern(8.0, 65.0, 30.0), "hpbw_deg", math.nan, ConfigError,
      "half-power beamwidth must be positive"),
 ]
 IDS = [type(record).__name__ + (f"-{field}-nan" if isinstance(bad, float) and math.isnan(bad) else "")
@@ -76,9 +77,12 @@ def test_fields_cannot_be_assigned(record, field, bad, error, message):
         record.note = "x"
 
 
-def test_defaults_are_kept():
-    assert FlightPattern() == (Point3(0.0, 0.0, 20_000.0), 6_000.0, 12, 30.0)
-    assert ElementPattern(8.0, 65.0).front_to_back_db == 30.0
+@pytest.mark.parametrize("record", [record for record, *_ in CHECKED[:4]], ids=IDS[:4])
+def test_a_checked_record_has_no_defaults(record):
+    # a scenario key's default lives in the key table alone
+    assert type(record)._field_defaults == {}
+    with pytest.raises(TypeError):
+        type(record)(*record[:-1])
 
 
 def test_ntn_tables_hold_float_arrays():

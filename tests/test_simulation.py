@@ -159,11 +159,11 @@ def test_aggregate_rejects_empty():
 # Layout and drops
 
 def test_cell_centers_single():
-    assert_array_equal(cell_centers("single", 60_000.0), np.zeros((1, 2)))
+    assert_array_equal(cell_centers("single", 60_000.0, 0.44, 0.0), np.zeros((1, 2)))
 
 
 def test_cell_centers_seven():
-    centers = cell_centers("seven_cell", 100_000.0, outer_fraction=0.44)
+    centers = cell_centers("seven_cell", 100_000.0, 0.44, 0.0)
     assert centers.shape == (7, 2)
     assert_array_equal(centers[0], [0.0, 0.0])
     radii = np.hypot(centers[1:, 0], centers[1:, 1])
@@ -174,7 +174,7 @@ def test_cell_centers_seven():
 
 def test_cell_centers_unknown_layout():
     with pytest.raises(ConfigError):
-        cell_centers("nineteen_cell", 1.0)
+        cell_centers("nineteen_cell", 1.0, 0.44, 0.0)
 
 
 def test_drop_is_reproducible_and_inside_disc():
