@@ -63,7 +63,8 @@ def _dot(a, b):
 def _angles(d, col_axis, row_axis, boresight):
     """Frame (az, el) offsets in degrees and (col, row) cosines of the unit directions ``d``."""
     u, v, w = _dot(d, col_axis), _dot(d, row_axis), _dot(d, boresight)
-    return np.arctan2(u, w) * (180.0 / np.pi), np.arctan2(v, np.hypot(u, w)) * (180.0 / np.pi), u, v
+    horizontal = np.sqrt(u * u + w * w)  # correctly rounded on every IEEE host, as libm's hypot is not
+    return np.arctan2(u, w) * (180.0 / np.pi), np.arctan2(v, horizontal) * (180.0 / np.pi), u, v
 
 
 class Panel:

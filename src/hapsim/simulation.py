@@ -397,6 +397,9 @@ class CampaignResult(NamedTuple):
                 for (i, x, y, kind, los, _), cell, dl, ul in rows]
 
 
+_DB_TO_LN = math.log(10.0) / 10.0  # 10 ** (x / 10) is exp(x * _DB_TO_LN)
+
+
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Run one full campaign over the flight circle."""
     cfg = config  # build_drop validates it before any work
@@ -442,21 +445,24 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     else:
         tx_dbm = cfg.panel_tx_power_dbm
 
-    rsrp = tx_dbm + gains - loss_dl[:, None, :]
     if targets is not None:  # a steered beam serves its own cell
         serving = np.broadcast_to(nominal_cells(xy, beams.centers), (n_pos, n))
-    else:
-        serving = np.argmax(rsrp, axis=1)
+    else:  # the strongest reference signal, in dBm: ties go to the lowest beam
+        serving = np.argmax(tx_dbm + gains - loss_dl[:, None, :], axis=1)
     member = serving[:, None, :] == np.arange(len(beams.centers))[:, None]  # (P, beams, n)
     counts = member.sum(axis=2)
     # per_beam[pos, serving, term] is the serving beam's entry of a (P, beams, n) array
     pos, term = np.arange(n_pos)[:, None], np.arange(n)
 
+    # Every beam's gain enters linear units through one exponential; the rest of each
+    # direction's link budget is one (P, n) exponential that scales it.
+    gain_lin = np.exp(gains * _DB_TO_LN)
+
     # Downlink SINR: all active beams radiate from the same platform, so
     # every beam reaches a terminal through the same access loss.
-    rx_lin = 10.0 ** ((rsrp + term_gain[:, None, :]) / 10.0)
+    rx_lin = gain_lin * np.exp((tx_dbm - loss_dl[:, None, :] + term_gain[:, None, :]) * _DB_TO_LN)
     own_dl_lin = rx_lin[pos, serving, term]
-    total_lin = np.where(counts[:, :, None] > 0, rx_lin, 0.0).sum(axis=1)
+    total_lin = rx_lin.sum(axis=1, where=counts[:, :, None] > 0)
     interference_lin = np.maximum(total_lin - own_dl_lin, 0.0)
 
     noise_dl_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.dl_bandwidth_hz, cfg.ue_noise_figure_db) / 10.0)
@@ -477,7 +483,8 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     noise_ul_lin = 10.0 ** (architecture.thermal_noise_dbm(cfg.ul_allocation_hz, ul_nf) / 10.0)
 
     ul_rx_dbm = cfg.ue_tx_power_dbm + term_gain - loss_ul  # before panel gain
-    ul_lin = 10.0 ** ((ul_rx_dbm[:, None, :] + gains) / 10.0)  # (P, beams, n)
+    # (P, beams, n), in gain_lin's buffer: nothing reads gain_lin after this
+    ul_lin = np.multiply(gain_lin, np.exp(ul_rx_dbm * _DB_TO_LN)[:, None, :], out=gain_lin)
     own_ul_lin = ul_lin[pos, serving, term]
     ul_abs = (cfg.ul_se_attenuation, cfg.ul_sinr_min_db, cfg.ul_se_max)
 
