@@ -17,7 +17,10 @@ co-block interference is summed one position at a time, which bounds
 its memory.  All of a position's sub-intervals are scheduled by one
 ``ul_slot_assignments`` call, and the interference is summed once per
 panel and slot key into one table that every terminal reads.  SINRs
-stay in linear units from the received powers to ``sinr_to_se``.  The
+stay in linear units from the received powers to ``sinr_to_se``: every
+beam gain enters linear units through one ``exp``, scaled by one
+``(P, n)`` exponential per link direction.  ``exp`` and ``log2`` take
+numpy's SIMD kernels, whose last bit can differ between CPUs.  The
 ``workers`` setting is accepted for compatibility and has no effect.
 """
 
@@ -228,7 +231,10 @@ def build_drop(config: ScenarioConfig) -> tuple[Drop, channel.NtnTables]:
     """The campaign drop implied by a configuration (seed included)."""
     config.validate()
     path = config.resolved_table_path()
-    tables = channel.NtnTables.default() if path is None else channel.NtnTables.from_file(_ScenarioPath(path))
+    try:
+        tables = channel.NtnTables.default() if path is None else channel.NtnTables.from_file(_ScenarioPath(path))
+    except OSError as exc:  # a table that cannot be opened: the key that names it is at fault
+        raise ValidationError("ntn_table_path", str(exc)) from None
     try:
         drop = drop_terminals(
             config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,

@@ -587,7 +587,7 @@ def test_an_error_line_is_utf8_in_every_locale(tmp_path):
         assert proc.returncode == 1
         errors[label] = proc.stderr
     assert errors["ascii"] == errors["utf8"] == (
-        "error: [Errno 2] No such file or directory: 'miss\u00e9.csv'\n")
+        "error: s.cfg, line 1: ntn_table_path: [Errno 2] No such file or directory: 'miss\u00e9.csv'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -618,7 +618,8 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
     steering = (f"{scenario}, line 2: altitude_m, flight_circle_diameter_m, side_panel_tilt_deg, "
                 "outer_cell_center_fraction: the centre of cell")
     if case == "missing-table":
-        lines, named = f"ntn_table_path = {table}\n", f"[Errno 2] No such file or directory: '{table}'\n"
+        lines = f"ntn_table_path = {table}\n"
+        named = f"{scenario}, line 1: ntn_table_path: [Errno 2] No such file or directory: '{table}'\n"
     elif case == "non-utf8-table":
         table.write_bytes(b"10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
         lines, named = f"ntn_table_path = {table}\n", f"{table}, line 2: not valid UTF-8 (byte 0xe9)\n"

@@ -327,6 +327,14 @@ def test_build_drop_resolves_layout_defaults():
     assert sum(t.los for t in terms) == 175
 
 
+def test_a_table_that_cannot_be_opened_names_its_key(tmp_path):
+    # a library caller gets the HapsimError the CLI prints, not the OSError of the open
+    for path in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(ValidationError, match=r"^ntn_table_path: \[Errno \d+\]") as err:
+            build_drop(ScenarioConfig(ntn_table_path=str(path)))
+        assert err.value.fields == ("ntn_table_path",)
+
+
 # ----------------------------------------------------------------------
 # Beams and attachment
 
