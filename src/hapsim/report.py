@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 
 import numpy as np
 import orjson
@@ -40,10 +41,14 @@ def _overwrite(path, text: str) -> None:
         os.close(fd)
 
 
+# orjson's notation where it is not ``repr``'s: below 1e-4, from 1e16 up, nan and inf
+_NOT_REPR = re.compile(rb"e|0\.0000|null")
+
+
 def _column_text(c: np.ndarray) -> list[str]:
     """Each value as ``str`` writes it, bools as 1/0.  An int64 or float64 column takes one ``orjson``
     call, whose digits are ``repr``'s; where its notation is not (below 1e-4, from 1e16 up, nan, inf)
-    the text holds ``e``, ``0.0000`` or ``null``, and the column takes ``str`` per value."""
+    the value holds ``e``, ``0.0000`` or ``null``, and only that value takes ``str``."""
     if c.dtype == bool:
         return np.where(c, "1", "0").tolist()
     if not c.size:
@@ -53,8 +58,13 @@ def _column_text(c: np.ndarray) -> list[str]:
         return [str(c[0].item())] * c.size
     if c.dtype in (np.float64, np.int64):  # native order: orjson reads the raw bytes
         text = orjson.dumps(np.ascontiguousarray(c), option=orjson.OPT_SERIALIZE_NUMPY)
-        if b"e" not in text and b"0.0000" not in text and b"null" not in text:
-            return text[1:-1].decode().split(",")
+        values = text[1:-1].decode().split(",")
+        if b"e" in text or b"0.0000" in text or b"null" in text:  # the common column scans no further
+            # the value a match lies in follows as many commas as its index
+            commas = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
+            for i in set(np.searchsorted(commas, [m.start() for m in _NOT_REPR.finditer(text)]).tolist()):
+                values[i] = str(c[i].item())
+        return values
     return list(map(str, c.tolist()))
 
 

@@ -323,6 +323,18 @@ def test_column_text_is_str_on_a_corpus_of_doubles(monkeypatch):
     assert report._column_text(np.empty(0)) == []
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 300])
+def test_only_the_values_in_another_notation_take_str(monkeypatch, k):
+    values = np.random.default_rng(k).uniform(0.001, 9.0, 336)
+    odd = np.random.default_rng(k).choice(values.size, k, replace=False)
+    values[odd] = np.resize([7.07e-05, -3e-300, 2.5e16, np.nan, np.inf, 1e-5, -np.inf], k)
+    want = list(map(str, values.tolist()))
+    calls = []
+    monkeypatch.setattr(report, "str", lambda v: calls.append(v) or str(v), raising=False)
+    assert report._column_text(values) == want
+    assert sorted(map(str, calls)) == sorted(want[i] for i in odd)  # one call each, k in all
+
+
 # ----------------------------------------------------------------------
 # One schema per CSV: the writers and the in-memory rows share their columns
 
