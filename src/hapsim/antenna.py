@@ -13,7 +13,10 @@ array factor at the target.  One ``array_gain`` call evaluates every beam of
 a :class:`BeamSet`, the array factor in closed form: ``|U_{N-1}(cos pi x)|`` per
 panel axis of ``N`` elements, by the Chebyshev recurrence, checked against the
 explicit ``steering_weights``.  Frame products are summed in a fixed order,
-never by BLAS, so their bits do not depend on the host.
+never by BLAS, and the elevation offset's horizontal leg is a correctly rounded
+``sqrt``, not libm's ``hypot``, so their bits do not depend on the host; the
+``arctan2``, ``cos`` and ``log10`` passes still take numpy's SIMD kernels,
+whose last bit can differ between CPUs.
 """
 
 from __future__ import annotations
