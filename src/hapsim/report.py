@@ -41,8 +41,9 @@ def _overwrite(path, text: str) -> None:
         os.close(fd)
 
 
-# orjson's notation where it is not ``repr``'s: below 1e-4, from 1e16 up, nan and inf
-_NOT_REPR = re.compile(rb"e|0\.0000|null")
+# orjson's notation where it is not ``repr``'s: below 1e-4, from 1e16 up, nan and inf; a literal
+# pattern each, which ``re`` scans for several times faster than one alternation
+_NOT_REPR = tuple(map(re.compile, (rb"e", rb"0\.0000", rb"null")))
 
 
 def _column_text(c: np.ndarray) -> list[str]:
@@ -62,7 +63,8 @@ def _column_text(c: np.ndarray) -> list[str]:
         if b"e" in text or b"0.0000" in text or b"null" in text:  # the common column scans no further
             # the value a match lies in follows as many commas as its index
             commas = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
-            for i in set(np.searchsorted(commas, [m.start() for m in _NOT_REPR.finditer(text)]).tolist()):
+            starts = [m.start() for pattern in _NOT_REPR for m in pattern.finditer(text)]
+            for i in set(np.searchsorted(commas, starts).tolist()):
                 values[i] = str(c[i].item())
         return values
     return list(map(str, c.tolist()))
