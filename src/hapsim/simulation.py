@@ -231,10 +231,13 @@ def build_drop(config: ScenarioConfig) -> tuple[Drop, channel.NtnTables]:
     """The campaign drop implied by a configuration (seed included)."""
     config.validate()
     path = config.resolved_table_path()
-    try:
-        tables = channel.NtnTables.default() if path is None else channel.NtnTables.from_file(_ScenarioPath(path))
-    except OSError as exc:  # a table that cannot be opened: the key that names it is at fault
-        raise ValidationError("ntn_table_path", str(exc)) from None
+    if path is None:
+        tables = channel.NtnTables.default()
+    else:
+        try:
+            tables = channel.NtnTables.from_file(_ScenarioPath(path))
+        except OSError as exc:  # a table that cannot be opened: the key that names it is at fault
+            raise ValidationError("ntn_table_path", str(exc)) from None
     try:
         drop = drop_terminals(
             config.resolved_terminal_count(), config.resolved_cell_radius_m(), config.terminal_kind,
