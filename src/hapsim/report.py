@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import os
-import re
 
 import numpy as np
 import orjson
@@ -41,15 +40,10 @@ def _overwrite(path, text: str) -> None:
         os.close(fd)
 
 
-# orjson's notation where it is not ``repr``'s: below 1e-4, from 1e16 up, nan and inf; a literal
-# pattern each, which ``re`` scans for several times faster than one alternation
-_NOT_REPR = tuple(map(re.compile, (rb"e", rb"0\.0000", rb"null")))
-
-
 def _column_text(c: np.ndarray) -> list[str]:
     """Each value as ``str`` writes it, bools as 1/0.  An int64 or float64 column takes one ``orjson``
-    call, whose digits are ``repr``'s; where its notation is not (below 1e-4, from 1e16 up, nan, inf)
-    the value holds ``e``, ``0.0000`` or ``null``, and only that value takes ``str``."""
+    call, whose digits are ``repr``'s; where its notation is not (nonzero below 1e-4, from 1e16 up,
+    nan, inf) the text holds ``e``, ``0.0000`` or ``null``, and then only those values take ``str``."""
     if c.dtype == bool:
         return np.where(c, "1", "0").tolist()
     if not c.size:
@@ -60,11 +54,9 @@ def _column_text(c: np.ndarray) -> list[str]:
     if c.dtype in (np.float64, np.int64):  # native order: orjson reads the raw bytes
         text = orjson.dumps(np.ascontiguousarray(c), option=orjson.OPT_SERIALIZE_NUMPY)
         values = text[1:-1].decode().split(",")
-        if b"e" in text or b"0.0000" in text or b"null" in text:  # the common column scans no further
-            # the value a match lies in follows as many commas as its index
-            commas = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(","))
-            starts = [m.start() for pattern in _NOT_REPR for m in pattern.finditer(text)]
-            for i in set(np.searchsorted(commas, starts).tolist()):
+        if b"e" in text or b"0.0000" in text or b"null" in text:  # the common column tests no value
+            size = np.abs(c)
+            for i in np.flatnonzero((c != 0) & ~((1e-4 <= size) & (size < 1e16))).tolist():
                 values[i] = str(c[i].item())
         return values
     return list(map(str, c.tolist()))
