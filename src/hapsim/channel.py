@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DomainError, check_range, checked_record,
+from .errors import (POSITIVE, ConfigError, DomainError, check_range, checked_record,
                      read_only, read_utf8, scalar_or_array)
 from .geometry import link_geometry
 
@@ -32,6 +32,16 @@ log = logging.getLogger(__name__)
 C_LIGHT = 299_792_458.0  # m/s
 
 DEFAULT_TABLE_RESOURCE = "ntn_rural_s_band.csv"
+
+# each column's ends: the elevations' keep the edge bins' spacing finite; the sigmas and the clutter
+# loss enter the link budget's exp, and ends far beyond any real channel keep it finite, like the keys'
+_ENDS = {
+    "elevation_deg": (-90.0, 90.0, "must lie in [-90, 90] degrees"),
+    "los_probability": (0.0, 1.0, "must lie in [0, 1]"),
+    "shadow_std_los_db": (0.0, 100.0, "must lie in [0, 100] dB"),
+    "shadow_std_nlos_db": (0.0, 100.0, "must lie in [0, 100] dB"),
+    "clutter_loss_nlos_db": (-300.0, 300.0, "must lie in [-300, 300] dB"),
+}
 
 
 def fspl(frequency_hz, distance_m):
@@ -56,7 +66,8 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self = super().__new__(cls, *(read_only(np.array(column, dtype=float)) for column in self))
+        # a copy, with -0.0 as 0.0: numpy's normal takes no scale with its sign bit set
+        self = super().__new__(cls, *(read_only(np.asarray(column, dtype=float) + 0.0) for column in self))
         n = len(self.elevation_deg)
         if n == 0:
             raise ConfigError("channel table has no rows")
@@ -66,9 +77,8 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
             if not np.all(np.isfinite(column)):
                 raise ConfigError(f"channel table column {name} must be finite")
         check_range(np.diff(self.elevation_deg), *POSITIVE, ConfigError, "elevation bins must be strictly increasing")
-        check_range(self.los_probability, 0.0, 1.0, ConfigError, "LOS probabilities must lie in [0, 1]")
-        for sigma in (self.shadow_std_los_db, self.shadow_std_nlos_db):
-            check_range(sigma, *NON_NEGATIVE, ConfigError, "shadow-fading sigmas must be non-negative")
+        for name, (lo, hi, reason) in _ENDS.items():
+            check_range(getattr(self, name), lo, hi, ConfigError, f"channel table column {name} {reason}; got {{}}")
         return self
 
     @classmethod
@@ -78,9 +88,10 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
         At most one header line is allowed, before the first data row, and
         none of its fields may be a number, so a typo in a data row is
         never taken for a header: it fails like any bad row.  Every value
-        must be a finite number, the elevations strictly increasing, the
-        LOS probabilities in [0, 1] and the shadow sigmas non-negative; an
-        error names the file, the line and the column.
+        must be a finite number, the elevations strictly increasing within
+        [-90, 90] degrees, the LOS probabilities in [0, 1], the shadow sigmas
+        in [0, 100] dB and the clutter losses in [-300, 300] dB; an error names
+        the file, the line and the column.
         """
         columns = cls._fields
         rows, header_seen = [], False
@@ -101,11 +112,9 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
                 if not math.isfinite(value):
                     raise ConfigError(f"{name}: must be a finite number; got {token!r}",
                                       line_no, path)
-                if name.startswith("shadow_std") and value < 0:
-                    raise ConfigError(f"{name}: must be non-negative; got {token}",
-                                      line_no, path)
-                if name == "los_probability" and not 0 <= value <= 1:
-                    raise ConfigError(f"{name}: must lie in [0, 1]; got {token}", line_no, path)
+                lo, hi, reason = _ENDS[name]
+                if not lo <= value <= hi:
+                    raise ConfigError(f"{name}: {reason}; got {token}", line_no, path)
                 row.append(value)
             if rows and row[0] <= rows[-1][0]:
                 raise ConfigError(f"elevation_deg: must be strictly increasing; got {parts[0]} "

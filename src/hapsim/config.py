@@ -62,6 +62,8 @@ _frequency = _within(1, 1e15, "must lie in [1, 1e+15] Hz")
 _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 # the element pattern squares offset / beamwidth, which overflows as the beamwidth nears 0
 _beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
+# the array factor's phase is pi times the spacing times a difference of cosines, which overflows near 3e307
+_spacing = _within(math.ulp(0.0), 1000, "must lie in (0, 1000] wavelengths")
 # ground and platform lengths: a squared distance overflows near 1e154 m; 1e7 m is a quarter of the Earth's girth
 _length = _within(1, 1e7, "must lie in [1, 1e+07] m")
 # the array sizes end where a seven-cell campaign still takes seconds and a few hundred MB: its uplink
@@ -100,7 +102,7 @@ class ScenarioConfig:
     dl_carrier_hz: float = _frequency(2.1e9)
     ul_carrier_hz: float = _frequency(1.8e9)
     feeder_carrier_hz: float = _frequency(3.65e9)
-    dl_bandwidth_hz: float = _positive(20e6)
+    dl_bandwidth_hz: float = _frequency(20e6)
     ul_allocation_hz: float = _frequency(1e6)
 
     # Transmit powers and receiver noise figures
@@ -133,7 +135,7 @@ class ScenarioConfig:
     side_panel_rows: int = _panel_side(4)
     side_panel_cols: int = _panel_side(2)
     panel_polarizations: int = _positive(2)  # inert: a link sees one co-polarized subarray
-    element_spacing_wl: float = _positive(0.5)
+    element_spacing_wl: float = _spacing(0.5)
     side_panel_tilt_deg: float = 23.0
     side_panel_azimuth_offset_deg: float = 0.0
 
@@ -239,8 +241,8 @@ class ScenarioConfig:
         path = self.ntn_table_path  # parsing strips a value and reads one line: only so it round-trips
         if type(path) is not str:
             raise ValidationError("ntn_table_path", f"must be a string; got {path!r}")
-        if path != path.strip() or len(path.splitlines()) > 1:
-            raise ValidationError("ntn_table_path", f"must be one line without outer whitespace; got {path!r}")
+        if path != path.strip() or len(path.splitlines()) > 1 or "\0" in path:  # no file has a NUL in its name
+            raise ValidationError("ntn_table_path", f"must be one line without outer whitespace or NUL; got {path!r}")
         if not math.isclose(self.flight_position_count * self.flight_angular_step_deg, 360.0):
             raise ValidationError(
                 ("flight_position_count", "flight_angular_step_deg"),

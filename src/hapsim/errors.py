@@ -117,9 +117,10 @@ def scalar_or_array(result):
 
 
 def read_utf8(path) -> str:
-    """An input file's text; a byte that is not UTF-8 raises ``ConfigError`` naming its line."""
+    """An input file's text, less one leading byte-order mark; a byte that is not UTF-8 raises
+    ``ConfigError`` naming its line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # not utf-8-sig, whose error offsets skip the mark
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -67,13 +67,14 @@ def sinr_to_se(sinr, attenuation: float, sinr_min_db: float, se_max: float):
     ``sinr`` is a linear power ratio: NaN or negative raises ``DomainError``
     and ``inf`` maps to ``se_max``.  The inclusive floor ``sinr_min_db`` is
     converted here; a floor beyond the float range is infinite, so every
-    finite SINR falls below it.  Vectorized; scalars in, scalar out.
+    finite SINR falls below it, and an SE beyond it is ``se_max``.
+    Vectorized; scalars in, scalar out.
     """
     sinr = np.asarray(sinr, dtype=float)
     check_range(sinr, *NON_NEGATIVE, DomainError, "SINR must be a power ratio >= 0; got {}")
     with np.errstate(over="ignore"):
         floor = np.power(10.0, sinr_min_db / 10.0)
-    se = np.minimum(attenuation * np.log2(1.0 + sinr), se_max)
+        se = np.minimum(attenuation * np.log2(1.0 + sinr), se_max)
     se = np.where(sinr < floor, 0.0, se)
     return scalar_or_array(se)
 

@@ -184,6 +184,17 @@ def test_table_from_file_reports_bad_row_with_line_number(tmp_path):
         NtnTables.from_file(p)
 
 
+def test_a_table_with_a_byte_order_mark_and_no_header_loads_the_same_columns(tmp_path):
+    bundled = (Path(hapsim.__file__).parent / "data" / "ntn_rural_s_band.csv").read_text()
+    rows = "".join(line + "\n" for line in bundled.splitlines() if line[:1].isdigit())
+    p = tmp_path / "table.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+    assert all(map(np.array_equal, NtnTables.from_file(p), NtnTables.default()))
+    p.write_bytes(b"\xef\xbb\xbf" + rows.encode() + b"# \xb0\n")
+    with pytest.raises(ConfigError, match=rf"table\.csv, line {rows.count(chr(10)) + 1}: not valid UTF-8 \(byte 0xb0\)$"):
+        NtnTables.from_file(p)
+
+
 def test_table_from_file_reads_utf8_and_names_the_line_of_a_bad_byte(tmp_path):
     p = tmp_path / "table.csv"
     p.write_bytes("# Elevation in °\n10,0.5,1.0,8.0,19.0\n".encode("utf-8"))
@@ -199,7 +210,7 @@ def test_table_validation():
     with pytest.raises(ConfigError):
         NtnTables(np.array([20.0, 10.0]), 0.5 * ones, ones, ones, ones)
     for p_los in ([0.5, 1.5], [-0.1, 0.5]):
-        with pytest.raises(ConfigError, match=r"LOS probabilities must lie in \[0, 1\]"):
+        with pytest.raises(ConfigError, match=r"^channel table column los_probability must lie in \[0, 1\]; got "):
             NtnTables(ele, np.array(p_los), ones, ones, ones)
     with pytest.raises(ConfigError):
         NtnTables(ele, 0.5 * ones, ones[:1], ones, ones)
@@ -220,12 +231,45 @@ def test_direct_construction_rejects_non_finite_values(column, bad):
         NtnTables(**values)
 
 
-@pytest.mark.parametrize("column", ["shadow_std_los_db", "shadow_std_nlos_db"])
-def test_direct_construction_rejects_negative_shadow_sigmas(column):
+# the sigmas and the clutter loss enter the link budget's exp: beyond these ends it can overflow
+@pytest.mark.parametrize("column, bad, message", [
+    ("shadow_std_los_db", -1.0, "must lie in [0, 100] dB; got -1.0"),
+    ("shadow_std_nlos_db", -1.0, "must lie in [0, 100] dB; got -1.0"),
+    ("shadow_std_los_db", 1e5, "must lie in [0, 100] dB; got 100000.0"),
+    ("shadow_std_nlos_db", 100.5, "must lie in [0, 100] dB; got 100.5"),
+    ("clutter_loss_nlos_db", -5000.0, "must lie in [-300, 300] dB; got -5000.0"),
+    ("clutter_loss_nlos_db", 300.5, "must lie in [-300, 300] dB; got 300.5"),
+    ("elevation_deg", -95.0, "must lie in [-90, 90] degrees; got -95.0"),
+])
+def test_direct_construction_rejects_a_value_beyond_its_column_ends(column, bad, message):
     values = _columns()
-    values[column][0] = -1.0
-    with pytest.raises(ConfigError, match="sigmas must be non-negative"):
+    values[column][0] = bad
+    with pytest.raises(ConfigError) as err:
         NtnTables(**values)
+    assert str(err.value) == f"channel table column {column} {message}"
+
+
+def test_direct_construction_takes_the_column_ends():
+    t = NtnTables([-90.0, 90.0], [0.0, 1.0], [0.0, 100.0], [100.0, 0.0], [-300.0, 300.0])
+    assert t.clutter_loss_nlos_db.tolist() == [-300.0, 300.0]
+
+
+def test_a_negative_zero_is_held_as_zero(tmp_path):
+    # numpy's normal takes no scale with its sign bit set: a -0.0 sigma once ended the drop in a ValueError
+    p = tmp_path / "table.csv"
+    p.write_text("10,-0.0,-0.0,-0,-0.0\n")
+    t = NtnTables.from_file(p)
+    assert not np.signbit(np.concatenate(t)).any()
+    drop = drop_terminals(20, 1000.0, "ue_omni", t, np.random.default_rng(0), OVERHEAD)
+    assert not any(drop.los) and all(drop.shadow_db == 0.0)
+
+
+def test_an_elevation_beyond_its_ends_names_its_line(tmp_path):
+    # the edge bin's spacing, halved and added to the last bin, once overflowed
+    p = tmp_path / "table.csv"
+    p.write_text("10,0.5,1.0,8.0,19.0\n1.7976931348623157e308,0.5,1.0,8.0,19.0\n")
+    with pytest.raises(ConfigError, match=r"line 2: elevation_deg: must lie in \[-90, 90\] degrees; got 1\.797"):
+        NtnTables.from_file(p)
 
 
 def test_direct_construction_rejects_a_table_without_rows():

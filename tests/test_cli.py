@@ -1,18 +1,22 @@
 """Command-line interface: artifacts, overrides, error reporting."""
 
 import argparse
+import contextlib
 import dataclasses
 import errno
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hapsim
 from hapsim.channel import NtnTables
@@ -175,9 +179,10 @@ HPBW_SWITCHES = ("", *(f"layout = seven_cell\nterminal_kind = cpe_directional\n"
                        f"attachment_mode = {mode}\n" for mode in ("beam_steering", "beam_selection")))
 HPBW_ENDS = dict.fromkeys(["single_antenna_hpbw_deg", "array_element_hpbw_deg", "cpe_hpbw_deg"],
                           (0.001, 360.0))
-# the carriers and the UL allocation lie in [1, 1e15] Hz: on one cell, on seven rooftop cells and
-# on the explicit feeder chain, the one reader of the feeder carrier; the allocation's upper end
-# runs with a system bandwidth as wide
+# the carriers, the DL bandwidth and the UL allocation lie in [1, 1e15] Hz: on one cell, on seven
+# rooftop cells and on the explicit feeder chain, the one reader of the feeder carrier; the
+# allocation's upper end runs with a system bandwidth as wide, and the bandwidth's lower end with an
+# allocation as narrow
 HZ_SWITCHES = ("", "layout = seven_cell\nterminal_kind = cpe_directional\n", "bp_feeder_chain = explicit\n")
 CARRIER_ENDS = dict.fromkeys(["dl_carrier_hz", "ul_carrier_hz", "feeder_carrier_hz"], (1.0, 1e15))
 # the cell radius, the gateway distance, the altitude and the flight circle's diameter lie in
@@ -196,12 +201,14 @@ LENGTH_ENDS = dict.fromkeys(["cell_radius_m", "gateway_distance_m", "altitude_m"
 # campaign of 5000 terminals takes seconds
 PANEL_ENDS = dict.fromkeys(["bottom_panel_rows", "bottom_panel_cols", "side_panel_rows", "side_panel_cols"], (1, 1000))
 ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS, **CARRIER_ENDS,
-        "ul_allocation_hz": (1.0, 1e15), **LENGTH_ENDS, **PANEL_ENDS, "flight_position_count": (1, 360),
+        "ul_allocation_hz": (1.0, 1e15), "dl_bandwidth_hz": (1.0, 1e15), **LENGTH_ENDS, **PANEL_ENDS, "flight_position_count": (1, 360),
         "terminal_count": (1, 5000)}
 SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, LEVEL_SWITCHES),
             "repeater_gain_db": REPEATER_SWITCHES, **dict.fromkeys(HPBW_ENDS, HPBW_SWITCHES),
             **dict.fromkeys(CARRIER_ENDS, HZ_SWITCHES),
             "ul_allocation_hz": tuple(f"{switch}dl_bandwidth_hz = 1e15\n" for switch in HZ_SWITCHES),
+            "dl_bandwidth_hz": tuple(f"{switch}bp_repeater_noise_at_ue = true\nul_allocation_hz = 1.0\n"
+                                     for switch in HZ_SWITCHES),
             **dict.fromkeys(LENGTH_ENDS, LENGTH_SWITCHES),
             # a 1e7 m flight circle leaves the steered side cells behind their panels (tested below)
             "flight_circle_diameter_m": LENGTH_SWITCHES[:1] + LENGTH_SWITCHES[2:],
@@ -259,6 +266,17 @@ def test_every_power_and_antenna_gain_at_one_end_together_runs_cleanly(tmp_path,
                                "".join(f"{key} = {end!r}\n" for key in LEVEL_ENDS))
 
 
+# the element spacing lies in (0, 1000] wavelengths, and seven cells, steered and selected, read it
+def test_the_widest_element_spacing_runs_both_commands_cleanly(tmp_path, capsys, caplog):
+    _both_commands_run_cleanly(tmp_path, capsys, caplog, HPBW_SWITCHES[1:], "element_spacing_wl = 1000.0\n")
+
+
+# an attenuation has no upper end: an SE it makes too large for a float is the cap
+@pytest.mark.parametrize("key", ["dl_se_attenuation", "ul_se_attenuation"])
+def test_an_attenuation_as_large_as_a_float_runs_to_the_cap(tmp_path, capsys, caplog, key):
+    _both_commands_run_cleanly(tmp_path, capsys, caplog, HPBW_SWITCHES, f"{key} = 1.7976931348623157e308\n")
+
+
 @pytest.mark.parametrize("key, end", [(key, end) for key, ends in ENDS.items() for end in ends])
 def test_a_value_just_outside_a_db_domain_names_its_key_and_line(tmp_path, capsys, key, end):
     lo, hi = ENDS[key]
@@ -294,6 +312,12 @@ FAR_OUTSIDE = {
         1, "repeater_gain_db: must lie in [-300, 300] dB; got 1000000.0"),
     "dl_carrier_hz = 5e-324\n": (1, "dl_carrier_hz: must lie in [1, 1e+15] Hz; got 5e-324"),
     "seed = 1\nouter_cell_center_fraction = 0\n": (2, "outer_cell_center_fraction: must lie in (0, 1]; got 0.0"),
+    "dl_bandwidth_hz = 1.7976931348623157e308\n": (
+        1, "dl_bandwidth_hz: must lie in [1, 1e+15] Hz; got 1.7976931348623157e+308"),
+    "element_spacing_wl = 1.7976931348623157e308\n": (
+        1, "element_spacing_wl: must lie in (0, 1000] wavelengths; got 1.7976931348623157e+308"),
+    "seed = 1\nntn_table_path = a\0b\n": (2, "ntn_table_path: must be one line without outer whitespace or NUL; "
+                                           "got 'a\\x00b'"),
 }
 
 
@@ -309,7 +333,11 @@ def test_a_value_far_outside_its_domain_names_its_key_and_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("row, message", [
-    ("40,0.929,-0.92,10.25,18.28", "shadow_std_los_db: must be non-negative; got -0.92"),
+    ("40,0.929,-0.92,10.25,18.28", "shadow_std_los_db: must lie in [0, 100] dB; got -0.92"),
+    ("40,0.929,100.5,10.25,18.28", "shadow_std_los_db: must lie in [0, 100] dB; got 100.5"),
+    ("40,0.929,0.92,1e5,18.28", "shadow_std_nlos_db: must lie in [0, 100] dB; got 1e5"),
+    ("40,0.929,0.92,10.25,-5000", "clutter_loss_nlos_db: must lie in [-300, 300] dB; got -5000"),
+    ("40,0.929,0.92,10.25,300.5", "clutter_loss_nlos_db: must lie in [-300, 300] dB; got 300.5"),
     ("40,0.929,nan,10.25,18.28", "shadow_std_los_db: must be a finite number; got 'nan'"),
     ("x40,0.929,0.92,10.25,18.28", "elevation_deg: must be a finite number; got 'x40'"),
     # a typo in the first data row is not a second header
@@ -533,6 +561,34 @@ def test_channel_table_that_is_not_utf8_fails_without_a_traceback(tmp_path):
     assert proc.stderr == f"error: {table}, line 3: not valid UTF-8 (byte 0xe9)\n"
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# Windows editors begin a UTF-8 file with a byte-order mark: it is no part of the first key
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_byte_order_mark_leaves_the_output_and_the_artifacts_alone(tmp_path, capsys):
+    text = b"layout = seven_cell\nattachment_mode = beam_selection\n"
+    outputs = {}
+    for label, data in (("plain", text), ("bom", BOM + text)):
+        scenario = tmp_path / label / "s.cfg"
+        scenario.parent.mkdir()
+        scenario.write_bytes(data)
+        out = tmp_path / label / "out"
+        for command in (["run", "--out", str(out)], ["consumption", "--out", str(out)], ["validate"]):
+            assert main([*command, "--config", str(scenario)]) == 0
+        printed = capsys.readouterr()
+        outputs[label] = printed.out.replace(str(out), "<out>"), printed.err, {
+            p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["bom"] == outputs["plain"]
+    assert len(outputs["plain"][2]) == 5
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_own_value_and_line(tmp_path, capsys):
+    scenario = tmp_path / "s.cfg"
+    scenario.write_bytes(BOM + b"a\nb\xb0\n")  # utf-8-sig would report offset 3: byte 0x61 on line 1
+    assert main(["validate", "--config", str(scenario)]) == 1
+    assert capsys.readouterr().err == f"error: {scenario}, line 2: not valid UTF-8 (byte 0xb0)\n"
 
 
 # Artifacts are UTF-8 whatever the locale: a scenario name the locale's
@@ -819,3 +875,71 @@ def test_an_artifact_write_out_of_space_exits_1(tmp_path, capsys):
     (out / "users.csv").symlink_to("/dev/full")  # opens, then every write fails
     assert main(["run", "--out", str(out)]) == 1
     assert f"[Errno {errno.ENOSPC}]" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# A text-level fuzz: a printed preset with a few lines edited, and at times a copy of the
+# bundled table with one value replaced, through ``validate``
+
+# numbers at and beyond the keys' ends, none of which sizes an array past a few hundred entries
+_EDGES = st.sampled_from([0, -0.0, 1, -1, 0.5, 2, 30, 300, -300, 5e-324, 1e-300, 1e300, -1e300,
+                          1.7976931348623157e308, math.nan, math.inf, -math.inf]).map(repr)
+_VALUES = _EDGES | st.text(st.sampled_from("\0\ufeff= #,.-e1\t\n") | st.characters(codec="utf-8"), max_size=6)
+_TABLE = (resources.files("hapsim.data") / "ntn_rural_s_band.csv").read_text()
+_ROWS = [i for i, line in enumerate(_TABLE.splitlines()) if line[:1].isdigit()]
+_TABLE_LINE = "ntn_table_path = <table>"
+
+
+@st.composite
+def _edited(draw):
+    """A preset's text, with 1-3 edits, and the text of the table it names (``None``: the bundled one)."""
+    lines = dump_config(preset_config(draw(st.sampled_from(preset_names())))).splitlines()
+    table = None
+    if draw(st.booleans()):
+        table = _TABLE.splitlines()
+        row = draw(st.sampled_from(_ROWS))
+        values = table[row].split(",")
+        values[draw(st.integers(0, len(values) - 1))] = draw(_VALUES)
+        table[row] = ",".join(values)
+        table = "\n".join(table) + "\n"
+        lines[lines.index("ntn_table_path = ")] = _TABLE_LINE
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["value", "duplicate", "cut", "drop ="]))
+        if edit == "value":
+            lines[i] = f"{lines[i].partition('=')[0]}= {draw(_VALUES)}"
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            lines[i] = lines[i].replace("=", "", 1)
+    return "\n".join(lines) + "\n", table
+
+
+def _seven_cells_with(table: str) -> tuple[str, str]:
+    """Seven cells with probabilistic LOS, over ``table``."""
+    lines = dump_config(preset_config("multi-selection-cpe-bp")).replace("ntn_table_path = \n", _TABLE_LINE + "\n")
+    return lines.replace("los_assignment = fixed_counts", "los_assignment = probabilistic"), table
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_edited())
+@example(case=("ntn_table_path = a\0b\n", None))
+@example(case=_seven_cells_with(re.sub(r",[\d.]+\n", ",-5000\n", _TABLE)))
+@example(case=_seven_cells_with(_TABLE.replace("\n90,", "\n1.7976931348623157e308,")))
+def test_an_edited_scenario_or_table_validates_or_fails_with_an_error_naming_its_file(case):
+    text, table = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, table_path = Path(tmp) / "edited.cfg", Path(tmp) / "table.csv"
+        if table is not None:
+            table_path.write_text(table, encoding="utf-8")
+        scenario.write_text(text.replace("<table>", str(table_path)), encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow in the campaign fails the example
+            code = main(["validate", "--config", str(scenario)])  # any other exception fails it too
+    assert code in (0, 1)
+    if code == 1:
+        last = err.getvalue().splitlines()[-1]  # the clamp warning may come before it
+        assert last.startswith(("error: " + str(scenario), "error: " + str(table_path))), last

@@ -205,7 +205,7 @@ def test_a_non_integer_seed_fails_validation_before_the_campaign():
         run_campaign(ScenarioConfig(seed=0.5))
 
 
-@pytest.mark.parametrize("path", [" t.csv", "t.csv ", "\tt.csv", "t.csv\n", "a\nseed = 5"])
+@pytest.mark.parametrize("path", [" t.csv", "t.csv ", "\tt.csv", "t.csv\n", "a\nseed = 5", "a\0b"])
 def test_a_table_path_that_would_not_round_trip_is_rejected(path):
     with pytest.raises(ValidationError, match="^ntn_table_path: must be one line without outer"):
         ScenarioConfig(ntn_table_path=path).validate()
@@ -230,6 +230,7 @@ def _companions(key: str, raw: str) -> str:
     if key == "flight_position_count":
         return f"flight_angular_step_deg = {360.0 / int(raw)!r}\n"
     return {"ul_allocation_hz": "dl_bandwidth_hz = 1e15\n",  # no allocation exceeds the bandwidth
+            "dl_bandwidth_hz": "ul_allocation_hz = 1\n",
             "terminal_count": "los_assignment = probabilistic\n"}.get(key, "")
 
 
@@ -390,7 +391,7 @@ def test_enum_validation():
 
 
 def test_range_validation():
-    with pytest.raises(ValidationError, match="must be positive"):
+    with pytest.raises(ValidationError, match=r"^dl_bandwidth_hz: must lie in \[1, 1e\+15\] Hz; got 0.0$"):
         ScenarioConfig(dl_bandwidth_hz=0.0).validate()
     with pytest.raises(ValidationError, match="seed"):
         ScenarioConfig(seed=-1).validate()

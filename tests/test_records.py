@@ -26,7 +26,7 @@ CHECKED = [
     (ElementPattern(8.0, 65.0, 30.0), "hpbw_deg", 0.0, ConfigError,
      "half-power beamwidth must be positive"),
     (NtnTables.default(), "los_probability", NtnTables.default().los_probability + 1.0,
-     ConfigError, "LOS probabilities must lie in [0, 1]"),
+     ConfigError, "channel table column los_probability must lie in [0, 1]; got 1.782"),
     # NaN fails every range
     (Point3(1.0, -2.0, 3.0), "z", math.nan, ConfigError, "point below ground: z=nan"),
     (FLIGHT, "diameter_m", math.nan, ConfigError, "flight circle diameter must be positive"),

@@ -304,8 +304,7 @@ def test_column_text_is_str_on_a_corpus_of_doubles(monkeypatch):
     plain = np.flatnonzero([not ("e" in t or "n" in t or "0.0000" in t) for t in want])
     other = np.setdiff1d(np.arange(values.size), plain)
     assert plain.size > 100_000 and other.size > 50_000
-    # a value that str writes in another notation sends its whole column, here a plain value beside
-    # it, to str per value
+    # each pair holds a value that str writes in another notation and a plain one: both as str writes them
     pairs = np.column_stack([other, plain[:other.size]])
     assert list(map(report._column_text, values[pairs])) == [[want[i], want[j]] for i, j in pairs.tolist()]
     ints = np.array([*range(-3000, 3001), np.iinfo(np.int64).min, np.iinfo(np.int64).max])

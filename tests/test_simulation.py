@@ -95,6 +95,13 @@ def test_sinr_to_se_maps_infinity_to_the_cap():
     assert_array_equal(sinr_to_se(np.array([math.inf, 0.0, -0.0]), *LINK), [4.4, 0.0, 0.0])
 
 
+def test_sinr_to_se_caps_an_attenuation_that_overflows_the_se():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_array_equal(sinr_to_se(np.array([10.0, 1e300, 0.05]), 1.7976931348623157e308, -10.0, 4.4),
+                           [4.4, 4.4, 0.0])
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -712,6 +719,28 @@ def test_accepted_config_runs_to_bounded_se_or_a_hapsim_error(cfg):
         return
     for se, se_max in ((result.dl_se, cfg.dl_se_max), (result.ul_se, cfg.ul_se_max)):
         assert np.all(np.isfinite(se))
+        assert np.all((se >= 0.0) & (se <= se_max))
+
+
+# every power and gain key at its upper end, the carriers and altitude at their lower ends
+_LOUDEST = dict(architecture="bp", bp_feeder_chain="explicit", bp_repeater_noise_at_ue=True, bp_ul_noise="cascade",
+                gateway_tx_power_dbm=300.0, gateway_antenna_gain_dbi=300.0, repeater_gain_db=300.0,
+                panel_tx_power_dbm=300.0, ue_tx_power_dbm=300.0, terminal_kind="cpe_directional",
+                cpe_gain_dbi=300.0, array_element_gain_dbi=300.0, single_antenna_gain_dbi=300.0,
+                dl_carrier_hz=1.0, ul_carrier_hz=1.0, feeder_carrier_hz=1.0, gateway_distance_m=1.0,
+                altitude_m=1.0, los_assignment="probabilistic")
+
+
+@pytest.mark.parametrize("layout", ["single", "seven_cell"])
+@pytest.mark.parametrize("clutter_db", [-300.0, 300.0])
+def test_a_table_at_its_ends_runs_to_bounded_se_beside_the_keys_at_theirs(tmp_path, layout, clutter_db):
+    table = tmp_path / "table.csv"
+    table.write_text(f"10,0.5,100,100,{clutter_db}\n90,0.5,100,100,{clutter_db}\n")
+    cfg = ScenarioConfig(**_LOUDEST, layout=layout, ntn_table_path=str(table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow in the link budget's exp fails
+        result = run_campaign(cfg)
+    for se, se_max in ((result.dl_se, cfg.dl_se_max), (result.ul_se, cfg.ul_se_max)):
         assert np.all((se >= 0.0) & (se <= se_max))
 
 
