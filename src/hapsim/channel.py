@@ -34,7 +34,7 @@ C_LIGHT = 299_792_458.0  # m/s
 DEFAULT_TABLE_RESOURCE = "ntn_rural_s_band.csv"
 
 # each column's ends: the elevations' keep the edge bins' spacing finite; the sigmas and the clutter
-# loss enter the link budget's exp, and ends far beyond any real channel keep it finite, like the keys'
+# loss enter the link budget's exp, which ends far beyond any real channel keep finite, as the dB keys' do
 _ENDS = {
     "elevation_deg": (-90.0, 90.0, "must lie in [-90, 90] degrees"),
     "los_probability": (0.0, 1.0, "must lie in [0, 1]"),

@@ -62,8 +62,6 @@ _frequency = _within(1, 1e15, "must lie in [1, 1e+15] Hz")
 _power_dbm = _within(-300, 300, "must lie in [-300, 300] dBm")
 # the element pattern squares offset / beamwidth, which overflows as the beamwidth nears 0
 _beamwidth = _within(0.001, 360, "must lie in [0.001, 360] degrees")
-# the array factor's phase is pi times the spacing times a difference of cosines, which overflows near 3e307
-_spacing = _within(math.ulp(0.0), 1000, "must lie in (0, 1000] wavelengths")
 # ground and platform lengths: a squared distance overflows near 1e154 m; 1e7 m is a quarter of the Earth's girth
 _length = _within(1, 1e7, "must lie in [1, 1e+07] m")
 # the array sizes end where a seven-cell campaign still takes seconds and a few hundred MB: its uplink
@@ -135,7 +133,8 @@ class ScenarioConfig:
     side_panel_rows: int = _panel_side(4)
     side_panel_cols: int = _panel_side(2)
     panel_polarizations: int = _positive(2)  # inert: a link sees one co-polarized subarray
-    element_spacing_wl: float = _spacing(0.5)
+    # the array factor's phase, pi times the spacing times a difference of cosines, overflows near 3e307
+    element_spacing_wl: float = _within(math.ulp(0.0), 1000, "must lie in (0, 1000] wavelengths")(0.5)
     side_panel_tilt_deg: float = 23.0
     side_panel_azimuth_offset_deg: float = 0.0
 
