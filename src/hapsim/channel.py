@@ -71,14 +71,11 @@ class NtnTables(checked_record("NtnTables", "elevation_deg los_probability shado
         n = len(self.elevation_deg)
         if n == 0:
             raise ConfigError("channel table has no rows")
-        for name, column in zip(self._fields, self):
-            if len(column) != n:
+        for name, (lo, hi, reason) in _ENDS.items():  # NaN and +-inf fail the ends too
+            if len(getattr(self, name)) != n:
                 raise ConfigError(f"channel table column {name} has wrong length")
-            if not np.all(np.isfinite(column)):
-                raise ConfigError(f"channel table column {name} must be finite")
-        check_range(np.diff(self.elevation_deg), *POSITIVE, ConfigError, "elevation bins must be strictly increasing")
-        for name, (lo, hi, reason) in _ENDS.items():
             check_range(getattr(self, name), lo, hi, ConfigError, f"channel table column {name} {reason}; got {{}}")
+        check_range(np.diff(self.elevation_deg), *POSITIVE, ConfigError, "elevation bins must be strictly increasing")
         return self
 
     @classmethod

@@ -9,9 +9,9 @@ Each key's declaration below is its whole rule: the annotation gives its
 type, and its default either names a domain (``_one_of``, ``_positive``, ``_fraction``,
 ``_non_negative``, ``_noise_figure``, ``_gain_db``, ``_frequency``, ``_power_dbm``, ``_beamwidth``,
 ``_length``, ``_panel_side`` or ``_within`` itself) or, for a number, leaves it finite only.
-The keys of ``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and
-resolve from the layout: ``terminal_count`` (20 single / 210 seven-cell),
-``cell_radius_m`` (60 km / 100 km) and ``target_los_count`` (17 / 175).
+The keys of ``_LAYOUT_DEFAULTS`` also accept the literal ``auto`` and resolve from the layout:
+``terminal_count`` (20 single / 210 seven-cell), ``cell_radius_m`` (60 km / 100 km) and
+``target_los_count``, the layout's LOS share of the terminal count (17 of 20 / 175 of 210, rounded).
 A ``bool`` key takes only a bool.
 """
 
@@ -208,7 +208,10 @@ class ScenarioConfig:
     def resolved_target_los_count(self) -> int | None:
         if self.los_assignment == "probabilistic":
             return None
-        return self._resolved("target_los_count")
+        if self.target_los_count is not None:
+            return self.target_los_count
+        defaults = _LAYOUT_DEFAULTS[self.layout]  # auto: the layout's LOS share of the terminal count
+        return round(self.resolved_terminal_count() * defaults["target_los_count"] / defaults["terminal_count"])
 
     def resolved_table_path(self) -> str | None:
         """The ``ntn_table_path`` key, or ``None`` for the bundled table."""

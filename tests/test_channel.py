@@ -222,13 +222,20 @@ def _columns() -> dict[str, list[float]]:
             "clutter_loss_nlos_db": [20.0, 18.0]}
 
 
+COLUMN_ENDS = {"elevation_deg": "must lie in [-90, 90] degrees", "los_probability": "must lie in [0, 1]",
+               "shadow_std_los_db": "must lie in [0, 100] dB", "shadow_std_nlos_db": "must lie in [0, 100] dB",
+               "clutter_loss_nlos_db": "must lie in [-300, 300] dB"}
+
+
+# NaN and +-inf fail a column's ends, the elevations' before their order is checked
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("column", NtnTables._fields)
 def test_direct_construction_rejects_non_finite_values(column, bad):
     values = _columns()
     values[column][1] = bad
-    with pytest.raises(ConfigError, match=f"{column} must be finite"):
+    with pytest.raises(ConfigError) as err:
         NtnTables(**values)
+    assert str(err.value) == f"channel table column {column} {COLUMN_ENDS[column]}; got {bad}"
 
 
 # the sigmas and the clutter loss enter the link budget's exp: beyond these ends it can overflow

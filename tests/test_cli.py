@@ -126,14 +126,27 @@ def test_invalid_value_error_names_the_line(tmp_path, capsys):
     assert err == f"error: {scenario}, line 3: ue_tx_power_dbm: must be finite; got -inf\n"
 
 
-def test_auto_los_target_above_terminal_count_fails_before_the_drop(tmp_path, capsys):
+def test_a_los_target_above_terminal_count_fails_before_the_drop(tmp_path, capsys):
     scenario = tmp_path / "few.cfg"
-    scenario.write_text("terminal_count = 5\n")
+    scenario.write_text("terminal_count = 5\ntarget_los_count = 6\n")
     assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {scenario}, line 1: terminal_count, target_los_count: "
-                   "LOS target 17 cannot exceed terminal count 5\n")
+                   "LOS target 6 cannot exceed terminal count 5\n")
     assert not (tmp_path / "out").exists()
+
+
+# auto takes the layout's LOS share of the terminal count: 17 of 20 on one cell, 175 of 210 on seven
+@pytest.mark.parametrize("layout, count, target", [("seven_cell", 420, 350), ("seven_cell", 840, 700),
+                                                   ("single", 5, 4)])
+def test_an_auto_los_target_at_another_terminal_count_runs_every_command(tmp_path, capsys, layout, count, target):
+    scenario = tmp_path / "count.cfg"
+    scenario.write_text(f"layout = {layout}\nterminal_count = {count}\n")
+    for command in (["run", "--out", str(tmp_path / "out")], ["consumption", "--out", str(tmp_path / "out")],
+                    ["validate"]):
+        assert main([*command, "--config", str(scenario)]) == 0, command
+        assert capsys.readouterr().err == ""
+    assert f"\nterminals = {count}\nlos_terminals = {target}\n" in (tmp_path / "out" / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("field", ["ue_noise_figure_db", "bs_noise_figure_db",
@@ -196,8 +209,9 @@ LENGTH_ENDS = dict.fromkeys(["cell_radius_m", "gateway_distance_m", "altitude_m"
                             (1.0, 1e7))
 # the array sizes are integers: a panel side lies in [1, 1000] and runs on seven rooftop cells, steered
 # and selected; the flight positions lie in [1, 360] and run there and on one cell, with the angular step
-# that makes one turn; the terminal count lies in [1, 5000] and runs with a drawn LOS split (no fixed
-# split of one terminal is reachable) on one cell, and at its lower end on seven too: a seven-cell
+# that makes one turn; the terminal count lies in [1, 5000] and runs with a drawn LOS split on one cell
+# (one cell's auto share of 17 in 20 lies below its expected LOS share, which 5000 terminals miss),
+# and at its lower end with the auto target of one terminal and on seven cells too: a seven-cell
 # campaign of 5000 terminals takes seconds
 PANEL_ENDS = dict.fromkeys(["bottom_panel_rows", "bottom_panel_cols", "side_panel_rows", "side_panel_cols"], (1, 1000))
 ENDS = {**DB_ENDS, **LEVEL_ENDS, "repeater_gain_db": (-300.0, 300.0), **HPBW_ENDS, **CARRIER_ENDS,
@@ -216,7 +230,7 @@ SWITCHES = {**dict.fromkeys(DB_ENDS, DB_SWITCHES), **dict.fromkeys(LEVEL_ENDS, L
 # where an end takes switches of its own
 END_SWITCHES = {**{("flight_position_count", count): tuple(f"flight_angular_step_deg = {360.0 / count!r}\n{switch}"
                                                          for switch in HPBW_SWITCHES) for count in (1, 360)},
-                ("terminal_count", 1): ("los_assignment = probabilistic\n", *LENGTH_SWITCHES[1:3])}
+                ("terminal_count", 1): ("", "los_assignment = probabilistic\n", *LENGTH_SWITCHES[1:3])}
 # the terminal count times the position count lies in [1, 240000]: the upper end of each count also runs
 # on one cell with the other count at the product's end
 PRODUCT_END = 240_000
@@ -680,7 +694,7 @@ def test_validate_rejects_what_run_rejects_before_the_campaign(tmp_path, capsys,
         table.write_bytes(b"10,0.5,1.0,8.0,19.0\n# caf\xe9\n")
         lines, named = f"ntn_table_path = {table}\n", f"{table}, line 2: not valid UTF-8 (byte 0xe9)\n"
     elif case == "unreachable-los-target":
-        lines = "layout = seven_cell\nterminal_count = 420\n"
+        lines = "layout = seven_cell\nterminal_count = 420\ntarget_los_count = 175\n"
         named = f"{scenario}, line 2: {LOS_KEYS}: could not hit LOS target 175/420"
     elif case == "side-panels-tilted-up":
         lines, named = "layout = seven_cell\nside_panel_tilt_deg = -70\n", steering

@@ -98,6 +98,15 @@ def test_auto_fields_resolve_from_layout():
     assert seven.resolved_target_los_count() == 175
 
 
+# auto is the layout's LOS share of the terminal count, 17 of 20 or 175 of 210, rounded half to even
+@pytest.mark.parametrize("layout, count, target", [
+    ("single", 20, 17), ("single", 5, 4), ("single", 1, 1), ("single", 10, 8), ("single", 30, 26),
+    ("seven_cell", 210, 175), ("seven_cell", 420, 350), ("seven_cell", 840, 700), ("seven_cell", 5000, 4167),
+    ("seven_cell", 3, 2), ("seven_cell", 1, 1)])
+def test_an_auto_los_target_is_the_layouts_share_of_the_terminal_count(layout, count, target):
+    assert parse_config(f"layout = {layout}\nterminal_count = {count}\n").resolved_target_los_count() == target
+
+
 def test_explicit_counts_override_auto():
     cfg = parse_config("terminal_count = 50\ntarget_los_count = 40\n")
     assert cfg.resolved_terminal_count() == 50
@@ -351,9 +360,9 @@ def test_invalid_value_names_source_and_line():
     ("dl_bandwidth_hz = 5e5\n", "ul_allocation_hz, dl_bandwidth_hz", 1),
     ("seed = 2\nflight_angular_step_deg = 40\nflight_position_count = 10\n",
      "flight_position_count, flight_angular_step_deg", 2),
-    # the single layout's auto LOS target of 17 exceeds five terminals
-    ("terminal_count = 5\n", "terminal_count, target_los_count", 1),
-], ids=["position_count", "dl_bandwidth", "both_set", "auto_los_target"])
+    # a LOS target of 6 exceeds five terminals
+    ("terminal_count = 5\ntarget_los_count = 6\n", "terminal_count, target_los_count", 1),
+], ids=["position_count", "dl_bandwidth", "both_set", "los_target_above_count"])
 def test_cross_field_check_names_its_fields_and_first_line(text, fields, line_no):
     with pytest.raises(ValidationError, match=rf"^scenario.cfg, line {line_no}: {fields}: ") as err:
         parse_config(text, source="scenario.cfg")

@@ -311,8 +311,8 @@ def test_drop_infeasible_target_raises():
 
 
 def test_unreachable_los_target_fails_before_any_redraw():
-    # auto keeps the seven-cell target at 175 while 420 terminals expect
-    # about 354 LOS: no redraw can plausibly hit it
+    # 420 seven-cell terminals expect about 354 LOS: no redraw can
+    # plausibly hit a target of 175
     t = NtnTables.default()
     rng = np.random.default_rng(4)
     with pytest.raises(ValidationError, match="LOS target 175/420") as err:
@@ -322,7 +322,7 @@ def test_unreachable_los_target_fails_before_any_redraw():
     untouched.random(420), untouched.random(420)  # the radii and angles of the drop
     assert rng.random() == untouched.random()
     with pytest.raises(ConfigError, match="LOS target"):
-        build_drop(ScenarioConfig(layout="seven_cell", terminal_count=420))
+        build_drop(ScenarioConfig(layout="seven_cell", terminal_count=420, target_los_count=175))
 
 
 def test_build_drop_resolves_layout_defaults():
