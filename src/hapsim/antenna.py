@@ -206,13 +206,14 @@ def array_gain(beams: BeamSet, directions, targets=None) -> np.ndarray:
     t = _unit_targets(beams, beams.boresight if targets is None else targets)
     af = np.broadcast_to(1.0 / np.sqrt(beams.rows * beams.cols), t.shape[:-1])[..., None]  # the targets' shape
     for counts, cosine, axis in ((beams.cols, u, beams.col_axis), (beams.rows, v, beams.row_axis)):
-        # |sin(N pi s) / sin(pi s)| = |U_{N-1}(cos pi s)| has period one, is N on grating lobes and
-        # exactly 1.0 for N = 1, so an axis where every beam has one element is skipped
+        # |sin(N pi s) / sin(pi s)| = |U_{N-1}(cos pi s)| has period one, is N on grating lobes and exactly
+        # 1.0 for N = 1: an axis of one-element beams is skipped, and one of two-element beams is U_1 itself
         if (counts == 1).all():
             continue
         two_c = 2.0 * np.cos((np.pi * beams.spacing_wl)[:, None] * (cosine - _dot(t, axis)[..., None]))
-        kernel, u_prev, u_k = np.ones_like(two_c), 0.0, 1.0
-        for n in range(2, int(counts.max()) + 1):
+        kernel = two_c if (counts == 2).all() else np.where((counts == 1)[:, None], 1.0, two_c)
+        u_prev, u_k = 1.0, two_c  # U_0, U_1
+        for n in range(3, int(counts.max()) + 1):
             u_prev, u_k = u_k, two_c * u_k - u_prev  # U_{n-1}
             np.copyto(kernel, u_k, where=(counts == n)[:, None])
         af = af * np.abs(kernel)

@@ -164,16 +164,17 @@ _MAX_LOS_ATTEMPTS = 100_000
 def _los_target_reachable(p_los: np.ndarray, target: int) -> bool:
     """False when the redraw loop has no plausible chance to hit ``target``.
 
-    Terminals with LOS probability 0 or 1 fix part of the count.  The
-    other ``m`` make up the rest, ``k``; by Hoeffding's inequality one draw
-    lands on ``k`` with probability at most ``exp(-2 (k - mean)^2 / m)``,
-    so all attempts together succeed with at most that times their number.
+    Terminals with LOS probability 0 or 1 fix part of the count; the other ``m`` make up the rest,
+    ``k``, at ``t`` from their mean.  One draw lands on ``k`` with probability at most Hoeffding's
+    ``exp(-2 t^2 / m)`` and at most Bernstein's ``exp(-t^2 / (2 var + 2 t / 3))``, ``var`` the sum
+    of ``p (1 - p)``, so all attempts together succeed with at most the smaller times their number.
     """
     k = target - int(np.count_nonzero(p_los >= 1.0))
     p = p_los[(p_los > 0.0) & (p_los < 1.0)]
     if not 0 <= k <= p.size:
         return False
-    return p.size == 0 or _MAX_LOS_ATTEMPTS * math.exp(-2.0 * (k - p.sum()) ** 2 / p.size) > 1e-9
+    t, var = abs(k - p.sum()), (p * (1.0 - p)).sum()
+    return p.size == 0 or _MAX_LOS_ATTEMPTS * math.exp(-max(2 * t * t / p.size, t * t / (2 * var + 2 * t / 3))) > 1e-9
 
 
 def drop_terminals(n: int, service_radius_m: float, kind: str,
@@ -335,48 +336,47 @@ def ul_slot_assignments(serving: np.ndarray, offset: int = 0,
     rank[order] = np.arange(serving.size) - first[serving[order]]
     j = np.arange(intervals)[:, None]
     shift = (offset + j) * np.arange(1, counts.size + 1) % np.maximum(counts, 1)  # cell c's pointer in interval j
-    slots = rank + shift[:, serving]  # under 2 * load: min with slots - load, unsigned (huge below load), wraps once
+    slots = shift.take(serving, axis=1)  # C-ordered, so the closing ravel is a view
+    slots += rank  # under 2 * load: min with slots - load, unsigned (huge below load), wraps once
     np.minimum(slots.view(np.uint64), (slots - counts[serving]).view(np.uint64), out=slots.view(np.uint64))
     slots += j * counts.max(initial=0)
     return slots.ravel()
 
 
 def _coblock_interference(serving: np.ndarray, counts: np.ndarray, ul_lin: np.ndarray,
-                          first_offset: int) -> np.ndarray:
+                          first_offset: int, ids: np.ndarray) -> np.ndarray:
     """Uplink co-block interference (mW), one row per sub-interval.
 
     Sub-interval ``j`` schedules with round-robin offset ``first_offset + j``;
     there are as many as the largest cell has members, all keyed by one
     ``ul_slot_assignments`` call.  A terminal's interferers are the terminals
     of the other cells that hold its slot key, received through its serving
-    panel and summed in beam order.  That sum depends only on the panel and
-    the key, so it is built once as a table (everything panel ``c`` receives
-    on key ``k``, at flat index ``c * n_keys + k``) that each terminal reads.
+    panel and summed in beam order.  That sum depends only on the key and the
+    panel, so it is built once as a table (everything panel ``c`` receives on
+    key ``k``, at flat index ``k * beams + c``) that each terminal reads.
+    ``ids`` repeats the terminal ids ``0..n-1``, once per sub-interval or more.
     """
-    n = serving.size
-    n_sub = int(counts.max())
-    n_keys = n_sub * n_sub
-    idx = np.arange(n)
-    # flat[j, m]: the entry of terminal m in sub-interval j, with key j * n_sub + slot
+    n, beams, n_sub = serving.size, counts.size, int(counts.max())
+    # flat[j, m]: terminal m in sub-interval j, key j * n_sub + slot: one index for holder and table
     flat = ul_slot_assignments(serving, first_offset, n_sub).reshape(n_sub, n)
-    flat += serving * n_keys
-    # holder[b, key]: the terminal of beam b holding the slot key; n if none
-    holder = np.full((counts.size, n_keys), n)
-    holder.ravel()[flat] = idx
-    # power[c, m]: terminal m received through panel c.  Column n (no
-    # holder) is zero, and so is each terminal's own serving panel: in its
-    # own beam a terminal finds itself, which is not interference.
-    power = np.zeros((counts.size, n + 1))
-    power[:, :n] = ul_lin
-    power[serving, idx] = 0.0
-    # the first active beam starts the table: its powers are at least +0.0,
-    # so it is their sum from zero.  The later takes share one buffer; the
-    # keys are in range, and mode="clip" fills it without an extra copy.
+    flat *= beams
+    flat += serving
+    # holder[key, b]: the terminal of beam b holding the slot key; n if none
+    holder = np.full((n_sub * n_sub, beams), n)
+    holder.ravel()[flat.ravel()] = ids[:flat.size]
+    # power[m, c]: terminal m received through panel c.  Row n (no holder) is zero, and so is
+    # each terminal's own serving panel: in its own beam a terminal finds itself, not interference.
+    power = np.zeros((n + 1, beams))
+    power[:n] = ul_lin.T
+    power[ids[:n], serving] = 0.0
+    # Each beam adds a whole row per key.  The first active beam starts the table: its powers are
+    # at least +0.0, so it is their sum from zero.  The later takes share one buffer; the keys are
+    # in range, and mode="clip" fills it without an extra copy.
     first, *rest = np.flatnonzero(counts)
-    table = power.take(holder[first], axis=1)
+    table = power.take(holder[:, first], axis=0)
     held = np.empty_like(table)
     for b in rest:
-        table += power.take(holder[b], axis=1, out=held, mode="clip")
+        table += power.take(holder[:, b], axis=0, out=held, mode="clip")
     return table.take(flat)
 
 
@@ -504,11 +504,12 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     # advances each TTI, so a terminal meets a rotating set of co-block
     # interferers.  Average the achieved SE over one full rotation of
     # the largest cell rather than freezing a single collision draw.
-    for p in np.flatnonzero(np.count_nonzero(counts, axis=1) > 1):
-        n_sub = int(counts[p].max())
-        sinr_ul = _coblock_interference(serving[p], counts[p], ul_lin[p], p * n_sub)
+    shared = np.flatnonzero(np.count_nonzero(counts, axis=1) > 1)
+    ids = np.tile(term, counts[shared].max()) if shared.size else None  # terminal ids, once per sub-interval
+    for p in shared:  # sub-interval j of position p schedules with offset p * n_sub + j
+        sinr_ul = _coblock_interference(serving[p], counts[p], ul_lin[p], p * counts[p].max(), ids)
         np.divide(own_ul_lin[p], np.add(sinr_ul, noise_ul_lin, out=sinr_ul), out=sinr_ul)
-        se_ul[p] = sinr_to_se(sinr_ul, *ul_abs).sum(axis=0) / n_sub
+        se_ul[p] = sinr_to_se(sinr_ul, *ul_abs).mean(axis=0)
 
     # Per-user SE: bits over time-bandwidth, summed over the positions.  A
     # position lasts one second; the downlink shares the cell bandwidth,

@@ -325,6 +325,27 @@ def test_unreachable_los_target_fails_before_any_redraw():
         build_drop(ScenarioConfig(layout="seven_cell", terminal_count=420, target_los_count=175))
 
 
+class _NoRedraw(_Recorder):
+    """A recorder that fails on a third ``random`` draw: after the radii and angles, a LOS draw."""
+
+    def random(self, n):
+        assert len(self.uniform) < 2, "a LOS draw"
+        return super().random(n)
+
+
+def test_a_los_target_only_the_variance_rules_out_fails_before_any_redraw(monkeypatch):
+    # one cell's auto target of 5000 terminals is 4250 LOS against an expected 4491, about
+    # 11 standard deviations off; Hoeffding's bound alone lets every redraw run
+    rng = _NoRedraw(1)
+    monkeypatch.setattr(simulation, "drop_terminals",
+                        lambda *args: drop_terminals(*args[:4], rng, *args[5:]))
+    with pytest.raises(ValidationError, match="LOS target 4250/5000") as err:
+        build_drop(ScenarioConfig(terminal_count=5000, seed=1))
+    assert err.value.fields == ("terminal_count", "target_los_count", "altitude_m", "cell_radius_m",
+                                "ntn_table_path")
+    assert len(rng.uniform) == 2
+
+
 def test_build_drop_resolves_layout_defaults():
     terms, _ = build_drop(ScenarioConfig())
     assert len(terms) == 20
@@ -584,6 +605,13 @@ def _serving_with_an_empty_beam(draw):
 @given(serving=_serving_with_an_empty_beam(), offset=st.integers(0, 200),
        seed=st.integers(0, 2**32 - 1))
 @example(serving=np.array([4, 0, 4, 2, 0, 2, 6]), offset=0, seed=0)
+# the ends of the key * beams + serving index: two active beams of one terminal each (one key,
+# so the table's last row is its first); all terminals but one in one beam; the largest cell
+# in beam 6; beams 0 and 6 tied largest, both holding a key in the table's last row
+@example(serving=np.array([0, 6]), offset=0, seed=0)
+@example(serving=np.array([3, 3, 3, 3, 3, 3, 1]), offset=0, seed=1)
+@example(serving=np.array([6, 2, 6, 6, 4, 6, 2]), offset=5, seed=2)
+@example(serving=np.array([0, 6, 0, 6, 6, 0, 3]), offset=3, seed=3)
 def test_coblock_interference_matches_the_loop_sum(serving, offset, seed):
     n = serving.size
     rng = np.random.default_rng(seed)
@@ -591,7 +619,7 @@ def test_coblock_interference_matches_the_loop_sum(serving, offset, seed):
     gains = rng.uniform(-20.0, 30.0, (7, n))
     counts = np.bincount(serving, minlength=7)
     power = 10.0 ** ((ul_rx_dbm + gains) / 10.0)
-    got = _coblock_interference(serving, counts, power, offset)
+    got = _coblock_interference(serving, counts, power, offset, np.tile(np.arange(n), counts.max()))
     assert got.shape == (counts.max(), n)
     # the powers the kernel is given, so only the summation is compared:
     # each terminal's interferers are added in beam order, starting from zero
