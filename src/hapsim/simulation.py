@@ -162,7 +162,7 @@ _MAX_LOS_ATTEMPTS = 100_000
 
 
 def _los_target_reachable(p_los: np.ndarray, target: int) -> bool:
-    """False when the redraw loop has no plausible chance to hit ``target``.
+    """False when all redraws together have under a 5% chance to hit ``target``, so they would likely all run.
 
     Terminals with LOS probability 0 or 1 fix part of the count; the other ``m`` make up the rest,
     ``k``, at ``t`` from their mean.  One draw lands on ``k`` with probability at most Hoeffding's
@@ -174,7 +174,7 @@ def _los_target_reachable(p_los: np.ndarray, target: int) -> bool:
     if not 0 <= k <= p.size:
         return False
     t, var = abs(k - p.sum()), (p * (1.0 - p)).sum()
-    return p.size == 0 or _MAX_LOS_ATTEMPTS * math.exp(-max(2 * t * t / p.size, t * t / (2 * var + 2 * t / 3))) > 1e-9
+    return p.size == 0 or _MAX_LOS_ATTEMPTS * math.exp(-max(2 * t * t / p.size, t * t / (2 * var + 2 * t / 3))) >= 0.05
 
 
 def drop_terminals(n: int, service_radius_m: float, kind: str,

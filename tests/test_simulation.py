@@ -333,14 +333,18 @@ class _NoRedraw(_Recorder):
         return super().random(n)
 
 
-def test_a_los_target_only_the_variance_rules_out_fails_before_any_redraw(monkeypatch):
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("count, target", [(1500, 1275), (2000, 1700), (5000, 4250)])
+def test_a_los_target_only_the_variance_rules_out_fails_before_any_redraw(monkeypatch, count, target, seed):
     # one cell's auto target of 5000 terminals is 4250 LOS against an expected 4491, about
-    # 11 standard deviations off; Hoeffding's bound alone lets every redraw run
-    rng = _NoRedraw(1)
+    # 11 standard deviations off; Hoeffding's bound alone lets every redraw run. At 1500 and 2000
+    # terminals Bernstein's bound gives all redraws together under a 5% chance, and each would
+    # spend the whole budget before the same error
+    rng = _NoRedraw(seed)
     monkeypatch.setattr(simulation, "drop_terminals",
                         lambda *args: drop_terminals(*args[:4], rng, *args[5:]))
-    with pytest.raises(ValidationError, match="LOS target 4250/5000") as err:
-        build_drop(ScenarioConfig(terminal_count=5000, seed=1))
+    with pytest.raises(ValidationError, match=f"LOS target {target}/{count}") as err:
+        build_drop(ScenarioConfig(terminal_count=count, seed=seed))
     assert err.value.fields == ("terminal_count", "target_los_count", "altitude_m", "cell_radius_m",
                                 "ntn_table_path")
     assert len(rng.uniform) == 2
